@@ -25,8 +25,9 @@ from .generators import (MonteCarloResult, SimulationConfig, circular,
                          monte_carlo_covariance, random_quasi_symmetric,
                          round_robin, simulate_tournament)
 from .io import matrix_to_csv, parse_input
-from .linalg import (EigenResult, column_sums, is_irreducible,
-                     leading_eigenvector, pseudoinverse)
+from .linalg import (EigenResult, StationaryResult, column_sums,
+                     is_irreducible, leading_eigenvector, pseudoinverse,
+                     stationary_vector)
 from .quasisym import (QSDecomposition, ReversibilityReport, TripletReport,
                        TripletViolation, check_triplets, decompose_qs,
                        is_reversible, verify_equivalence)

@@ -6,8 +6,9 @@ i-win as t moves. The chain maps C -> P -> pi -> iw -> log iw, and each stage
 has an explicit derivative:
 
 * transition_derivative: dP/dt at the balanced round-robin point,
-* stationary_derivative: dpi/dt for any chain (solve (I - P) x = Pdot pi
-  on the sum-zero slice),
+* stationary_derivative: dpi/dt for any chain, x = (I - P)# Pdot pi with
+  the group inverse (I - P)# = (I - P + pi e^T)^-1 - pi e^T (Golub and
+  Meyer 1986), the unique sum-zero solution of (I - P) x = Pdot pi,
 * log_iw_jacobian: d log iw / dt for every pair direction at a general C.
 
 Composing the Jacobian with the per-pair binomial variance of the win counts
@@ -27,7 +28,7 @@ import numpy as np
 
 from .counts import as_count_matrix
 from .errors import ConsistencyError, DimensionError, DomainError
-from .linalg import DEFAULT_TOL, leading_eigenvector, pseudoinverse
+from .linalg import DEFAULT_TOL, stationary_vector
 from .rankings import transition_matrix
 
 
@@ -89,12 +90,8 @@ def transition_derivative(n: int, k: int, direction) -> np.ndarray:
 
 def stationary_derivative(P, pi, Pdot) -> np.ndarray:
     """dpi/dt for a column-stochastic chain: the sum-zero solution of
-    (I - P) x = Pdot pi.
-
-    The pseudoinverse solve is followed by a projection x -= (e^T x) pi,
-    which lands on the group-inverse solution (the pinv solution is only
-    sum-zero by itself when I - P is symmetric). pi must be stationary for
-    P within 1e-8.
+    (I - P) x = Pdot pi, i.e. the group inverse of I - P applied to
+    Pdot pi. pi must be stationary for P within 1e-8.
     """
     P = np.asarray(P, dtype=float)
     Pdot = np.asarray(Pdot, dtype=float)
@@ -109,8 +106,18 @@ def stationary_derivative(P, pi, Pdot) -> np.ndarray:
         raise DomainError("Pdot columns must sum to zero (tangent direction)")
     if np.max(np.abs(P @ pi - pi)) > 1e-8:
         raise ConsistencyError("pi is not stationary for P within 1e-8")
-    x = pseudoinverse(np.eye(n) - P) @ (Pdot @ pi)
-    return x - (x.sum() / pi.sum()) * pi
+    return _group_inverse(P, pi / pi.sum()) @ (Pdot @ pi)
+
+
+def _group_inverse(P: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """Group inverse (I - P)# = (I - P + pi e^T)^-1 - pi e^T of an
+    irreducible column-stochastic P with stationary vector pi (sum 1).
+
+    It maps every vector to the sum-zero slice and inverts I - P there.
+    """
+    n = P.shape[0]
+    rank_one = np.repeat(pi[:, None], n, axis=1)
+    return np.linalg.inv(np.eye(n) - P + rank_one) - rank_one
 
 
 def log_iw_jacobian(C, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -126,26 +133,37 @@ def log_iw_jacobian(C, tol: float = DEFAULT_TOL) -> np.ndarray:
     n = C.n
     a = C.column_sums()
     P = transition_matrix(C, 1.0)
-    pi = leading_eigenvector(P, tol=tol).vector
-    Z = pseudoinverse(np.eye(n) - P)
-    iw_un = pi / a
-    psi = iw_un.sum()
-    iw = iw_un / psi
-    pairs = lexicographic_pairs(n)
-    J = np.empty((n, len(pairs)))
-    eye = np.eye(n)
-    for col, (i, j) in enumerate(pairs):
-        pdot_i = (P[:, i] - eye[j]) / a[i]
-        pdot_j = (eye[i] - P[:, j]) / a[j]
-        b = pdot_i * pi[i] + pdot_j * pi[j]
-        x = Z @ b
-        x -= x.sum() * pi
-        adot_term = np.zeros(n)
-        adot_term[i] = -iw_un[i]
-        adot_term[j] = iw_un[j]
-        iwdot_un = (x - adot_term) / a
-        iwdot = (psi * iwdot_un - iw_un * iwdot_un.sum()) / (psi * psi)
-        J[:, col] = iwdot / iw
+    pi = stationary_vector(P, tol=tol).vector
+    G = _group_inverse(P, pi)
+    u = pi / a  # unnormalized influence weights
+    # Pair (i, j) moves column i of C by -e_j and column j by +e_i, so
+    # Pdot pi = u_i (P e_i - e_j) + u_j (e_i - P e_j) and pi moves by
+    # x = H e_i - H e_j + u_j G e_i - u_i G e_j, with H = G P diag(u).
+    # u = pi / a also moves with a (a_i by -1, a_j by +1), so
+    # d log u = (x - u da) / pi, less the shift of the normalizer sum(u),
+    # which is (1/a)^T (x - u da) / sum(u).
+    H = G @ (P * u)
+    i, j = np.triu_indices(n, k=1)
+    Hs, Gs = H / pi[:, None], G / pi[:, None]
+    # J is n x n(n-1)/2: fill it in place through one buffer of its size.
+    # take() into out= copies through a hidden temporary unless mode is
+    # not "raise"; the indices are in range, so "clip" changes nothing else.
+    J = np.take(Hs, i, axis=1)
+    buf = np.empty_like(J)
+
+    def columns(M, idx):
+        return np.take(M, idx, axis=1, out=buf, mode="clip")
+
+    J -= columns(Hs, j)
+    J += np.multiply(columns(Gs, i), u[j], out=buf)
+    J -= np.multiply(columns(Gs, j), u[i], out=buf)
+    cols = np.arange(i.size)
+    J[i, cols] += 1.0 / a[i]
+    J[j, cols] -= 1.0 / a[j]
+    h, g = (1.0 / a) @ H, (1.0 / a) @ G
+    shift = (h[i] - h[j] + g[i] * u[j] - g[j] * u[i]
+             + u[i] / a[i] - u[j] / a[j])
+    J -= shift / u.sum()
     return J
 
 
@@ -173,8 +191,10 @@ def delta_method_covariance(C, tol: float = DEFAULT_TOL) -> np.ndarray:
     C = as_count_matrix(C)
     J = log_iw_jacobian(C, tol=tol)
     games = C.counts + C.counts.T
-    trials = np.array([games[i, j] for i, j in lexicographic_pairs(C.n)])
-    return (J * (trials / 4.0)) @ J.T
+    trials = games[np.triu_indices(C.n, k=1)]
+    # scale J in place: a scaled copy would be one more n x n(n-1)/2 array
+    J *= np.sqrt(trials / 4.0)
+    return J @ J.T
 
 
 def round_robin_covariance(n: int, k: int) -> np.ndarray:

@@ -1,13 +1,17 @@
-"""Bradley-Terry maximum-likelihood fitting by minorization-maximization.
+"""Bradley-Terry maximum-likelihood fitting by damped Newton steps.
 
 Model: P(i beats j) = logistic(mu_i - mu_j) with the sum-zero gauge
-sum_i mu_i = 0. The MM update on the odds scale gamma = exp(mu) is
+sum_i mu_i = 0. The log-likelihood l(mu) = sum_{i != j} c_ij log p_ij is
+concave with gradient (the score) W_i - sum_j n_ij p_ij, where W_i is the
+total wins of i and n_ij = c_ij + c_ji the games between the pair, and its
+negative Hessian is the Fisher information F (see bt_covariance). F is
+singular along the all-ones gauge direction, so each step solves
 
-    gamma_i <- W_i / sum_{j != i} n_ij / (gamma_i + gamma_j)
+    (F + e e^T / n) delta = score
 
-with W_i the total wins of i and n_ij = c_ij + c_ji the games between the
-pair. Each sweep renormalizes to the gauge, and convergence is declared on
-the max-norm change of mu.
+which keeps delta sum-zero, and then halves the step until the
+log-likelihood rises (backtracking). tol bounds the relative score residual
+max_i |W_i - sum_j n_ij p_ij| / sum_j n_ij, checked before every step.
 """
 
 from __future__ import annotations
@@ -17,12 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counts import CountMatrix, as_count_matrix
-from .errors import (ConnectivityError, ConvergenceError, DimensionError,
-                     DomainError, SeparationError)
-from .linalg import pseudoinverse
+from .errors import (ConnectivityError, ConvergenceError, DecompositionError,
+                     DimensionError, DomainError, SeparationError)
+from .linalg import _components
 
 DEFAULT_FIT_TOL = 1e-10
-DEFAULT_FIT_MAX_ITER = 10_000
+DEFAULT_FIT_MAX_ITER = 100
+_ARMIJO = 1e-4
+_MAX_HALVINGS = 40
 
 
 @dataclass(frozen=True)
@@ -49,11 +55,15 @@ class AbilityVector:
 
 @dataclass(frozen=True)
 class FitReport:
+    """A converged fit. iterations counts Newton steps and residual is the
+    relative score residual at the returned abilities (at most tol)."""
+
     abilities: AbilityVector
     covariance: np.ndarray
     deviance: float
     iterations: int
     converged: bool
+    residual: float
 
 
 def _logistic(x):
@@ -66,84 +76,122 @@ def _logistic(x):
     return out
 
 
-def _components(active: np.ndarray) -> list[list[int]]:
-    n = active.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    comps = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        comp = [start]
-        seen[start] = True
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            new = np.flatnonzero(active[u] & ~seen)
-            seen[new] = True
-            comp.extend(new.tolist())
-            stack.extend(new.tolist())
-        comps.append(sorted(comp))
-    return comps
-
-
-def _check_fittable(C: CountMatrix) -> None:
+def _off_diagonal(C: CountMatrix) -> np.ndarray:
+    """The counts with self-comparisons (the diagonal) set to zero."""
     counts = C.counts.copy()
     np.fill_diagonal(counts, 0.0)
-    games = counts + counts.T
+    return counts
+
+
+def _require_connected(games: np.ndarray, labels) -> None:
     comps = _components(games > 0)
     if len(comps) > 1:
-        raise ConnectivityError([[C.labels[i] for i in comp] for comp in comps])
+        raise ConnectivityError([[labels[i] for i in comp] for comp in comps])
+
+
+def _fisher(games: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Fisher information at win probabilities p (p.T = 1 - p)."""
+    weight = games * p * p.T
+    F = -weight
+    np.fill_diagonal(F, weight.sum(axis=1))
+    return F
+
+
+def _check_fittable(counts: np.ndarray, labels) -> None:
+    """Raise unless the MLE exists, that is unless the win graph (u -> v
+    where u beat v) is strongly connected. Otherwise some group of players
+    never lost to the rest, and their abilities diverge from the others'.
+    A disconnected graph and a player without wins or losses are the common
+    cases and get their own messages."""
+    n = len(labels)
+    _require_connected(counts + counts.T, labels)
     wins = counts.sum(axis=1)
     losses = counts.sum(axis=0)
-    for i in range(C.n):
+    for i in range(n):
         if wins[i] == 0:
-            raise SeparationError(C.labels[i], "no wins")
+            raise SeparationError(labels[i], "no wins")
         if losses[i] == 0:
-            raise SeparationError(C.labels[i], "no losses")
+            raise SeparationError(labels[i], "no losses")
+    beat = counts > 0
+    # the players 0 beats, directly or through others, beat nobody outside
+    # that group; the players who beat 0 lost to nobody outside theirs
+    below = set(_components(beat)[0])
+    top = set(range(n)) - below if len(below) < n else \
+        set(_components(beat.T)[0])
+    if len(top) < n:
+        first = labels[min(top)]
+        rest = ", ".join(labels[i] for i in range(n) if i not in top)
+        raise SeparationError(first, f"no losses against {rest}")
 
 
 def fit_bt(C, tol: float = DEFAULT_FIT_TOL,
            max_iter: int = DEFAULT_FIT_MAX_ITER) -> FitReport:
-    """Fit sum-zero abilities by MM iteration.
+    """Fit sum-zero abilities by damped Newton steps from mu = 0.
 
-    Requires a connected comparison graph and at least one win and one loss
-    per player (otherwise the MLE does not exist). Self-comparisons on the
-    diagonal are ignored.
+    Stops once the relative score residual is at most tol; raises the
+    convergence error when max_iter steps do not get there or a line
+    search finds no ascent. Requires that no group of players went
+    unbeaten against the rest (otherwise the MLE does not exist): a
+    connected comparison graph, a win and a loss for every player, and a
+    strongly connected win graph. Self-comparisons on the diagonal are
+    ignored.
     """
     C = as_count_matrix(C)
     if not tol > 0:
         raise DomainError(f"tol must be positive, got {tol}")
     if C.n < 2:
         raise DomainError("need at least two players to fit")
-    _check_fittable(C)
-    counts = C.counts.copy()
-    np.fill_diagonal(counts, 0.0)
+    n = C.n
+    counts = _off_diagonal(C)
+    _check_fittable(counts, C.labels)
     games = counts + counts.T
     wins = counts.sum(axis=1)
-    n = C.n
-    gamma = np.ones(n)
+    played = games.sum(axis=1)
+    rows, cols = np.nonzero(counts)
+    won = counts[rows, cols]
+
+    def loglik(mu):
+        return -float(won @ np.logaddexp(0.0, mu[cols] - mu[rows]))
+
     mu = np.zeros(n)
-    for it in range(1, max_iter + 1):
-        denom = (games / np.add.outer(gamma, gamma)).sum(axis=1)
-        gamma = wins / denom
-        mu_new = np.log(gamma)
-        mu_new -= mu_new.mean()
-        gamma = np.exp(mu_new)
-        delta = float(np.max(np.abs(mu_new - mu)))
-        mu = mu_new
-        if delta < tol:
+    ll = loglik(mu)
+    for step in range(max_iter + 1):
+        p = _logistic(np.subtract.outer(mu, mu))
+        score = wins - (games * p).sum(axis=1)
+        residual = float(np.max(np.abs(score) / played))
+        if residual <= tol:
             abilities = AbilityVector(mu - mu.mean(), C.labels)
             return FitReport(
                 abilities=abilities,
-                covariance=bt_covariance(C, abilities),
+                covariance=_covariance(games, abilities.mu),
                 deviance=bt_deviance(C, abilities),
-                iterations=it,
+                iterations=step,
                 converged=True,
+                residual=residual,
             )
+        if step == max_iter:
+            break
+        delta = np.linalg.solve(_fisher(games, p) + 1.0 / n, score)
+        ascent = _ARMIJO * float(score @ delta)
+        # l sums won.size terms, so rounding alone moves it by up to about
+        # this much; a trial that loses no more than that is no loss
+        noise = 16 * np.finfo(float).eps * won.size * abs(ll)
+        t = 1.0
+        for _ in range(_MAX_HALVINGS):
+            trial = mu + t * delta
+            ll_trial = loglik(trial)
+            if ll_trial >= ll + t * ascent - noise:
+                break
+            t *= 0.5
+        else:
+            raise ConvergenceError(
+                f"Newton line search found no ascent at step {step + 1} "
+                f"(score residual {residual:.3g})",
+                residual=residual, iterations=step)
+        mu, ll = trial, ll_trial
     raise ConvergenceError(
-        f"MM iteration did not converge in {max_iter} sweeps "
-        f"(last change {delta:.3g})",
-        residual=delta, iterations=max_iter)
+        f"score residual {residual:.3g} exceeds tol {tol:.3g} after "
+        f"{max_iter} Newton steps", residual=residual, iterations=max_iter)
 
 
 def _as_mu(mu, n: int) -> np.ndarray:
@@ -155,24 +203,34 @@ def _as_mu(mu, n: int) -> np.ndarray:
     return mu
 
 
+def _covariance(games: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    n = len(mu)
+    gauge = np.full((n, n), 1.0 / n)
+    F = _fisher(games, _logistic(np.subtract.outer(mu, mu)))
+    try:
+        return np.linalg.inv(F + gauge) - gauge
+    except np.linalg.LinAlgError as exc:
+        raise DecompositionError(
+            f"Fisher information is singular beyond the gauge: {exc}") from exc
+
+
 def bt_covariance(C, mu) -> np.ndarray:
     """Asymptotic covariance of the abilities: pseudoinverse of the Fisher
     information at mu.
 
     F_ii = sum_{j != i} n_ij p_ij (1 - p_ij), F_ij = -n_ij p_ij (1 - p_ij).
-    The information is singular along the all-ones direction (the gauge), so
-    the Moore-Penrose inverse is the right object; its rows sum to ~0.
+    The information is singular along the all-ones direction (the gauge).
+    On a connected comparison graph that is its only null direction, and
+    the Moore-Penrose inverse is exactly inv(F + e e^T / n) - e e^T / n;
+    its rows sum to ~0. A disconnected graph raises the connectivity
+    error.
     """
     C = as_count_matrix(C)
     mu = _as_mu(mu, C.n)
-    counts = C.counts.copy()
-    np.fill_diagonal(counts, 0.0)
+    counts = _off_diagonal(C)
     games = counts + counts.T
-    p = _logistic(np.subtract.outer(mu, mu))
-    weight = games * p * (1.0 - p)
-    F = -weight.copy()
-    np.fill_diagonal(F, weight.sum(axis=1))
-    return pseudoinverse(F)
+    _require_connected(games, C.labels)
+    return _covariance(games, mu)
 
 
 def bt_deviance(C, mu) -> float:
@@ -183,8 +241,7 @@ def bt_deviance(C, mu) -> float:
     """
     C = as_count_matrix(C)
     mu = _as_mu(mu, C.n)
-    counts = C.counts.copy()
-    np.fill_diagonal(counts, 0.0)
+    counts = _off_diagonal(C)
     games = counts + counts.T
     p = _logistic(np.subtract.outer(mu, mu))
     expected = games * p

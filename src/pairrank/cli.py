@@ -11,8 +11,9 @@ Subcommands:
 * simulate: Monte Carlo covariance on a structure with z-scores against the
   closed form.
 
-Exit codes: 0 success, 2 input/parse/domain error, 3 iteration failed to
-converge, 4 a requested check failed (non-quasi-symmetric input or --check
+Exit codes: 0 success, 2 input/parse/domain error, 3 a solver's result
+missed its residual bound (--tol) or the Bradley-Terry line search found no
+ascent, 4 a requested check failed (non-quasi-symmetric input or --check
 discrepancy beyond tolerance). Reports go to stdout, errors to stderr.
 """
 
@@ -73,7 +74,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="damping in [0, 1]; default 0.85 for pagerank, "
                              "1 (undamped) for iw/total/ipp")
     p_rank.add_argument("--tol", type=float, default=1e-10,
-                        help="iteration tolerance")
+                        help="residual bound checked after the solve: "
+                             "max|Px - x| for the stationary vector, the "
+                             "relative score residual for bt")
     p_rank.add_argument("--articles", default=None,
                         help="CSV of per-player sizes (label,articles); "
                              "required for --method ipp")

@@ -57,12 +57,6 @@ class CountMatrix:
     def column_sums(self) -> np.ndarray:
         return self.counts.sum(axis=0)
 
-    def index_of(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise DomainError(f"unknown label {label!r}") from None
-
 
 def as_count_matrix(C) -> CountMatrix:
     """Coerce an array-like (or pass through a CountMatrix) with validation."""

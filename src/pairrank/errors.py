@@ -80,7 +80,8 @@ class ConsistencyError(RankingError):
 
 
 class ConvergenceError(RankingError):
-    """An iteration failed to converge within its step budget."""
+    """A solver's result missed its residual bound, its step budget ran
+    out, or its line search found no ascent."""
 
     def __init__(self, message: str, residual: float | None = None,
                  iterations: int | None = None):

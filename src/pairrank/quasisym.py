@@ -24,7 +24,7 @@ from .bradley_terry import fit_bt
 from .counts import CountMatrix, as_count_matrix
 from .errors import ConnectivityError, ConsistencyError, DomainError, \
     NotQuasiSymmetricError
-from .linalg import DEFAULT_TOL, leading_eigenvector
+from .linalg import DEFAULT_TOL, _components, stationary_vector
 from .rankings import influence_weight, transition_matrix
 
 DEFAULT_QS_TOL = 1e-8
@@ -145,8 +145,8 @@ def decompose_qs(C, tol: float = DEFAULT_QS_TOL) -> QSDecomposition:
             stack.append(int(v))
             order.append(int(v))
     if not seen.all():
-        comps = _mutual_components(mutual, C.labels)
-        raise ConnectivityError(comps)
+        raise ConnectivityError([[C.labels[i] for i in comp]
+                                 for comp in _components(mutual)])
 
     M = counts / d[:, None]
     asym = np.abs(M - M.T)
@@ -157,26 +157,6 @@ def decompose_qs(C, tol: float = DEFAULT_QS_TOL) -> QSDecomposition:
     S = 0.5 * (M + M.T)
     residual = float(np.max(np.abs(counts - d[:, None] * S)))
     return QSDecomposition(d=d, S=S, residual=residual, labels=C.labels)
-
-
-def _mutual_components(mutual: np.ndarray, labels) -> list[list[str]]:
-    n = mutual.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    comps = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        comp = [start]
-        seen[start] = True
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            new = np.flatnonzero(mutual[u] & ~seen)
-            seen[new] = True
-            comp.extend(new.tolist())
-            stack.extend(new.tolist())
-        comps.append([labels[i] for i in sorted(comp)])
-    return comps
 
 
 def verify_equivalence(C, tol: float = 1e-10) -> float:
@@ -235,7 +215,7 @@ def is_reversible(C, tol: float = DEFAULT_QS_TOL) -> ReversibilityReport:
     """
     C = as_count_matrix(C)
     P = transition_matrix(C, 1.0)
-    pi = leading_eigenvector(P, tol=DEFAULT_TOL).vector
+    pi = stationary_vector(P, tol=DEFAULT_TOL).vector
     flow = P * pi[None, :]
     gap = float(np.max(np.abs(flow - flow.T)))
     return ReversibilityReport(reversible=gap <= tol, max_gap=gap, tolerance=tol)

@@ -1,13 +1,17 @@
 """Eigenvector ranking methods on paired-comparison count matrices.
 
-All four methods return probability-normalized score vectors:
+Every method reduces to the stationary vector of a column-stochastic chain,
+found by one direct solve (linalg.stationary_vector); tol bounds that
+solve's residual max|P x - x|. All four methods return
+probability-normalized score vectors:
 
 * pagerank: stationary vector of the damped column-stochastic chain
   P_alpha = alpha C A^-1 + ((1 - alpha)/n) e e^T, with A = diag(column sums).
   alpha = 1 is the undamped chain P = C A^-1.
 * influence_weight: fixed point of w_i = sum_j w_j c_ij / sum_j c_ji, i.e.
-  the leading eigenvector of A^-1 C. Invariant to the diagonal of C and to
-  global rescaling of any single column pair structure.
+  the leading eigenvector of A^-1 C, computed as normalize(pi / a) from the
+  stationary vector pi of the undamped chain. Invariant to the diagonal of
+  C and to global rescaling of any single column pair structure.
 * total_influence: influence weight times column sum, renormalized. Equals
   undamped pagerank.
 * influence_per_publication: total influence divided by a per-node size
@@ -26,7 +30,7 @@ import numpy as np
 from .counts import CountMatrix, as_count_matrix
 from .errors import (DanglingNodeError, DimensionError, DomainError,
                      ReducibilityError)
-from .linalg import DEFAULT_TOL, is_irreducible, leading_eigenvector
+from .linalg import DEFAULT_TOL, is_irreducible, stationary_vector
 
 METHODS = ("pagerank", "influence_weight", "total_influence",
            "influence_per_publication")
@@ -106,21 +110,21 @@ def pagerank(C, alpha: float = 0.85, tol: float = DEFAULT_TOL) -> RankingVector:
     """Stationary vector of the damped chain, normalized to sum 1."""
     C = as_count_matrix(C)
     P = transition_matrix(C, alpha)
-    res = leading_eigenvector(P, tol=tol)
-    return RankingVector(res.vector, C.labels, "pagerank")
+    pi = stationary_vector(P, tol=tol).vector
+    return RankingVector(pi, C.labels, "pagerank")
 
 
 def influence_weight(C, tol: float = DEFAULT_TOL) -> RankingVector:
-    """Size-free eigenvector weights: leading eigenvector of A^-1 C.
+    """Size-free eigenvector weights: leading eigenvector of A^-1 C, i.e.
+    normalize(pi / a) for the stationary vector pi of P = C A^-1.
 
     Requires positive column sums and an irreducible comparison graph.
     The result does not change when the diagonal of C changes.
     """
     C = as_count_matrix(C)
     a = _require_undamped_ok(C)
-    M = C.counts / a[:, None]
-    res = leading_eigenvector(M, tol=tol)
-    return RankingVector(res.vector, C.labels, "influence_weight")
+    w = stationary_vector(C.counts / a, tol=tol).vector / a
+    return RankingVector(w / w.sum(), C.labels, "influence_weight")
 
 
 def total_influence(C, tol: float = DEFAULT_TOL) -> RankingVector:

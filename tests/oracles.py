@@ -118,3 +118,22 @@ def random_counts(rng: np.random.Generator, n: int, low: float = 0.5,
     if zero_diagonal:
         np.fill_diagonal(C, 0.0)
     return C
+
+
+def quasi_symmetric_ring(n: int,
+                         seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Counts C = diag(d) S with S nonzero only on the ring edges
+    (i, i+1 mod n), and the exact merit vector d (d[0] = 1). The ring is the
+    slowest-mixing connected design, so iterative solvers struggle on it
+    while the exact answer is known: iw proportional to d, undamped
+    pagerank and total influence to d * a, abilities equal to centered
+    log d."""
+    rng = np.random.default_rng(seed)
+    d = rng.uniform(0.5, 2.0, n)
+    d[0] = 1.0
+    idx = np.arange(n)
+    s = rng.uniform(2.0, 8.0, n)
+    S = np.zeros((n, n))
+    S[idx, (idx + 1) % n] = s
+    S[(idx + 1) % n, idx] = s
+    return d[:, None] * S, d

@@ -5,9 +5,11 @@ from numpy.testing import assert_allclose
 from pairrank.bradley_terry import (AbilityVector, bt_covariance, bt_deviance,
                                     fit_bt, predict_prob)
 from pairrank.counts import CountMatrix
-from pairrank.errors import (ConnectivityError, DomainError, SeparationError)
+from pairrank.errors import (ConnectivityError, ConvergenceError, DomainError,
+                             SeparationError)
+from pairrank.linalg import pseudoinverse
 
-from oracles import bt_mle, random_counts
+from oracles import bt_mle, quasi_symmetric_ring, random_counts
 
 WORKED = np.array([[0, 1, 1], [2, 0, 2], [4, 4, 0]], float)
 
@@ -83,6 +85,46 @@ class TestFit:
             fit_bt(CountMatrix(C, ("a", "b", "c")))
         assert exc.value.label == "a"
 
+    @pytest.mark.parametrize("order", [[0, 1, 2, 3], [2, 3, 0, 1]])
+    def test_unbeaten_group_error(self, order):
+        # a and b beat c and d in every game between the groups, so no MLE
+        # exists although every player has a win and a loss
+        C = np.array([[0, 1, 1, 1], [1, 0, 1, 1], [0, 0, 0, 1], [0, 0, 1, 0]],
+                     float)
+        labels = ("a", "b", "c", "d")
+        with pytest.raises(SeparationError) as exc:
+            fit_bt(CountMatrix(C[np.ix_(order, order)],
+                               tuple(labels[i] for i in order)))
+        assert exc.value.label == "a"
+        assert "no losses against" in str(exc.value)
+
+    @pytest.mark.parametrize("n", [200, 1000])
+    def test_quasi_symmetric_ring_gives_centered_log_d(self, n):
+        C, d = quasi_symmetric_ring(n)
+        expected = np.log(d) - np.log(d).mean()
+        assert_allclose(fit_bt(C).abilities.mu, expected, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-13])
+    def test_reported_residual_is_at_most_tol(self, tol):
+        rng = np.random.default_rng(27)
+        C = random_counts(rng, 30, low=1.0, high=9.0)
+        fit = fit_bt(C, tol=tol)
+        assert fit.residual <= tol
+        # the score residual, recomputed from the returned abilities
+        mu = fit.abilities.mu
+        games = C + C.T
+        p = 1.0 / (1.0 + np.exp(-np.subtract.outer(mu, mu)))
+        score = C.sum(axis=1) - (games * p).sum(axis=1)
+        assert np.max(np.abs(score) / games.sum(axis=1)) <= max(tol, 1e-14)
+
+    def test_step_budget_error(self):
+        rng = np.random.default_rng(29)
+        C = random_counts(rng, 6, low=1.0, high=9.0)
+        with pytest.raises(ConvergenceError) as exc:
+            fit_bt(C, max_iter=1)
+        assert exc.value.iterations == 1
+        assert exc.value.residual > 1e-10
+
     def test_winless_player_error(self):
         # player b beats nobody
         C = np.array([[0, 2, 2], [0, 0, 0], [1, 3, 0]], float)
@@ -111,6 +153,24 @@ class TestCovariance:
         C = random_counts(rng, 6, low=1.0, high=9.0)
         cov = bt_covariance(C, fit_bt(C).abilities.mu)
         assert_allclose(cov @ np.ones(6), np.zeros(6), atol=1e-10)
+
+    def test_disconnected_graph_error(self):
+        C = np.zeros((4, 4))
+        C[0, 1] = C[1, 0] = 2.0
+        C[2, 3] = C[3, 2] = 2.0
+        with pytest.raises(ConnectivityError) as exc:
+            bt_covariance(CountMatrix(C, ("a", "b", "c", "d")), np.zeros(4))
+        assert exc.value.components == (("a", "b"), ("c", "d"))
+
+    def test_matches_pseudoinverse_of_information(self):
+        rng = np.random.default_rng(35)
+        C = random_counts(rng, 8, low=1.0, high=9.0)
+        mu = fit_bt(C).abilities.mu
+        games = C + C.T
+        p = 1.0 / (1.0 + np.exp(-np.subtract.outer(mu, mu)))
+        weight = games * p * (1.0 - p)
+        F = np.diag(weight.sum(axis=1)) - weight
+        assert_allclose(bt_covariance(C, mu), pseudoinverse(F), atol=1e-12)
 
     def test_positive_semidefinite(self):
         rng = np.random.default_rng(33)

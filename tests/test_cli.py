@@ -9,6 +9,8 @@ from numpy.testing import assert_allclose
 from pairrank.cli import main
 from pairrank.report import load_schema
 
+from oracles import quasi_symmetric_ring
+
 MATRIX = """,a,b,c
 a,0,1,1
 b,2,0,2
@@ -37,6 +39,22 @@ def edges_file(tmp_path):
     p = tmp_path / "e.csv"
     p.write_text(EDGES)
     return str(p)
+
+
+def _ring_edges(tmp_path, n: int) -> tuple[str, np.ndarray, np.ndarray]:
+    """A quasi-symmetric ring written as an edge list, its counts and its
+    d; labels are p1..pn in index order."""
+    C, d = quasi_symmetric_ring(n)
+    rows = ["winner,loser,count"]
+    rows += [f"p{i + 1},p{j + 1},{float(C[i, j])!r}"
+             for i, j in zip(*np.nonzero(C))]
+    p = tmp_path / f"ring{n}.csv"
+    p.write_text("\n".join(rows) + "\n")
+    return str(p), C, d
+
+
+def _by_index(scores: dict) -> np.ndarray:
+    return np.array([scores[f"p{i + 1}"] for i in range(len(scores))])
 
 
 def _scores(output: str) -> dict:
@@ -122,6 +140,20 @@ class TestRank:
         assert main(["rank", missing]) == 2
         assert "nope.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", [("iw",), ("total",), ("bt",),
+                                        ("pagerank", "--alpha", "1")])
+    def test_quasi_symmetric_ring_1000(self, tmp_path, capsys, method):
+        path, C, d = _ring_edges(tmp_path, 1000)
+        assert main(["rank", path, "--method", *method,
+                     "--format", "json"]) == 0
+        got = _by_index(_scores(capsys.readouterr().out))
+        if method[0] == "bt":
+            expected = np.log(d) - np.log(d).mean()
+            assert_allclose(got, expected, rtol=0, atol=1e-9)
+        else:
+            expected = d if method[0] == "iw" else d * C.sum(axis=0)
+            assert_allclose(got, expected / expected.sum(), rtol=1e-9)
+
     def test_dangling_input_undamped_exit(self, tmp_path, capsys):
         p = tmp_path / "d.csv"
         p.write_text(",a,b\na,0,1\nb,0,0\n")
@@ -137,6 +169,14 @@ class TestCheckQs:
         assert obj["diagnostics"]["reversible"] is True
         scores = {e["label"]: e["score"] for e in obj["scores"]}
         assert scores == {"a": 1.0, "b": 2.0, "c": 4.0}
+
+    def test_quasi_symmetric_ring(self, tmp_path, capsys):
+        path, _, d = _ring_edges(tmp_path, 200)
+        assert main(["check-qs", path, "--format", "json"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["diagnostics"]["reversible"] is True
+        scores = {e["label"]: e["score"] for e in obj["scores"]}
+        assert_allclose(_by_index(scores), d, rtol=1e-9)
 
     def test_perturbed_input_fails_with_exit_4(self, tmp_path, capsys):
         p = tmp_path / "m.csv"

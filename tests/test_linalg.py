@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pairrank.errors import ConvergenceError, DimensionError, DomainError
+from pairrank.errors import (ConvergenceError, DimensionError, DomainError,
+                             ReducibilityError)
 from pairrank.linalg import (column_sums, is_irreducible, leading_eigenvector,
-                             pseudoinverse)
+                             pseudoinverse, stationary_vector)
 
 from oracles import random_counts, stationary_eig
 
@@ -88,6 +89,63 @@ class TestLeadingEigenvector:
     def test_rejects_bad_tol(self):
         with pytest.raises(DomainError):
             leading_eigenvector(np.eye(2), tol=0.0)
+
+
+class TestStationaryVector:
+    def test_worked_example_chain(self):
+        C = np.array([[0, 1, 1], [2, 0, 2], [4, 4, 0]], float)
+        res = stationary_vector(C / C.sum(axis=0))
+        assert_allclose(res.vector, [3 / 14, 5 / 14, 3 / 7], atol=1e-14)
+
+    def test_matches_lapack_on_random_chains(self):
+        rng = np.random.default_rng(11)
+        for n in (1, 3, 6, 10, 60):
+            C = rng.uniform(0.1, 4.0, size=(n, n))
+            P = C / C.sum(axis=0)
+            assert_allclose(stationary_vector(P).vector, stationary_eig(P),
+                            atol=1e-12)
+
+    def test_even_cycle(self):
+        n = 8
+        P = np.zeros((n, n))
+        idx = np.arange(n)
+        P[(idx + 1) % n, idx] = 0.5
+        P[(idx - 1) % n, idx] = 0.5
+        assert_allclose(stationary_vector(P).vector, np.full(n, 1 / n),
+                        atol=1e-14)
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-12, 1e-15])
+    def test_reported_residual_is_at_most_tol(self, tol):
+        rng = np.random.default_rng(13)
+        C = rng.uniform(0.1, 4.0, size=(40, 40))
+        P = C / C.sum(axis=0)
+        res = stationary_vector(P, tol=tol)
+        assert res.residual <= tol
+        assert np.max(np.abs(P @ res.vector - res.vector)) == res.residual
+
+    def test_residual_above_tol_raises(self):
+        rng = np.random.default_rng(13)
+        C = rng.uniform(0.1, 4.0, size=(40, 40))
+        P = C / C.sum(axis=0)
+        residual = stationary_vector(P).residual
+        assert residual > 0
+        with pytest.raises(ConvergenceError) as exc:
+            stationary_vector(P, tol=residual / 2)
+        assert exc.value.residual == residual
+
+    def test_two_closed_classes_rejected(self):
+        P = np.eye(4)
+        P[:2, :2] = P[2:, 2:] = 0.5
+        with pytest.raises(ReducibilityError):
+            stationary_vector(P)
+
+    def test_rejects_non_stochastic(self):
+        with pytest.raises(DomainError):
+            stationary_vector(np.full((3, 3), 0.5))
+
+    def test_rejects_bad_tol(self):
+        with pytest.raises(DomainError):
+            stationary_vector(np.full((2, 2), 0.5), tol=0.0)
 
 
 class TestPseudoinverse:

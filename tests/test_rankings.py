@@ -9,9 +9,11 @@ from pairrank.rankings import (influence_per_publication, influence_weight,
                                iw_from_pagerank, pagerank, pagerank_from_iw,
                                total_influence, transition_matrix)
 
-from oracles import influence_eig, pagerank_eig, random_counts
+from oracles import (influence_eig, pagerank_eig, quasi_symmetric_ring,
+                     random_counts)
 
 WORKED = np.array([[0, 1, 1], [2, 0, 2], [4, 4, 0]], float)
+RING_SIZES = [200, 1000]
 
 
 class TestTransitionMatrix:
@@ -87,6 +89,13 @@ class TestPagerank:
         v = pagerank(WORKED, 0.85)
         assert v.scores.sum() == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("n", RING_SIZES)
+    def test_undamped_quasi_symmetric_ring_gives_d_times_a(self, n):
+        C, d = quasi_symmetric_ring(n)
+        expected = d * C.sum(axis=0)
+        assert_allclose(pagerank(C, 1.0).scores, expected / expected.sum(),
+                        rtol=1e-9)
+
 
 class TestInfluenceWeight:
     def test_worked_example(self):
@@ -122,6 +131,11 @@ class TestInfluenceWeight:
         with pytest.raises(DanglingNodeError):
             influence_weight([[0, 1], [0, 0]])
 
+    @pytest.mark.parametrize("n", RING_SIZES)
+    def test_quasi_symmetric_ring_gives_d(self, n):
+        C, d = quasi_symmetric_ring(n)
+        assert_allclose(influence_weight(C).scores, d / d.sum(), rtol=1e-9)
+
 
 class TestTotalInfluence:
     def test_equals_undamped_pagerank(self):
@@ -133,6 +147,13 @@ class TestTotalInfluence:
     def test_worked_example(self):
         assert_allclose(total_influence(WORKED).scores, [3 / 14, 5 / 14, 3 / 7],
                         atol=1e-10)
+
+    @pytest.mark.parametrize("n", RING_SIZES)
+    def test_quasi_symmetric_ring_gives_d_times_a(self, n):
+        C, d = quasi_symmetric_ring(n)
+        expected = d * C.sum(axis=0)
+        assert_allclose(total_influence(C).scores, expected / expected.sum(),
+                        rtol=1e-9)
 
 
 class TestInfluencePerPublication:
