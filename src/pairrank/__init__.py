@@ -24,7 +24,7 @@ from .errors import (ConnectivityError, ConsistencyError, ConvergenceError,
 from .generators import (MonteCarloResult, SimulationConfig, circular,
                          monte_carlo_covariance, random_quasi_symmetric,
                          round_robin, simulate_tournament)
-from .io import matrix_to_csv, parse_input
+from .io import matrix_to_csv, parse_articles, parse_input
 from .linalg import (EigenResult, StationaryResult, column_sums,
                      is_irreducible, leading_eigenvector, pseudoinverse,
                      stationary_vector)

@@ -20,9 +20,7 @@ discrepancy beyond tolerance). Reports go to stdout, errors to stderr.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
-import io as _io
 import sys
 from pathlib import Path
 
@@ -36,7 +34,7 @@ from .errors import (ConnectivityError, ConvergenceError, DomainError,
                      NotQuasiSymmetricError, ParseError, RankingError)
 from .generators import (SimulationConfig, circular, monte_carlo_covariance,
                          round_robin)
-from .io import parse_input
+from .io import parse_articles, parse_input
 from .quasisym import check_triplets, decompose_qs, is_reversible, \
     verify_equivalence
 from .rankings import (RankingVector, influence_per_publication,
@@ -148,38 +146,6 @@ def _digest(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _parse_articles(path, labels: tuple[str, ...]) -> np.ndarray:
-    text = Path(path).read_text(encoding="utf-8")
-    values: dict[str, float] = {}
-    rows = [(no, [c.strip() for c in row])
-            for no, row in enumerate(csv.reader(_io.StringIO(text)), start=1)
-            if row and any(c.strip() for c in row)]
-    for line_no, cells in rows:
-        if len(cells) != 2:
-            raise ParseError(f"expected 2 fields, got {len(cells)}",
-                             line=line_no)
-        label, raw = cells
-        if line_no == rows[0][0] and raw.lower() == "articles":
-            continue
-        try:
-            value = float(raw)
-        except ValueError:
-            raise ParseError(f"articles value {raw!r} is not a number",
-                             line=line_no) from None
-        if label in values:
-            raise ParseError(f"duplicate label {label!r}", line=line_no)
-        values[label] = value
-    missing = [lab for lab in labels if lab not in values]
-    if missing:
-        raise DomainError(f"articles file is missing labels: "
-                          f"{', '.join(missing)}")
-    unknown = [lab for lab in values if lab not in labels]
-    if unknown:
-        raise DomainError(f"articles file has unknown labels: "
-                          f"{', '.join(unknown)}")
-    return np.array([values[lab] for lab in labels])
-
-
 def cmd_rank(args) -> tuple[RunReport, int]:
     C = parse_input(args.input, args.input_format)
     method = METHOD_NAMES[args.method]
@@ -227,7 +193,7 @@ def _eigen_scores(C: CountMatrix, args,
         if args.articles is None:
             raise DomainError(
                 "--method ipp requires --articles (per-player sizes)")
-        articles = _parse_articles(args.articles, C.labels)
+        articles = parse_articles(args.articles, C.labels)
     if not damped:
         if args.method == "iw":
             return influence_weight(C, tol=tol), None, False
@@ -257,10 +223,10 @@ def cmd_check_qs(args) -> tuple[RunReport, int]:
     diagnostics: dict = {
         "quasi_symmetric": triplets.is_quasi_symmetric,
         "triplet_max_gap": triplets.max_relative_gap,
-        "triplet_violations": len(triplets.violations),
+        "triplet_violations": triplets.violation_count,
     }
     if not triplets.is_quasi_symmetric:
-        worst = max(triplets.violations, key=lambda v: v.gap)
+        worst = triplets.worst
         diagnostics["worst_triplet"] = "|".join(
             C.labels[idx] for idx in (worst.i, worst.j, worst.k))
         return (RunReport(command="check-qs", diagnostics=diagnostics,
@@ -274,7 +240,7 @@ def cmd_check_qs(args) -> tuple[RunReport, int]:
         return (RunReport(command="check-qs", diagnostics=diagnostics,
                           metadata=metadata), 4)
     diagnostics["decomposition_residual"] = dec.residual
-    diagnostics["equivalence_residual"] = verify_equivalence(C)
+    diagnostics["equivalence_residual"] = verify_equivalence(C, dec=dec)
     rev = is_reversible(C, tol=args.tol)
     diagnostics["reversible"] = rev.reversible
     diagnostics["detailed_balance_gap"] = rev.max_gap

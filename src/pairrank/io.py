@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import csv
 import io as _io
-from pathlib import Path
+from collections.abc import Iterator
 
 from .counts import CountMatrix
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, RankingError
 
 import numpy as np
 
@@ -30,28 +30,80 @@ EDGE_HEADER = ("winner", "loser", "count")
 
 def parse_input(path, fmt: str = "auto") -> CountMatrix:
     """Parse a CSV file into a count matrix. fmt is one of auto, edges,
-    matrix; auto sniffs the header row."""
-    text = Path(path).read_text(encoding="utf-8")
-    rows = _read_rows(text)
-    if not rows:
+    matrix; auto sniffs the header row.
+
+    The file is read as a stream: a matrix is filled one row at a time, so
+    memory is the n x n array plus one row of text. Cells are stripped of
+    surrounding whitespace and blank rows are skipped; line numbers in
+    errors count CSV records, blank ones included. A matrix file with the
+    wrong number of data rows reports that ahead of any error inside a
+    row."""
+    with open(path, encoding="utf-8") as f:
+        rows = _read_rows(f)
+        try:
+            return _parse_rows(rows, fmt)
+        except RankingError:
+            # a decoding or CSV error further on still comes first, as when
+            # the whole file was read before parsing
+            for _ in rows:
+                pass
+            raise
+
+
+def _parse_rows(rows: Iterator[tuple[int, list[str]]],
+                fmt: str) -> CountMatrix:
+    first = next(rows, None)
+    if first is None:
         raise ParseError("input file is empty")
     if fmt == "auto":
-        fmt = _sniff(rows[0][1])
+        fmt = _sniff(first[1])
     if fmt == "edges":
-        return _parse_edges(rows)
+        return _parse_edges(first, rows)
     if fmt == "matrix":
-        return _parse_matrix(rows)
+        return _parse_matrix(first, rows)
     raise DomainError(f"unknown input format {fmt!r}")
 
 
-def _read_rows(text: str) -> list[tuple[int, list[str]]]:
-    rows = []
-    for line_no, row in enumerate(csv.reader(_io.StringIO(text)), start=1):
-        cells = [c.strip() for c in row]
-        if not cells or all(c == "" for c in cells):
+def parse_articles(path, labels: tuple[str, ...]) -> np.ndarray:
+    """Per-player sizes from a CSV file of label,articles rows (an optional
+    header row whose second cell is 'articles'), in the order of labels.
+    Every label must appear exactly once, and no other."""
+    with open(path, encoding="utf-8") as f:
+        rows = list(_read_rows(f))
+    values: dict[str, float] = {}
+    for line_no, cells in rows:
+        if len(cells) != 2:
+            raise ParseError(f"expected 2 fields, got {len(cells)}",
+                             line=line_no)
+        label, raw = cells
+        if line_no == rows[0][0] and raw.lower() == "articles":
             continue
-        rows.append((line_no, cells))
-    return rows
+        try:
+            value = float(raw)
+        except ValueError:
+            raise ParseError(f"articles value {raw!r} is not a number",
+                             line=line_no) from None
+        if label in values:
+            raise ParseError(f"duplicate label {label!r}", line=line_no)
+        values[label] = value
+    missing = [lab for lab in labels if lab not in values]
+    if missing:
+        raise DomainError(f"articles file is missing labels: "
+                          f"{', '.join(missing)}")
+    unknown = [lab for lab in values if lab not in labels]
+    if unknown:
+        raise DomainError(f"articles file has unknown labels: "
+                          f"{', '.join(unknown)}")
+    return np.array([values[lab] for lab in labels])
+
+
+def _read_rows(f) -> Iterator[tuple[int, list[str]]]:
+    """(line number, stripped cells) of each CSV record of an open text
+    file that has a non-blank cell."""
+    for line_no, row in enumerate(csv.reader(f), start=1):
+        cells = list(map(str.strip, row))
+        if any(cells):
+            yield line_no, cells
 
 
 def _sniff(header: list[str]) -> str:
@@ -66,8 +118,9 @@ def _sniff(header: list[str]) -> str:
         line=1)
 
 
-def _parse_edges(rows: list[tuple[int, list[str]]]) -> CountMatrix:
-    line_no, header = rows[0]
+def _parse_edges(first: tuple[int, list[str]],
+                 rows: Iterator[tuple[int, list[str]]]) -> CountMatrix:
+    line_no, header = first
     if tuple(c.lower() for c in header) != EDGE_HEADER:
         raise ParseError(
             f"expected header 'winner,loser,count', got {','.join(header)}",
@@ -84,7 +137,7 @@ def _parse_edges(rows: list[tuple[int, list[str]]]) -> CountMatrix:
             labels.append(label)
         return seen[label]
 
-    for line_no, cells in rows[1:]:
+    for line_no, cells in rows:
         if len(cells) != 3:
             raise ParseError(
                 f"expected 3 fields, got {len(cells)}", line=line_no)
@@ -112,8 +165,9 @@ def _parse_edges(rows: list[tuple[int, list[str]]]) -> CountMatrix:
     return CountMatrix(C, tuple(labels))
 
 
-def _parse_matrix(rows: list[tuple[int, list[str]]]) -> CountMatrix:
-    line_no, header = rows[0]
+def _parse_matrix(first: tuple[int, list[str]],
+                  rows: Iterator[tuple[int, list[str]]]) -> CountMatrix:
+    line_no, header = first
     if not header or header[0] != "":
         raise ParseError(
             "matrix header must start with an empty corner cell",
@@ -124,35 +178,62 @@ def _parse_matrix(rows: list[tuple[int, list[str]]]) -> CountMatrix:
         raise ParseError("matrix header has no labels", line=line_no)
     if len(set(labels)) != n:
         raise ParseError("duplicate labels in matrix header", line=line_no)
-    if len(rows) - 1 != n:
-        raise ParseError(
-            f"expected {n} data rows for {n} labels, got {len(rows) - 1}",
-            line=line_no)
     C = np.zeros((n, n))
-    for r, (data_line, cells) in enumerate(rows[1:]):
-        if len(cells) != n + 1:
-            raise ParseError(
-                f"expected {n + 1} fields, got {len(cells)}", line=data_line)
-        if cells[0] != labels[r]:
-            raise ParseError(
-                f"row label {cells[0]!r} does not match header label "
-                f"{labels[r]!r} (row order must follow the header)",
-                line=data_line)
-        for c, raw in enumerate(cells[1:]):
+    # the first bad row is held until the row count is known, which is
+    # reported first
+    held: RankingError | None = None
+    count = 0
+    for data_line, cells in rows:
+        if held is None and count < n:
             try:
-                value = float(raw)
-            except ValueError:
-                raise ParseError(f"entry {raw!r} is not a number",
-                                 line=data_line) from None
-            if not np.isfinite(value):
-                raise ParseError(f"entry {raw!r} is not finite",
-                                 line=data_line)
-            if value < 0:
-                raise DomainError(
-                    f"line {data_line}: negative count {value:g} at "
-                    f"({labels[r]!r}, {labels[c]!r})")
-            C[r, c] = value
+                C[count] = _matrix_row(cells, count, labels, data_line)
+            except RankingError as exc:
+                held = exc
+        count += 1
+    if count != n:
+        raise ParseError(
+            f"expected {n} data rows for {n} labels, got {count}",
+            line=line_no)
+    if held is not None:
+        raise held
     return CountMatrix(C, tuple(labels))
+
+
+def _matrix_row(cells: list[str], r: int, labels: list[str],
+                data_line: int) -> np.ndarray:
+    """Row r of a matrix file as floats. A row that fails the vectorised
+    checks is walked cell by cell, so the first bad cell is reported."""
+    n = len(labels)
+    if len(cells) != n + 1:
+        raise ParseError(
+            f"expected {n + 1} fields, got {len(cells)}", line=data_line)
+    if cells[0] != labels[r]:
+        raise ParseError(
+            f"row label {cells[0]!r} does not match header label "
+            f"{labels[r]!r} (row order must follow the header)",
+            line=data_line)
+    try:
+        values = np.fromiter(map(float, cells[1:]), float, n)
+        if values.min() >= 0 and values.max() < np.inf:  # NaN fails both
+            return values
+    except ValueError:
+        pass
+    values = np.empty(n)
+    for c, raw in enumerate(cells[1:]):
+        try:
+            value = float(raw)
+        except ValueError:
+            raise ParseError(f"entry {raw!r} is not a number",
+                             line=data_line) from None
+        if not np.isfinite(value):
+            raise ParseError(f"entry {raw!r} is not finite",
+                             line=data_line)
+        if value < 0:
+            raise DomainError(
+                f"line {data_line}: negative count {value:g} at "
+                f"({labels[r]!r}, {labels[c]!r})")
+        values[c] = value
+    return values
 
 
 def matrix_to_csv(C: CountMatrix) -> str:

@@ -137,3 +137,37 @@ def quasi_symmetric_ring(n: int,
     S[idx, (idx + 1) % n] = s
     S[(idx + 1) % n, idx] = s
     return d[:, None] * S, d
+
+
+def triplets(C, tol: float) -> tuple[float, list[tuple]]:
+    """Triplet test by plain loops over Python floats: (max relative gap,
+    every violation as (i, j, k, lhs, rhs, gap)). One-sided pairs come
+    first, in row-major order of their positive direction, as (lo, hi, hi,
+    c_pos, 0.0, 1.0); then each triplet i < j < k, in lexicographic order,
+    whose products lhs = (c_ij c_jk) c_ki and rhs = (c_ik c_kj) c_ji differ
+    by more than tol relative to the larger. Pairs of zero products and
+    overflowed (NaN) gaps are skipped."""
+    c = [[float(x) for x in row] for row in C]
+    n = len(c)
+    max_gap = 0.0
+    found = []
+    for i in range(n):
+        for j in range(n):
+            if i != j and c[i][j] > 0 and c[j][i] == 0:
+                lo, hi = min(i, j), max(i, j)
+                found.append((lo, hi, hi, c[i][j], c[j][i], 1.0))
+                max_gap = 1.0
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                lhs = c[i][j] * c[j][k] * c[k][i]
+                rhs = c[i][k] * c[k][j] * c[j][i]
+                big = max(lhs, rhs)
+                if big == 0:
+                    continue
+                gap = abs(lhs - rhs) / big
+                if gap > max_gap:
+                    max_gap = gap
+                if gap > tol:
+                    found.append((i, j, k, lhs, rhs, gap))
+    return max_gap, found

@@ -7,6 +7,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from pairrank.cli import main
+from pairrank.counts import CountMatrix, default_labels
+from pairrank.io import matrix_to_csv
 from pairrank.report import load_schema
 
 from oracles import quasi_symmetric_ring
@@ -192,6 +194,48 @@ class TestCheckQs:
 
         main(["check-qs", matrix_file, "--format", "json"])
         jsonschema.validate(json.loads(capsys.readouterr().out), load_schema())
+
+    def test_decomposes_once(self, matrix_file, monkeypatch, capsys):
+        import pairrank.cli as cli
+        import pairrank.quasisym as quasisym
+
+        calls = []
+        real = quasisym.decompose_qs
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "decompose_qs", counting)
+        monkeypatch.setattr(quasisym, "decompose_qs", counting)
+        assert main(["check-qs", matrix_file]) == 0
+        assert len(calls) == 1
+
+    @pytest.mark.skipif(sys.platform != "linux",
+                        reason="ru_maxrss is in kilobytes on Linux")
+    def test_dense_1000_in_bounded_memory(self, tmp_path):
+        # an n^3 triplet tensor alone would take 8 GB here
+        n = 1000
+        rng = np.random.default_rng(4)
+        d = rng.uniform(0.5, 2.0, n)
+        S = rng.uniform(1.0, 9.0, (n, n))
+        S += S.T
+        np.fill_diagonal(S, 0.0)
+        path = tmp_path / "qs1000.csv"
+        path.write_text(matrix_to_csv(
+            CountMatrix(d[:, None] * S, default_labels(n))))
+        # a fresh parent, so RUSAGE_CHILDREN sees this child alone
+        probe = (
+            "import resource, subprocess, sys\n"
+            "code = subprocess.run([sys.executable, '-m', 'pairrank', "
+            "'check-qs', sys.argv[1]], stdout=subprocess.DEVNULL).returncode\n"
+            "peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
+            "print(code, peak)\n")
+        proc = subprocess.run([sys.executable, "-c", probe, str(path)],
+                              capture_output=True, text=True, check=True)
+        code, peak_kb = map(int, proc.stdout.split())
+        assert code == 0
+        assert peak_kb / 1024 < 300
 
 
 class TestAsymptotics:

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from pairrank.counts import CountMatrix
 from pairrank.errors import DomainError, ParseError
-from pairrank.io import matrix_to_csv, parse_input
+from pairrank.io import matrix_to_csv, parse_articles, parse_input
 from pairrank.report import (MatrixBlock, RunReport, ScoreEntry, load_schema,
                              sort_scores)
 
@@ -124,6 +124,98 @@ class TestParseMatrix:
         p.write_text("foo,bar\n1,2\n")
         with pytest.raises(ParseError):
             parse_input(p, "auto")
+
+
+def _matrix_error(tmp_path, text: str, kind=ParseError) -> str:
+    p = tmp_path / "m.csv"
+    p.write_text(text)
+    with pytest.raises(kind) as exc:
+        parse_input(p, "matrix")
+    return str(exc.value)
+
+
+class TestMatrixParserBehaviour:
+    """Messages, line numbers and error order of the matrix layout."""
+
+    def test_whitespace_padded_cells(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_text(" , a ,b \n a , 0 , 1 \nb,  2,0  \n")
+        C = parse_input(p, "auto")
+        assert C.labels == ("a", "b")
+        assert np.array_equal(C.counts, [[0, 1], [2, 0]])
+
+    def test_blank_lines_between_rows(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_text(",a,b\n\na,0,1\n , \n\nb,2,0\n\n")
+        C = parse_input(p, "matrix")
+        assert np.array_equal(C.counts, [[0, 1], [2, 0]])
+
+    def test_blank_lines_count_in_line_numbers(self, tmp_path):
+        msg = _matrix_error(tmp_path, ",a,b\n\na,0,1\n\nb,x,0\n")
+        assert msg == "line 5: entry 'x' is not a number"
+
+    @pytest.mark.parametrize("raw, message", [
+        ("nan", "line 3: entry 'nan' is not finite"),
+        ("inf", "line 3: entry 'inf' is not finite"),
+        ("-inf", "line 3: entry '-inf' is not finite"),
+        ("1e400", "line 3: entry '1e400' is not finite"),
+        ("x", "line 3: entry 'x' is not a number"),
+        ("", "line 3: entry '' is not a number"),
+    ])
+    def test_bad_entry(self, tmp_path, raw, message):
+        assert _matrix_error(tmp_path, f",a,b\na,0,1\nb,{raw},0\n") == message
+
+    def test_negative_entry_message(self, tmp_path):
+        msg = _matrix_error(tmp_path, ",a,b\na,0,1\nb,-1.5,0\n",
+                            DomainError)
+        assert msg == "line 3: negative count -1.5 at ('b', 'a')"
+
+    def test_first_bad_cell_of_a_row_wins(self, tmp_path):
+        msg = _matrix_error(tmp_path, ",a,b,c\na,0,1,1\nb,1,-2,x\nc,1,1,0\n",
+                            DomainError)
+        assert msg == "line 3: negative count -2 at ('b', 'b')"
+        msg = _matrix_error(tmp_path, ",a,b,c\na,0,1,1\nb,1,x,-2\nc,1,1,0\n")
+        assert msg == "line 3: entry 'x' is not a number"
+
+    def test_first_bad_row_wins(self, tmp_path):
+        msg = _matrix_error(tmp_path, ",a,b\na,0,nan\nb,-1,0\n")
+        assert msg == "line 2: entry 'nan' is not finite"
+
+    def test_row_count_reported_before_a_bad_cell(self, tmp_path):
+        msg = _matrix_error(tmp_path, ",a,b\na,0,x\nb,1,0\nc,1,1\n")
+        assert msg == "line 1: expected 2 data rows for 2 labels, got 3"
+        msg = _matrix_error(tmp_path, ",a,b,c\na,0,-1,1\nb,1,0,1\n")
+        assert msg == "line 1: expected 3 data rows for 3 labels, got 2"
+
+    def test_short_row(self, tmp_path):
+        msg = _matrix_error(tmp_path, ",a,b\na,0\nb,1,0\n")
+        assert msg == "line 2: expected 3 fields, got 2"
+
+    def test_long_row(self, tmp_path):
+        msg = _matrix_error(tmp_path, ",a,b\na,0,1\nb,1,0,4\n")
+        assert msg == "line 3: expected 3 fields, got 4"
+
+
+class TestParseArticles:
+    def test_header_skipped_and_label_order(self, tmp_path):
+        p = tmp_path / "a.csv"
+        p.write_text("label,articles\n\n c , 2 \na,1\nb,4\n")
+        assert np.array_equal(parse_articles(p, ("a", "b", "c")), [1, 4, 2])
+
+    @pytest.mark.parametrize("text, kind, message", [
+        ("a,1\na,2\n", ParseError, "line 2: duplicate label 'a'"),
+        ("a,1,2\n", ParseError, "line 1: expected 2 fields, got 3"),
+        ("a,x\n", ParseError, "line 1: articles value 'x' is not a number"),
+        ("b,1\n", DomainError, "articles file is missing labels: a"),
+        ("a,1\nb,1\nz,1\n", DomainError,
+         "articles file has unknown labels: z"),
+    ])
+    def test_errors(self, tmp_path, text, kind, message):
+        p = tmp_path / "a.csv"
+        p.write_text(text)
+        with pytest.raises(kind) as exc:
+            parse_articles(p, ("a", "b"))
+        assert str(exc.value) == message
 
 
 class TestRoundTrip:

@@ -6,10 +6,12 @@ from pairrank.counts import CountMatrix
 from pairrank.errors import (ConnectivityError, DomainError,
                              NotQuasiSymmetricError)
 from pairrank.generators import random_quasi_symmetric
-from pairrank.quasisym import (check_triplets, decompose_qs, is_reversible,
-                               verify_equivalence)
+from pairrank import quasisym
+from pairrank.quasisym import (MAX_LISTED_VIOLATIONS, check_triplets,
+                               decompose_qs, is_reversible, verify_equivalence)
 from pairrank.rankings import influence_weight, transition_matrix
 
+import oracles
 from oracles import random_counts
 
 WORKED = np.array([[0, 1, 1], [2, 0, 2], [4, 4, 0]], float)
@@ -59,6 +61,76 @@ class TestCheckTriplets:
         C[0, 1] *= 1.0 + 5e-9
         assert check_triplets(C, tol=1e-6).is_quasi_symmetric
         assert not check_triplets(C, tol=1e-12).is_quasi_symmetric
+
+
+def _triplet_case(seed: int) -> np.ndarray:
+    """Random counts with zeros, one-sided pairs, tied gaps or products
+    that overflow, by seed."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 25))
+    kind = seed % 4
+    if kind == 0:  # small integers: many ties, zeros and one-sided pairs
+        C = rng.integers(0, 4, (n, n)).astype(float)
+    elif kind == 1:  # quasi-symmetric with tiny noise and missing pairs
+        d = rng.uniform(0.5, 2.0, n)
+        S = rng.uniform(1.0, 9.0, (n, n)) * (rng.random((n, n)) < 0.8)
+        C = d[:, None] * (S + S.T) * rng.lognormal(0.0, 1e-8, (n, n))
+    elif kind == 2:  # counts 1 or 2 on a symmetric support: tied gaps
+        mask = rng.random((n, n)) < 0.8
+        C = rng.integers(1, 3, (n, n)) * (mask & mask.T).astype(float)
+    else:  # a wide range: some products overflow
+        C = np.exp(rng.uniform(-300, 300, (n, n))) * (rng.random((n, n)) < .7)
+    np.fill_diagonal(C, 0.0)
+    return C
+
+
+def _assert_matches_oracle(C: np.ndarray, tol: float) -> None:
+    max_gap, found = oracles.triplets(C, tol)
+    rep = check_triplets(C, tol=tol)
+    assert rep.is_quasi_symmetric == (max_gap <= tol)
+    assert rep.max_relative_gap == max_gap  # bit-identical
+    assert rep.violation_count == len(found)
+    assert rep.worst == (max(found, key=lambda v: v[5]) if found else None)
+    assert len(rep.violations) == min(len(found), MAX_LISTED_VIOLATIONS)
+    assert rep.violations == tuple(found[:len(rep.violations)])
+    assert rep.violations_truncated == (len(found) > MAX_LISTED_VIOLATIONS)
+
+
+class TestTripletsAgainstOracle:
+    @pytest.mark.parametrize("tol", [1e-8, 0.25])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_counts(self, seed, tol):
+        with np.errstate(over="ignore"):
+            _assert_matches_oracle(_triplet_case(seed), tol)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_small_blocks(self, seed, monkeypatch):
+        # blocks of a few rows, as large inputs get, on inputs the loops
+        # can check
+        monkeypatch.setattr(quasisym, "_BLOCK_CELLS", 7)
+        with np.errstate(over="ignore"):
+            _assert_matches_oracle(_triplet_case(seed), 1e-8)
+
+    @pytest.mark.parametrize("block_cells", [quasisym._BLOCK_CELLS, 7])
+    def test_listing_is_truncated_and_count_exact(self, block_cells,
+                                                  monkeypatch):
+        monkeypatch.setattr(quasisym, "_BLOCK_CELLS", block_cells)
+        rng = np.random.default_rng(21)
+        C = random_counts(rng, 30)
+        _, found = oracles.triplets(C, 1e-8)
+        assert len(found) > MAX_LISTED_VIOLATIONS
+        rep = check_triplets(C)
+        assert rep.violations_truncated
+        assert rep.violation_count == len(found)
+        assert len(rep.violations) == MAX_LISTED_VIOLATIONS
+        _assert_matches_oracle(C, 1e-8)
+
+    def test_quasi_symmetric_input_lists_nothing(self):
+        rep = check_triplets(random_quasi_symmetric(40, seed=3))
+        assert rep.is_quasi_symmetric
+        assert rep.violation_count == 0
+        assert rep.worst is None
+        assert not rep.violations_truncated
 
 
 class TestDecompose:
@@ -136,6 +208,16 @@ class TestVerifyEquivalence:
         C[0, 1] = 2.0
         with pytest.raises(NotQuasiSymmetricError):
             verify_equivalence(C)
+
+    def test_uses_the_given_decomposition(self, monkeypatch):
+        C = random_quasi_symmetric(8, seed=4)
+        dec = decompose_qs(C)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("decomposed again")
+
+        monkeypatch.setattr(quasisym, "decompose_qs", fail)
+        assert verify_equivalence(C, dec=dec) <= 1e-10
 
 
 class TestIsReversible:
