@@ -23,10 +23,9 @@ from .errors import (ConnectivityError, ConsistencyError, ConvergenceError,
                      ReducibilityError, SeparationError)
 from .generators import (MonteCarloResult, SimulationConfig, circular,
                          monte_carlo_covariance, random_quasi_symmetric,
-                         round_robin, simulate_tournament)
+                         round_robin, simulate_tournament, structure_matrix)
 from .io import matrix_to_csv, parse_articles, parse_input
-from .linalg import (EigenResult, StationaryResult, column_sums,
-                     is_irreducible, leading_eigenvector, pseudoinverse,
+from .linalg import (StationaryResult, column_sums, is_irreducible,
                      stationary_vector)
 from .quasisym import (QSDecomposition, ReversibilityReport, TripletReport,
                        TripletViolation, check_triplets, decompose_qs,

@@ -33,13 +33,12 @@ from .counts import CountMatrix, default_labels
 from .errors import (ConnectivityError, ConvergenceError, DomainError,
                      NotQuasiSymmetricError, ParseError, RankingError)
 from .generators import (SimulationConfig, circular, monte_carlo_covariance,
-                         round_robin)
+                         structure_matrix)
 from .io import parse_articles, parse_input
 from .quasisym import check_triplets, decompose_qs, is_reversible, \
     verify_equivalence
 from .rankings import (RankingVector, influence_per_publication,
-                       influence_weight, iw_from_pagerank, pagerank,
-                       total_influence)
+                       influence_weight, pagerank, total_influence)
 from .report import MatrixBlock, RunReport, sort_scores
 
 METHOD_NAMES = {
@@ -69,8 +68,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "(total influence), ipp (influence per "
                              "publication), bt (Bradley-Terry)")
     p_rank.add_argument("--alpha", type=float, default=None,
-                        help="damping in [0, 1]; default 0.85 for pagerank, "
-                             "1 (undamped) for iw/total/ipp")
+                        help="damping in [0, 1] for every eigenvector "
+                             "method; default 0.85 for pagerank, 1 "
+                             "(undamped) for iw/total/ipp, whose alpha < 1 "
+                             "is the damped analogue")
     p_rank.add_argument("--tol", type=float, default=1e-10,
                         help="residual bound checked after the solve: "
                              "max|Px - x| for the stationary vector, the "
@@ -163,8 +164,11 @@ def cmd_rank(args) -> tuple[RunReport, int]:
         diagnostics.update(deviance=fit.deviance, iterations=fit.iterations,
                            converged=fit.converged)
     else:
-        vector, alpha_out, damped = _eigen_scores(C, args, tol)
-        if damped:
+        vector, alpha = _eigen_scores(C, args, tol)
+        if args.method == "pagerank":
+            alpha_out = alpha
+        elif alpha < 1.0:
+            alpha_out = alpha
             diagnostics["damped_variant"] = True
             diagnostics["note"] = ("damped analogue of an undamped "
                                    "quantity (alpha < 1)")
@@ -179,41 +183,22 @@ def cmd_rank(args) -> tuple[RunReport, int]:
 
 
 def _eigen_scores(C: CountMatrix, args,
-                  tol: float) -> tuple[RankingVector, float | None, bool]:
-    """Resolve alpha defaults and the damped-variant composition for the
-    eigenvector methods. Returns (vector, reported alpha, damped flag)."""
-    colsums = C.column_sums()
+                  tol: float) -> tuple[RankingVector, float]:
+    """Score C by an eigenvector method at the resolved alpha (default 0.85
+    for pagerank, 1 for iw/total/ipp). Returns (vector, alpha)."""
+    alpha = args.alpha
+    if alpha is None:
+        alpha = 0.85 if args.method == "pagerank" else 1.0
     if args.method == "pagerank":
-        alpha = 0.85 if args.alpha is None else args.alpha
-        return pagerank(C, alpha, tol=tol), alpha, False
-
-    alpha = 1.0 if args.alpha is None else args.alpha
-    damped = alpha < 1.0
-    if args.method == "ipp":
-        if args.articles is None:
-            raise DomainError(
-                "--method ipp requires --articles (per-player sizes)")
-        articles = parse_articles(args.articles, C.labels)
-    if not damped:
-        if args.method == "iw":
-            return influence_weight(C, tol=tol), None, False
-        if args.method == "total":
-            return total_influence(C, tol=tol), None, False
-        return influence_per_publication(C, articles, tol=tol), None, False
-
-    pi = pagerank(C, alpha, tol=tol)
-    w = iw_from_pagerank(pi, colsums)
+        return pagerank(C, alpha, tol=tol), alpha
     if args.method == "iw":
-        return w, alpha, True
+        return influence_weight(C, alpha, tol=tol), alpha
     if args.method == "total":
-        scores = w.scores * colsums
-        return (RankingVector(scores / scores.sum(), C.labels,
-                              "total_influence"), alpha, True)
-    if np.any(articles <= 0):
-        raise DomainError("articles must be strictly positive")
-    scores = w.scores * colsums / articles
-    return (RankingVector(scores / scores.sum(), C.labels,
-                          "influence_per_publication"), alpha, True)
+        return total_influence(C, alpha, tol=tol), alpha
+    if args.articles is None:
+        raise DomainError("--method ipp requires --articles (per-player sizes)")
+    articles = parse_articles(args.articles, C.labels)
+    return influence_per_publication(C, articles, alpha, tol=tol), alpha
 
 
 def cmd_check_qs(args) -> tuple[RunReport, int]:
@@ -249,12 +234,6 @@ def cmd_check_qs(args) -> tuple[RunReport, int]:
                       diagnostics=diagnostics, metadata=metadata), 0)
 
 
-def _structure_matrix(structure: str, n: int, k: int) -> CountMatrix:
-    if structure == "round-robin":
-        return round_robin(n, k)
-    return circular(n, k)
-
-
 def _closed_covariance(structure: str, n: int, k: int) -> tuple[np.ndarray, str]:
     """Reference covariance and where it came from. Circular rings below
     n = 7 have no distinct closed bands, so the numerical delta-method
@@ -275,7 +254,7 @@ def cmd_asymptotics(args) -> tuple[RunReport, int]:
                          "covariance_source": source}
     code = 0
     if args.check:
-        C = _structure_matrix(args.structure, n, k)
+        C = structure_matrix(args.structure, n, k)
         delta = delta_method_covariance(C)
         bt = bt_covariance(C, np.zeros(n))
         d_delta = float(np.max(np.abs(delta - target)))

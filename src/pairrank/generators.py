@@ -48,6 +48,18 @@ def circular(n: int, k: int) -> CountMatrix:
     return CountMatrix(C)
 
 
+def structure_matrix(structure: str, n: int, k: int = 1) -> CountMatrix:
+    """Count matrix of a named design, 'round-robin' (or 'round_robin') or
+    'circular', with k wins per direction per playing pair."""
+    name = structure.replace("_", "-").lower()
+    if name == "round-robin":
+        return round_robin(n, k)
+    if name == "circular":
+        return circular(n, k)
+    raise DomainError(
+        f"unknown structure {structure!r}; expected one of {STRUCTURES}")
+
+
 def random_quasi_symmetric(n: int, seed: int) -> CountMatrix:
     """Random strictly positive off-diagonal quasi-symmetric matrix
     C = diag(d) S: d uniform in [0.5, 2] with d[0] = 1, S symmetric with
@@ -164,22 +176,6 @@ class MonteCarloResult:
     labels: tuple[str, ...]
 
 
-def _structure_mask(structure: str, n: int) -> np.ndarray:
-    name = structure.replace("_", "-").lower()
-    if name == "round-robin":
-        return np.ones((n, n), dtype=bool)
-    if name == "circular":
-        if n < 3:
-            raise DomainError(f"a ring needs n >= 3, got {n}")
-        mask = np.zeros((n, n), dtype=bool)
-        idx = np.arange(n)
-        mask[idx, (idx + 1) % n] = True
-        mask[(idx + 1) % n, idx] = True
-        return mask
-    raise DomainError(
-        f"unknown structure {structure!r}; expected one of {STRUCTURES}")
-
-
 def monte_carlo_covariance(config: SimulationConfig,
                            structure: str = "round-robin") -> MonteCarloResult:
     """Estimate the covariance of centered log influence weights over
@@ -199,7 +195,7 @@ def monte_carlo_covariance(config: SimulationConfig,
     n = config.n
     if n * (n - 1) // 2 >= _MAX_PAIRS:
         raise DomainError("too many pairs for the keying scheme (n > 362)")
-    mask = _structure_mask(structure, n)
+    mask = structure_matrix(structure, n).counts > 0
     probs = np.full((n, n), 0.5)
     seed = _seed_word(config.seed)
     reps = config.replications

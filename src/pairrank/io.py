@@ -99,11 +99,20 @@ def parse_articles(path, labels: tuple[str, ...]) -> np.ndarray:
 
 def _read_rows(f) -> Iterator[tuple[int, list[str]]]:
     """(line number, stripped cells) of each CSV record of an open text
-    file that has a non-blank cell."""
-    for line_no, row in enumerate(csv.reader(f), start=1):
-        cells = list(map(str.strip, row))
-        if any(cells):
-            yield line_no, cells
+    file that has a non-blank cell. Text that is not UTF-8, and a record
+    the csv module rejects (a cell over csv.field_size_limit()), raise
+    ParseError."""
+    line_no = 0
+    try:
+        for line_no, row in enumerate(csv.reader(f), start=1):
+            cells = list(map(str.strip, row))
+            if any(cells):
+                yield line_no, cells
+    except UnicodeDecodeError as exc:
+        # the text layer decodes in blocks, so the line is not known
+        raise ParseError(f"file is not valid UTF-8: {exc.reason}") from None
+    except csv.Error as exc:
+        raise ParseError(str(exc), line=line_no + 1) from None
 
 
 def _sniff(header: list[str]) -> str:

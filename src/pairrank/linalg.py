@@ -1,11 +1,8 @@
 """Dense linear-algebra kernels: column sums, the stationary vector of a
-chain, power iteration, pseudoinverse, connected components and
-irreducibility.
+chain, connected components and irreducibility.
 
 stationary_vector is the one kernel every ranking goes through: a single LU
-solve, followed by a residual check against tol. leading_eigenvector (lazy
-power iteration) and pseudoinverse (SVD) stay public for general matrices;
-no ranking path uses them.
+solve, followed by a residual check against tol.
 
 All functions take and return plain numpy arrays; wrappers with labels live in
 higher-level modules.
@@ -17,11 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConvergenceError, DecompositionError, DimensionError,
-                     DomainError, ReducibilityError)
+from .errors import (ConvergenceError, DimensionError, DomainError,
+                     ReducibilityError)
 
 DEFAULT_TOL = 1e-12
-DEFAULT_MAX_ITER = 100_000
 
 
 def _as_square(M) -> np.ndarray:
@@ -34,22 +30,6 @@ def _as_square(M) -> np.ndarray:
 def column_sums(C) -> np.ndarray:
     """Vector of column sums of a square matrix (element j = sum of column j)."""
     return _as_square(C).sum(axis=0)
-
-
-@dataclass(frozen=True)
-class EigenResult:
-    """Leading eigenpair found by power iteration.
-
-    vector is normalized to sum 1 when nonnegative, otherwise to unit 2-norm
-    with the largest-magnitude entry positive. value is the 1-norm ratio
-    ||M v|| / ||v|| at the returned vector, and residual is the max-norm of
-    M v - value * v.
-    """
-
-    vector: np.ndarray
-    value: float
-    iterations: int
-    residual: float
 
 
 @dataclass(frozen=True)
@@ -93,78 +73,6 @@ def stationary_vector(P, tol: float = DEFAULT_TOL) -> StationaryResult:
             f"stationary solve residual {residual:.3g} exceeds tol {tol:.3g}",
             residual=residual)
     return StationaryResult(x, residual)
-
-
-def leading_eigenvector(M, tol: float = DEFAULT_TOL,
-                        max_iter: int = DEFAULT_MAX_ITER) -> EigenResult:
-    """Dominant eigenpair of a nonnegative square matrix by power iteration.
-
-    Internally iterates the lazy map v <- (v + M v)/2, which has the same
-    eigenvectors as M but shifts every eigenvalue toward 1, so periodic
-    chains (even cycles) converge instead of oscillating. Convergence
-    requires both successive iterates within tol (max-norm) and the
-    eigen-residual below tol * max(1, |value|).
-    """
-    M = _as_square(M)
-    if not tol > 0:
-        raise DomainError(f"tol must be positive, got {tol}")
-    if max_iter < 1:
-        raise DomainError(f"max_iter must be >= 1, got {max_iter}")
-    n = M.shape[0]
-    v = np.full(n, 1.0 / n)
-    value = 0.0
-    residual = np.inf
-    for it in range(1, max_iter + 1):
-        w = M @ v
-        norm_w = np.abs(w).sum()
-        if norm_w == 0.0:
-            raise ConvergenceError(
-                "power iteration hit the zero vector; matrix has no "
-                "positive dominant eigenvalue reachable from a uniform start",
-                residual=np.inf, iterations=it)
-        value = norm_w / np.abs(v).sum()
-        residual = float(np.max(np.abs(w - value * v)))
-        v_next = 0.5 * (v + w)
-        v_next = v_next / np.abs(v_next).sum()
-        diff = float(np.max(np.abs(v_next - v)))
-        v = v_next
-        if diff < tol and residual <= tol * max(1.0, abs(value)):
-            return EigenResult(_normalize_eigvec(v), float(value), it, residual)
-    raise ConvergenceError(
-        f"power iteration did not converge in {max_iter} iterations "
-        f"(last residual {residual:.3g})",
-        residual=residual, iterations=max_iter)
-
-
-def _normalize_eigvec(v: np.ndarray) -> np.ndarray:
-    if np.all(v >= -1e-15):
-        v = np.clip(v, 0.0, None)
-        return v / v.sum()
-    v = v / np.linalg.norm(v)
-    if v[np.argmax(np.abs(v))] < 0:
-        v = -v
-    return v
-
-
-def pseudoinverse(M) -> np.ndarray:
-    """Moore-Penrose pseudoinverse via SVD.
-
-    Singular values below max(shape) * eps * s_max are treated as zero.
-    """
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2:
-        raise DimensionError(f"expected a 2-d array, got shape {M.shape}")
-    try:
-        U, s, Vt = np.linalg.svd(M, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise DecompositionError(f"SVD failed to converge: {exc}") from exc
-    if s.size == 0:
-        return M.T
-    cutoff = max(M.shape) * np.finfo(float).eps * s[0]
-    inv = np.zeros_like(s)
-    keep = s > cutoff
-    inv[keep] = 1.0 / s[keep]
-    return (Vt.T * inv) @ U.T
 
 
 def _components(adj: np.ndarray) -> list[list[int]]:

@@ -1,19 +1,22 @@
 """Eigenvector ranking methods on paired-comparison count matrices.
 
-Every method reduces to the stationary vector of a column-stochastic chain,
+Every method reduces to the stationary vector pi of the damped
+column-stochastic chain
+
+    P_alpha = alpha C A^-1 + ((1 - alpha)/n) e e^T,  A = diag(column sums a),
+
 found by one direct solve (linalg.stationary_vector); tol bounds that
-solve's residual max|P x - x|. All four methods return
+solve's residual max|P x - x|. alpha = 1 is the undamped chain P = C A^-1;
+alpha < 1 gives the damped analogue of each method. All four methods return
 probability-normalized score vectors:
 
-* pagerank: stationary vector of the damped column-stochastic chain
-  P_alpha = alpha C A^-1 + ((1 - alpha)/n) e e^T, with A = diag(column sums).
-  alpha = 1 is the undamped chain P = C A^-1.
-* influence_weight: fixed point of w_i = sum_j w_j c_ij / sum_j c_ji, i.e.
-  the leading eigenvector of A^-1 C, computed as normalize(pi / a) from the
-  stationary vector pi of the undamped chain. Invariant to the diagonal of
-  C and to global rescaling of any single column pair structure.
+* pagerank: pi itself.
+* influence_weight: normalize(pi / a). At alpha = 1 this is the fixed point
+  of w_i = sum_j w_j c_ij / sum_j c_ji, i.e. the leading eigenvector of
+  A^-1 C, invariant to the diagonal of C and to global rescaling of any
+  single column pair structure.
 * total_influence: influence weight times column sum, renormalized. Equals
-  undamped pagerank.
+  pagerank at the same alpha.
 * influence_per_publication: total influence divided by a per-node size
   vector, renormalized.
 
@@ -73,7 +76,7 @@ def _validate_alpha(alpha: float) -> float:
     return alpha
 
 
-def _require_undamped_ok(C: CountMatrix) -> np.ndarray:
+def _require_undamped_ok(C: CountMatrix) -> None:
     a = C.column_sums()
     if np.any(a <= 0):
         bad = [C.labels[i] for i in np.flatnonzero(a <= 0)]
@@ -82,7 +85,6 @@ def _require_undamped_ok(C: CountMatrix) -> np.ndarray:
         raise ReducibilityError(
             "comparison graph is not strongly connected; the undamped chain "
             "has no unique stationary vector (use alpha < 1)")
-    return a
 
 
 def transition_matrix(C, alpha: float = 1.0) -> np.ndarray:
@@ -114,28 +116,31 @@ def pagerank(C, alpha: float = 0.85, tol: float = DEFAULT_TOL) -> RankingVector:
     return RankingVector(pi, C.labels, "pagerank")
 
 
-def influence_weight(C, tol: float = DEFAULT_TOL) -> RankingVector:
-    """Size-free eigenvector weights: leading eigenvector of A^-1 C, i.e.
-    normalize(pi / a) for the stationary vector pi of P = C A^-1.
+def influence_weight(C, alpha: float = 1.0,
+                     tol: float = DEFAULT_TOL) -> RankingVector:
+    """Size-free eigenvector weights normalize(pi / a), pi the stationary
+    vector of the chain at damping alpha and a the column sums.
 
-    Requires positive column sums and an irreducible comparison graph.
-    The result does not change when the diagonal of C changes.
+    Requires positive column sums, and at alpha = 1 an irreducible
+    comparison graph. At alpha = 1 this is the leading eigenvector of
+    A^-1 C, and it does not change when the diagonal of C changes.
     """
     C = as_count_matrix(C)
-    a = _require_undamped_ok(C)
-    w = stationary_vector(C.counts / a, tol=tol).vector / a
-    return RankingVector(w / w.sum(), C.labels, "influence_weight")
+    return iw_from_pagerank(pagerank(C, alpha, tol=tol), C.column_sums())
 
 
-def total_influence(C, tol: float = DEFAULT_TOL) -> RankingVector:
-    """Influence weight scaled by column sums; identical to undamped pagerank."""
+def total_influence(C, alpha: float = 1.0,
+                    tol: float = DEFAULT_TOL) -> RankingVector:
+    """Influence weight scaled by column sums; equals pagerank at the same
+    alpha."""
     C = as_count_matrix(C)
-    w = influence_weight(C, tol=tol)
+    w = influence_weight(C, alpha, tol=tol)
     scores = w.scores * C.column_sums()
     return RankingVector(scores / scores.sum(), C.labels, "total_influence")
 
 
-def influence_per_publication(C, articles, tol: float = DEFAULT_TOL) -> RankingVector:
+def influence_per_publication(C, articles, alpha: float = 1.0,
+                              tol: float = DEFAULT_TOL) -> RankingVector:
     """Total influence divided entrywise by a positive size vector."""
     C = as_count_matrix(C)
     articles = np.asarray(articles, dtype=float)
@@ -144,7 +149,7 @@ def influence_per_publication(C, articles, tol: float = DEFAULT_TOL) -> RankingV
             f"articles has shape {articles.shape}, expected ({C.n},)")
     if np.any(articles <= 0) or not np.all(np.isfinite(articles)):
         raise DomainError("articles must be finite and strictly positive")
-    t = total_influence(C, tol=tol)
+    t = total_influence(C, alpha, tol=tol)
     scores = t.scores / articles
     return RankingVector(scores / scores.sum(), C.labels,
                          "influence_per_publication")

@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from pairrank.counts import CountMatrix, default_labels
 from pairrank.io import matrix_to_csv
 from pairrank.report import load_schema
 
-from oracles import quasi_symmetric_ring
+from oracles import pagerank_eig, quasi_symmetric_ring
 
 MATRIX = """,a,b,c
 a,0,1,1
@@ -122,6 +123,47 @@ class TestRank:
         scores = _scores(capsys.readouterr().out)
         assert scores["b"] == pytest.approx(5 / 11, abs=1e-8)
 
+    @pytest.mark.parametrize("method", ["iw", "total", "ipp"])
+    def test_damped_variants_match_oracle(self, matrix_file, tmp_path,
+                                          capsys, method):
+        art = tmp_path / "a.csv"
+        art.write_text("a,1\nb,1\nc,2\n")
+        assert main(["rank", matrix_file, "--method", method, "--alpha",
+                     "0.9", "--articles", str(art), "--format", "json"]) == 0
+        scores = _scores(capsys.readouterr().out)
+        got = np.array([scores[lab] for lab in "abc"])
+        C = np.array([[0, 1, 1], [2, 0, 2], [4, 4, 0]], float)
+        a = C.sum(axis=0)
+        expected = pagerank_eig(C, 0.9) / a
+        if method != "iw":
+            expected = expected / expected.sum() * a
+        if method == "ipp":
+            expected = expected / expected.sum() / np.array([1.0, 1.0, 2.0])
+        assert_allclose(got, expected / expected.sum(), rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("alpha", ["1.5", "-0.1", "nan"])
+    @pytest.mark.parametrize("method", ["pagerank", "iw", "total", "ipp"])
+    def test_alpha_outside_unit_interval_rejected(self, matrix_file,
+                                                  tmp_path, capsys, method,
+                                                  alpha):
+        art = tmp_path / "a.csv"
+        art.write_text("a,1\nb,1\nc,2\n")
+        assert main(["rank", matrix_file, "--method", method, "--alpha",
+                     alpha, "--articles", str(art)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "alpha must lie in [0, 1]" in captured.err
+
+    @pytest.mark.parametrize("size", ["0", "inf"])
+    def test_damped_ipp_rejects_bad_articles(self, matrix_file, tmp_path,
+                                             capsys, size):
+        art = tmp_path / "a.csv"
+        art.write_text(f"a,1\nb,{size}\nc,2\n")
+        assert main(["rank", matrix_file, "--method", "ipp", "--alpha", "0.9",
+                     "--articles", str(art)]) == 2
+        assert capsys.readouterr().err == (
+            "error: articles must be finite and strictly positive\n")
+
     def test_schema_validation(self, matrix_file, capsys):
         import jsonschema
 
@@ -161,6 +203,23 @@ class TestRank:
         p.write_text(",a,b\na,0,1\nb,0,0\n")
         assert main(["rank", str(p), "--method", "iw"]) == 2
         assert "a" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("junk", [b"\xff", b"1" * (csv.field_size_limit() + 1)],
+                         ids=["not-utf8", "oversized-cell"])
+@pytest.mark.parametrize("target", ["input", "articles"])
+def test_unreadable_text_is_one_error_line(matrix_file, tmp_path, capsys,
+                                           junk, target):
+    p = tmp_path / "bad.csv"
+    if target == "input":
+        p.write_bytes(b",a,b\na,0,1\nb," + junk + b",0\n")
+        argv = ["check-qs", str(p)]
+    else:
+        p.write_bytes(b"a,1\nb," + junk + b"\nc,2\n")
+        argv = ["rank", matrix_file, "--method", "ipp", "--articles", str(p)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestCheckQs:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,7 +9,7 @@ from pairrank.errors import DegenerateSampleError, DomainError
 from pairrank.generators import (MonteCarloResult, SimulationConfig, circular,
                                  monte_carlo_covariance,
                                  random_quasi_symmetric, round_robin,
-                                 simulate_tournament)
+                                 simulate_tournament, structure_matrix)
 from pairrank.asymptotics import round_robin_covariance
 from pairrank.counts import default_labels
 from pairrank.quasisym import check_triplets, decompose_qs, verify_equivalence
@@ -47,6 +49,16 @@ class TestStructures:
     def test_circular_uniform_weights(self):
         assert_allclose(influence_weight(circular(7, 1)).scores,
                         np.full(7, 1 / 7), atol=1e-10)
+
+    def test_structure_by_name(self):
+        assert np.array_equal(structure_matrix("round_robin", 4, 3).counts,
+                              round_robin(4, 3).counts)
+        assert np.array_equal(structure_matrix("Circular", 5, 2).counts,
+                              circular(5, 2).counts)
+        with pytest.raises(DomainError, match="unknown structure 'lattice'"):
+            structure_matrix("lattice", 4)
+        with pytest.raises(DomainError, match="a ring needs n >= 3, got 2"):
+            structure_matrix("circular", 2)
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -147,6 +159,21 @@ class TestMonteCarlo:
         assert isinstance(res, MonteCarloResult)
         assert res.structure == "circular"
         assert res.covariance.shape == (5, 5)
+
+    @pytest.mark.parametrize("structure, n, rejections, digest", [
+        ("circular", 7, 3,
+         "354be6fa8a98014c156a272f46c7f4b9b2df6d842732ecb7df77a793602a4524"),
+        ("round-robin", 4, 0,
+         "7d09afccb45cd661f20f438f7abb0c28d8f8dd7849fa13491f04dc3bf9a83485"),
+    ])
+    def test_seed_42_covariance_is_pinned(self, structure, n, rejections,
+                                          digest):
+        # bit for bit: the draw keying, the structure's pairs and the
+        # per-replication solve must not change (the ring redraws 3 times)
+        res = monte_carlo_covariance(_config(n, games=4, reps=30, seed=42),
+                                     structure)
+        assert res.rejections == rejections
+        assert hashlib.sha256(res.covariance.tobytes()).hexdigest() == digest
 
     def test_degenerate_draws_rejected_and_counted(self):
         # games=2 on a 3-ring rejects ~28% of draws (exact enumeration), so

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -216,6 +217,43 @@ class TestParseArticles:
         with pytest.raises(kind) as exc:
             parse_articles(p, ("a", "b"))
         assert str(exc.value) == message
+
+
+class TestUnreadableText:
+    # (reader, file text with the bad cell as {}, line of that cell)
+    FILES = {
+        "input": (parse_input, b",a,b\na,0,1\nb,{},0\n", 3),
+        "articles": (lambda p: parse_articles(p, ("a", "b")),
+                     b"a,1\nb,{}\n", 2),
+    }
+
+    @pytest.mark.parametrize("which", sorted(FILES))
+    def test_not_utf8(self, tmp_path, which):
+        parse, text, _ = self.FILES[which]
+        p = tmp_path / "bad.csv"
+        p.write_bytes(text.replace(b"{}", b"\xff"))
+        with pytest.raises(ParseError) as exc:
+            parse(p)
+        assert str(exc.value) == "file is not valid UTF-8: invalid start byte"
+
+    @pytest.mark.parametrize("which", sorted(FILES))
+    def test_cell_over_the_csv_field_limit(self, tmp_path, which):
+        parse, text, line = self.FILES[which]
+        limit = csv.field_size_limit()
+        p = tmp_path / "bad.csv"
+        p.write_bytes(text.replace(b"{}", b"1" * (limit + 1)))
+        with pytest.raises(ParseError) as exc:
+            parse(p)
+        assert str(exc.value) == (
+            f"line {line}: field larger than field limit ({limit})")
+
+    def test_later_decoding_error_wins_over_a_parse_error(self, tmp_path):
+        # the bad byte lies beyond the first block the text layer decodes
+        filler = "".join(f"x{i},y{i},1\n" for i in range(4000)).encode()
+        p = tmp_path / "bad.csv"
+        p.write_bytes(b"winner,loser,count\nx,y,oops\n" + filler + b"\xff\n")
+        with pytest.raises(ParseError, match="not valid UTF-8"):
+            parse_input(p)
 
 
 class TestRoundTrip:

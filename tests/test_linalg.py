@@ -4,8 +4,7 @@ from numpy.testing import assert_allclose
 
 from pairrank.errors import (ConvergenceError, DimensionError, DomainError,
                              ReducibilityError)
-from pairrank.linalg import (column_sums, is_irreducible, leading_eigenvector,
-                             pseudoinverse, stationary_vector)
+from pairrank.linalg import column_sums, is_irreducible, stationary_vector
 
 from oracles import random_counts, stationary_eig
 
@@ -29,66 +28,6 @@ class TestColumnSums:
     def test_rejects_non_square(self):
         with pytest.raises(DimensionError):
             column_sums(np.ones((2, 3)))
-
-
-class TestLeadingEigenvector:
-    def test_identity_returns_uniform(self):
-        res = leading_eigenvector(np.eye(3))
-        assert_allclose(res.vector, np.full(3, 1 / 3), atol=1e-12)
-        assert res.value == pytest.approx(1.0, abs=1e-12)
-        assert res.residual <= 1e-12
-
-    def test_uniform_stochastic(self):
-        res = leading_eigenvector(np.full((5, 5), 0.2))
-        assert_allclose(res.vector, np.full(5, 0.2), atol=1e-12)
-
-    def test_worked_example_ratio_matrix(self):
-        # rows of C divided by column sums; fixed point (1/7, 2/7, 4/7)
-        C = np.array([[0, 1, 1], [2, 0, 2], [4, 4, 0]], float)
-        M = C / C.sum(axis=0)[:, None]
-        res = leading_eigenvector(M)
-        assert_allclose(res.vector, [1 / 7, 2 / 7, 4 / 7], atol=1e-10)
-        assert res.value == pytest.approx(1.0, abs=1e-10)
-
-    def test_periodic_chain_converges(self):
-        # two-state swap chain is periodic; the lazy step must handle it
-        P = np.array([[0.0, 1.0], [1.0, 0.0]])
-        res = leading_eigenvector(P)
-        assert_allclose(res.vector, [0.5, 0.5], atol=1e-10)
-
-    def test_even_cycle_converges(self):
-        n = 8
-        P = np.zeros((n, n))
-        idx = np.arange(n)
-        P[(idx + 1) % n, idx] = 0.5
-        P[(idx - 1) % n, idx] = 0.5
-        res = leading_eigenvector(P)
-        assert_allclose(res.vector, np.full(n, 1 / n), atol=1e-10)
-
-    def test_matches_lapack_on_random_chains(self):
-        rng = np.random.default_rng(11)
-        for n in (3, 6, 10):
-            C = rng.uniform(0.1, 4.0, size=(n, n))
-            P = C / C.sum(axis=0)
-            mine = leading_eigenvector(P).vector
-            assert_allclose(mine, stationary_eig(P), atol=1e-9)
-
-    def test_residual_definition(self):
-        P = np.array([[0.5, 0.25], [0.5, 0.75]])
-        res = leading_eigenvector(P)
-        r = np.max(np.abs(P @ res.vector - res.value * res.vector))
-        assert r <= 1e-12
-
-    def test_iteration_budget_error(self):
-        P = np.array([[0.5, 0.25], [0.5, 0.75]])
-        with pytest.raises(ConvergenceError) as exc:
-            leading_eigenvector(P, tol=1e-15, max_iter=2)
-        assert exc.value.iterations == 2
-        assert exc.value.residual is not None
-
-    def test_rejects_bad_tol(self):
-        with pytest.raises(DomainError):
-            leading_eigenvector(np.eye(2), tol=0.0)
 
 
 class TestStationaryVector:
@@ -146,39 +85,6 @@ class TestStationaryVector:
     def test_rejects_bad_tol(self):
         with pytest.raises(DomainError):
             stationary_vector(np.full((2, 2), 0.5), tol=0.0)
-
-
-class TestPseudoinverse:
-    def test_diagonal_with_zero(self):
-        M = np.diag([2.0, 0.0, 5.0])
-        assert_allclose(pseudoinverse(M), np.diag([0.5, 0.0, 0.2]), atol=1e-14)
-
-    def test_invertible_agrees_with_inverse(self):
-        M = np.array([[1.0, 1.0], [0.0, 1.0]])
-        assert_allclose(pseudoinverse(M), np.linalg.inv(M), atol=1e-12)
-
-    def test_centering_projector_is_own_pseudoinverse(self):
-        n = 4
-        G = np.eye(n) - np.full((n, n), 1 / n)
-        assert_allclose(pseudoinverse(G), G, atol=1e-12)
-
-    def test_penrose_conditions_random(self):
-        rng = np.random.default_rng(3)
-        for shape in [(5, 5), (8, 3), (3, 8), (50, 50)]:
-            M = rng.normal(size=shape)
-            if shape[0] == shape[1]:
-                # make it rank deficient to exercise the cutoff
-                M[-1] = M[0] + M[1]
-            X = pseudoinverse(M)
-            assert_allclose(M @ X @ M, M, atol=1e-9)
-            assert_allclose(X @ M @ X, X, atol=1e-9)
-            assert_allclose((M @ X).T, M @ X, atol=1e-9)
-            assert_allclose((X @ M).T, X @ M, atol=1e-9)
-
-    def test_matches_numpy_pinv(self):
-        rng = np.random.default_rng(5)
-        M = rng.normal(size=(7, 7))
-        assert_allclose(pseudoinverse(M), np.linalg.pinv(M), atol=1e-10)
 
 
 class TestIsIrreducible:

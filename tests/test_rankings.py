@@ -131,6 +131,18 @@ class TestInfluenceWeight:
         with pytest.raises(DanglingNodeError):
             influence_weight([[0, 1], [0, 0]])
 
+    def test_damped_matches_lapack(self):
+        rng = np.random.default_rng(22)
+        C = random_counts(rng, 9)
+        w = pagerank_eig(C, 0.8) / C.sum(axis=0)
+        assert_allclose(influence_weight(C, 0.8).scores, w / w.sum(),
+                        atol=1e-9)
+
+    def test_damped_rejects_zero_column_sum(self):
+        # the damped chain has a stationary vector, but pi / a does not exist
+        with pytest.raises(DomainError, match="column sums"):
+            influence_weight([[0, 1], [0, 0]], 0.9)
+
     @pytest.mark.parametrize("n", RING_SIZES)
     def test_quasi_symmetric_ring_gives_d(self, n):
         C, d = quasi_symmetric_ring(n)
@@ -143,6 +155,12 @@ class TestTotalInfluence:
         C = random_counts(rng, 7)
         assert_allclose(total_influence(C).scores,
                         pagerank(C, 1.0).scores, atol=1e-9)
+
+    def test_equals_damped_pagerank(self):
+        rng = np.random.default_rng(31)
+        C = random_counts(rng, 7)
+        assert_allclose(total_influence(C, 0.7).scores,
+                        pagerank(C, 0.7).scores, atol=1e-12)
 
     def test_worked_example(self):
         assert_allclose(total_influence(WORKED).scores, [3 / 14, 5 / 14, 3 / 7],
