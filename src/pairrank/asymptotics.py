@@ -14,7 +14,7 @@ has an explicit derivative:
 Composing the Jacobian with the per-pair binomial variance of the win counts
 (n_ij p (1-p) = n_ij / 4 at even strength) gives the asymptotic covariance of
 the centered log influence weights. Closed forms exist for the balanced
-round robin and, bandwise, for the circular structure.
+round robin and for the circular structure.
 
 Pair directions use 0-based indices and columns are ordered lexicographically
 over i < j.
@@ -120,6 +120,29 @@ def _group_inverse(P: np.ndarray, pi: np.ndarray) -> np.ndarray:
     return np.linalg.inv(np.eye(n) - P + rank_one) - rank_one
 
 
+def _log_iw_parts(C, tol: float):
+    """Factors (R, B, G, u) of d log iw / dt: along pair (i, j) the
+    derivative is R z with z = B (e_i - e_j) + G (u_j e_i - u_i e_j).
+
+    G is the group inverse of I - P and u = pi / a the unnormalized
+    influence weights. Pair (i, j) moves column i of C by -e_j and column j
+    by +e_i, so Pdot pi = u_i (P e_i - e_j) + u_j (e_i - P e_j) and pi moves
+    by x = H e_i - H e_j + u_j G e_i - u_i G e_j, with H = G P diag(u).
+    u = pi / a also moves with a (a_i by -1, a_j by +1): d u = z / a with
+    z = x + u_i e_i - u_j e_j, hence B = H + diag(u). Then d log u = z / pi,
+    less the shift of the normalizer sum(u), (1/a)^T z / sum(u):
+    R = diag(1/pi) - 1 (1/a)^T / sum(u).
+    """
+    a = C.column_sums()
+    P = transition_matrix(C, 1.0)
+    pi = stationary_vector(P, tol=tol).vector
+    G = _group_inverse(P, pi)
+    u = pi / a
+    B = G @ (P * u) + np.diag(u)
+    R = np.diag(1.0 / pi) - np.outer(np.ones_like(u), 1.0 / a) / u.sum()
+    return R, B, G, u
+
+
 def log_iw_jacobian(C, tol: float = DEFAULT_TOL) -> np.ndarray:
     """n x n(n-1)/2 Jacobian of log normalized influence weights with
     respect to the pair perturbations, columns in lexicographic pair order.
@@ -129,42 +152,9 @@ def log_iw_jacobian(C, tol: float = DEFAULT_TOL) -> np.ndarray:
     plain column sums vanish too. Requires an undamped-usable C (positive
     column sums, irreducible).
     """
-    C = as_count_matrix(C)
-    n = C.n
-    a = C.column_sums()
-    P = transition_matrix(C, 1.0)
-    pi = stationary_vector(P, tol=tol).vector
-    G = _group_inverse(P, pi)
-    u = pi / a  # unnormalized influence weights
-    # Pair (i, j) moves column i of C by -e_j and column j by +e_i, so
-    # Pdot pi = u_i (P e_i - e_j) + u_j (e_i - P e_j) and pi moves by
-    # x = H e_i - H e_j + u_j G e_i - u_i G e_j, with H = G P diag(u).
-    # u = pi / a also moves with a (a_i by -1, a_j by +1), so
-    # d log u = (x - u da) / pi, less the shift of the normalizer sum(u),
-    # which is (1/a)^T (x - u da) / sum(u).
-    H = G @ (P * u)
-    i, j = np.triu_indices(n, k=1)
-    Hs, Gs = H / pi[:, None], G / pi[:, None]
-    # J is n x n(n-1)/2: fill it in place through one buffer of its size.
-    # take() into out= copies through a hidden temporary unless mode is
-    # not "raise"; the indices are in range, so "clip" changes nothing else.
-    J = np.take(Hs, i, axis=1)
-    buf = np.empty_like(J)
-
-    def columns(M, idx):
-        return np.take(M, idx, axis=1, out=buf, mode="clip")
-
-    J -= columns(Hs, j)
-    J += np.multiply(columns(Gs, i), u[j], out=buf)
-    J -= np.multiply(columns(Gs, j), u[i], out=buf)
-    cols = np.arange(i.size)
-    J[i, cols] += 1.0 / a[i]
-    J[j, cols] -= 1.0 / a[j]
-    h, g = (1.0 / a) @ H, (1.0 / a) @ G
-    shift = (h[i] - h[j] + g[i] * u[j] - g[j] * u[i]
-             + u[i] / a[i] - u[j] / a[j])
-    J -= shift / u.sum()
-    return J
+    R, B, G, u = _log_iw_parts(as_count_matrix(C), tol)
+    i, j = np.triu_indices(u.size, k=1)
+    return R @ (B[:, i] - B[:, j] + G[:, i] * u[j] - G[:, j] * u[i])
 
 
 def delta_covariance(J, k: int) -> np.ndarray:
@@ -187,14 +177,23 @@ def delta_method_covariance(C, tol: float = DEFAULT_TOL) -> np.ndarray:
     """First-order covariance of centered log influence weights for an
     arbitrary structure: J diag(n_ij / 4) J^T with n_ij = c_ij + c_ji the
     games actually played by each pair (zero-game pairs contribute nothing).
+
+    The sum over pairs is formed in closed form from n x n arrays, never
+    from the n x n(n-1)/2 Jacobian: with W = (C + C^T)/4 off the diagonal
+    and the factors of _log_iw_parts, it is R (B L1 B^T + G L2 G^T + X +
+    X^T) R^T, X = B L3 G^T, where L1 = diag(W 1) - W,
+    L2 = diag(W u^2) - W o u u^T and L3 = diag(W u) - diag(u) W.
     """
     C = as_count_matrix(C)
-    J = log_iw_jacobian(C, tol=tol)
-    games = C.counts + C.counts.T
-    trials = games[np.triu_indices(C.n, k=1)]
-    # scale J in place: a scaled copy would be one more n x n(n-1)/2 array
-    J *= np.sqrt(trials / 4.0)
-    return J @ J.T
+    R, B, G, u = _log_iw_parts(C, tol)
+    W = (C.counts + C.counts.T) / 4.0
+    np.fill_diagonal(W, 0.0)
+    Wu = W * u
+    L1 = np.diag(W.sum(axis=1)) - W
+    L2 = np.diag(Wu @ u) - u[:, None] * Wu
+    L3 = np.diag(Wu.sum(axis=1)) - u[:, None] * W
+    X = B @ L3 @ G.T
+    return R @ (B @ L1 @ B.T + G @ L2 @ G.T + X + X.T) @ R.T
 
 
 def round_robin_covariance(n: int, k: int) -> np.ndarray:
@@ -210,31 +209,19 @@ def round_robin_covariance(n: int, k: int) -> np.ndarray:
 
 
 def circular_covariance(n: int, k: int) -> np.ndarray:
-    """Covariance for the circular structure (each node plays its two ring
-    neighbors): closed forms for the first three bands, the numerical delta
-    path for the rest.
+    """Closed-form covariance for the circular structure (each node plays
+    2k games with each of its two ring neighbors): (2/k) times the
+    pseudoinverse of the cycle Laplacian.
 
-    Band values at circular distance d: (n^2-1)/(6kn) - d(n-d)/(kn), giving
-    (n^2-1)/(6kn), (n-1)(n-5)/(6kn), (n^2-12n+23)/(6kn) for d = 0, 1, 2.
-    The three bands are only distinct from the remainder for n >= 7.
+    The entry at circular distance d is (n^2-1)/(6kn) - d(n-d)/(kn), for
+    every n >= 3: (n^2-1)/(6kn), (n-1)(n-5)/(6kn), (n^2-12n+23)/(6kn) for
+    d = 0, 1, 2.
     """
+    if n < 3:
+        raise DomainError(f"a ring needs n >= 3, got {n}")
     if k < 1:
         raise DomainError(f"need k >= 1, got {k}")
-    if n < 7:
-        raise DomainError(
-            f"closed bands need n >= 7, got {n}; use delta_method_covariance "
-            "on the circular count matrix instead")
-    from .generators import circular
-
-    M = delta_method_covariance(circular(n, k))
-    dist = _ring_distance(n)
-    M[dist == 0] = (n * n - 1) / (6.0 * k * n)
-    M[dist == 1] = (n - 1) * (n - 5) / (6.0 * k * n)
-    M[dist == 2] = (n * n - 12 * n + 23) / (6.0 * k * n)
-    return M
-
-
-def _ring_distance(n: int) -> np.ndarray:
-    idx = np.arange(n)
-    diff = np.abs(np.subtract.outer(idx, idx))
-    return np.minimum(diff, n - diff)
+    # d (n - d) takes the same value at |i - j| and at n - |i - j|, so the
+    # plain index distance stands in for the circular one
+    d = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    return (n * n - 1 - 6.0 * d * (n - d)) / (6.0 * k * n)

@@ -13,8 +13,8 @@ import numpy as np
 
 from .bradley_terry import AbilityVector, _logistic
 from .counts import CountMatrix, default_labels
-from .errors import DegenerateSampleError, DimensionError, DomainError
-from .linalg import is_irreducible
+from .errors import (DanglingNodeError, DegenerateSampleError,
+                     DimensionError, DomainError, ReducibilityError)
 from .rankings import influence_weight
 
 STRUCTURES = ("round-robin", "circular")
@@ -205,9 +205,11 @@ def monte_carlo_covariance(config: SimulationConfig,
         for retry in range(_MAX_RETRY):
             C = _draw_counts(seed, rep, retry, n, probs,
                              config.games_per_pair, mask)
-            if np.all(C.sum(axis=0) > 0) and is_irreducible(C):
+            try:
+                w = influence_weight(CountMatrix(C, config.abilities.labels))
                 break
-            rejections += 1
+            except (DanglingNodeError, ReducibilityError):
+                rejections += 1
             if rejections > reps:
                 raise DegenerateSampleError(
                     f"more than half of all tournament draws were degenerate "
@@ -216,7 +218,6 @@ def monte_carlo_covariance(config: SimulationConfig,
             raise DegenerateSampleError(
                 "retry budget exhausted for a single replication; "
                 "increase games_per_pair")
-        w = influence_weight(CountMatrix(C, config.abilities.labels))
         y = np.log(w.scores)
         Y[rep] = y - y.mean()
     G = Y - Y.mean(axis=0)

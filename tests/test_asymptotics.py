@@ -200,6 +200,23 @@ class TestDeltaCovariance:
             assert_allclose(delta_method_covariance(C),
                             bt_covariance(C, np.zeros(n)), atol=1e-10)
 
+    def test_general_form_matches_finite_difference_sum(self):
+        # sum over played pairs of (n_ij / 4) f f^T, f from the LAPACK
+        # finite-difference oracle; a ring keeps the counts irreducible
+        # while other pairs are dropped
+        rng = np.random.default_rng(11)
+        for n in range(3, 9):
+            C = random_counts(rng, n)
+            for i, j in lexicographic_pairs(n):
+                if j - i not in (1, n - 1) and rng.uniform() < 0.4:
+                    C[i, j] = C[j, i] = 0.0
+            expected = np.zeros((n, n))
+            for i, j in lexicographic_pairs(n):
+                if C[i, j] + C[j, i] > 0:
+                    f = fd_log_iw_derivative(C, i, j)
+                    expected += (C[i, j] + C[j, i]) / 4.0 * np.outer(f, f)
+            assert_allclose(delta_method_covariance(C), expected, atol=1e-7)
+
     def test_general_form_reduces_to_uniform_on_round_robin(self):
         C = round_robin(5, 3)
         assert_allclose(delta_method_covariance(C),
@@ -240,7 +257,7 @@ class TestClosedForms:
 
     def test_circular_matches_cycle_laplacian_pseudoinverse(self):
         # independent closed form: covariance = (2/k) pinv(L_ring)
-        for n, k in [(7, 1), (9, 2), (12, 1)]:
+        for n, k in [(3, 1), (4, 2), (5, 1), (6, 3), (7, 1), (9, 2), (12, 1)]:
             L = 2 * np.eye(n)
             idx = np.arange(n)
             L[idx, (idx + 1) % n] -= 1
@@ -249,8 +266,8 @@ class TestClosedForms:
                             (2 / k) * np.linalg.pinv(L), atol=1e-10)
 
     def test_circular_small_n_rejected(self):
-        with pytest.raises(DomainError):
-            circular_covariance(5, 1)
+        with pytest.raises(DomainError, match="a ring needs n >= 3, got 2"):
+            circular_covariance(2, 1)
 
     def test_k_scaling(self):
         assert_allclose(round_robin_covariance(5, 4),

@@ -56,6 +56,28 @@ def _ring_edges(tmp_path, n: int) -> tuple[str, np.ndarray, np.ndarray]:
     return str(p), C, d
 
 
+def _bounded_run(*args: str) -> tuple[int, float]:
+    """Run `python -m pairrank *args` with its address space capped at
+    2 GiB. Returns the exit code and the child's peak RSS in MB.
+
+    The probe is a fresh parent, so RUSAGE_CHILDREN sees this child alone;
+    the cap makes an O(n^3) regression fail fast with MemoryError instead
+    of taking the host's memory.
+    """
+    probe = (
+        "import resource, subprocess, sys\n"
+        "cap = 2 << 30\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+        "code = subprocess.run([sys.executable, '-m', 'pairrank', "
+        "*sys.argv[1:]], stdout=subprocess.DEVNULL).returncode\n"
+        "peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
+        "print(code, peak)\n")
+    proc = subprocess.run([sys.executable, "-c", probe, *args],
+                          capture_output=True, text=True, check=True)
+    code, peak_kb = map(int, proc.stdout.split())
+    return code, peak_kb / 1024
+
+
 def _by_index(scores: dict) -> np.ndarray:
     return np.array([scores[f"p{i + 1}"] for i in range(len(scores))])
 
@@ -283,18 +305,9 @@ class TestCheckQs:
         path = tmp_path / "qs1000.csv"
         path.write_text(matrix_to_csv(
             CountMatrix(d[:, None] * S, default_labels(n))))
-        # a fresh parent, so RUSAGE_CHILDREN sees this child alone
-        probe = (
-            "import resource, subprocess, sys\n"
-            "code = subprocess.run([sys.executable, '-m', 'pairrank', "
-            "'check-qs', sys.argv[1]], stdout=subprocess.DEVNULL).returncode\n"
-            "peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
-            "print(code, peak)\n")
-        proc = subprocess.run([sys.executable, "-c", probe, str(path)],
-                              capture_output=True, text=True, check=True)
-        code, peak_kb = map(int, proc.stdout.split())
+        code, peak_mb = _bounded_run("check-qs", str(path))
         assert code == 0
-        assert peak_kb / 1024 < 300
+        assert peak_mb < 300
 
 
 class TestAsymptotics:
@@ -315,10 +328,12 @@ class TestAsymptotics:
         assert obj["diagnostics"]["max_discrepancy_bt"] < 1e-10
 
     def test_circular_small_n_uses_numerical_route(self, capsys):
+        # the band formula holds at every n >= 3, so small rings are closed
+        # form too, with the values the numerical route gave
         assert main(["asymptotics", "--structure", "circular",
                      "--n", "5", "--k", "1", "--format", "json"]) == 0
         obj = json.loads(capsys.readouterr().out)
-        assert obj["diagnostics"]["covariance_source"] == "numerical"
+        assert obj["diagnostics"]["covariance_source"] == "closed-form"
         rows = obj["matrices"]["covariance"]["rows"]
         assert abs(rows[0][0] - 0.8) < 1e-10
         assert abs(rows[0][2] - (-0.4)) < 1e-10
@@ -327,7 +342,33 @@ class TestAsymptotics:
         assert main(["asymptotics", "--structure", "circular",
                      "--n", "7", "--k", "1", "--format", "json"]) == 0
         obj = json.loads(capsys.readouterr().out)
-        assert obj["diagnostics"]["covariance_source"] == "closed-bands+numerical"
+        assert obj["diagnostics"]["covariance_source"] == "closed-form"
+
+    def test_check_is_relative_to_the_closed_form(self, capsys):
+        # entries near n/(6k) carry absolute rounding above 1e-10 here
+        assert main(["asymptotics", "--structure", "circular",
+                     "--n", "400", "--k", "1", "--check",
+                     "--format", "json"]) == 0
+        diagnostics = json.loads(capsys.readouterr().out)["diagnostics"]
+        assert diagnostics["max_discrepancy_delta"] < 1e-10
+        assert diagnostics["max_discrepancy_bt"] < 1e-10
+
+    def test_check_beyond_tol_exits_4(self, capsys):
+        assert main(["asymptotics", "--structure", "round-robin",
+                     "--n", "6", "--k", "1", "--check", "--tol", "1e-30",
+                     "--format", "json"]) == 4
+        diagnostics = json.loads(capsys.readouterr().out)["diagnostics"]
+        assert diagnostics["check_tol"] == 1e-30
+
+    @pytest.mark.skipif(sys.platform != "linux",
+                        reason="ru_maxrss is in kilobytes on Linux")
+    @pytest.mark.parametrize("structure", ["round-robin", "circular"])
+    def test_check_1000_in_bounded_memory(self, structure):
+        # the n x n(n-1)/2 Jacobian alone would take 3.7 GiB here
+        code, peak_mb = _bounded_run("asymptotics", "--structure", structure,
+                                     "--n", "1000", "--k", "1", "--check")
+        assert code == 0
+        assert peak_mb < 300
 
     def test_schema_validation(self, capsys):
         import jsonschema
