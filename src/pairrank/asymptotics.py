@@ -154,7 +154,12 @@ def log_iw_jacobian(C, tol: float = DEFAULT_TOL) -> np.ndarray:
     """
     R, B, G, u = _log_iw_parts(as_count_matrix(C), tol)
     i, j = np.triu_indices(u.size, k=1)
-    return R @ (B[:, i] - B[:, j] + G[:, i] * u[j] - G[:, j] * u[i])
+    # two pair-sized buffers; mode="clip" lets take write to T without a copy
+    D, T = B[:, i], np.take(B, j, axis=1)
+    D -= T
+    D += np.multiply(np.take(G, i, axis=1, out=T, mode="clip"), u[j], out=T)
+    D -= np.multiply(np.take(G, j, axis=1, out=T, mode="clip"), u[i], out=T)
+    return np.matmul(R, D, out=T)
 
 
 def delta_covariance(J, k: int) -> np.ndarray:

@@ -23,7 +23,7 @@ import numpy as np
 from .counts import CountMatrix, as_count_matrix
 from .errors import (ConnectivityError, ConvergenceError, DecompositionError,
                      DimensionError, DomainError, SeparationError)
-from .linalg import _components
+from .linalg import _closed_group, _components
 
 DEFAULT_FIT_TOL = 1e-10
 DEFAULT_FIT_MAX_ITER = 100
@@ -99,29 +99,23 @@ def _fisher(games: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 def _check_fittable(counts: np.ndarray, labels) -> None:
     """Raise unless the MLE exists, that is unless the win graph (u -> v
-    where u beat v) is strongly connected. Otherwise some group of players
-    never lost to the rest, and their abilities diverge from the others'.
-    A disconnected graph and a player without wins or losses are the common
-    cases and get their own messages."""
-    n = len(labels)
+    where u beat v) is strongly connected (linalg._closed_group). Otherwise
+    some group of players never lost to the rest, and their abilities
+    diverge from the others'. A disconnected graph and a player without
+    wins or losses are the common cases and get their own messages."""
     _require_connected(counts + counts.T, labels)
     wins = counts.sum(axis=1)
     losses = counts.sum(axis=0)
-    for i in range(n):
+    for i in range(len(labels)):
         if wins[i] == 0:
             raise SeparationError(labels[i], "no wins")
         if losses[i] == 0:
             raise SeparationError(labels[i], "no losses")
-    beat = counts > 0
-    # the players 0 beats, directly or through others, beat nobody outside
-    # that group; the players who beat 0 lost to nobody outside theirs
-    below = set(_components(beat)[0])
-    top = set(range(n)) - below if len(below) < n else \
-        set(_components(beat.T)[0])
-    if len(top) < n:
-        first = labels[min(top)]
-        rest = ", ".join(labels[i] for i in range(n) if i not in top)
-        raise SeparationError(first, f"no losses against {rest}")
+    top = _closed_group(counts > 0)
+    if top is not None:
+        rest = ", ".join(labels[i] for i in np.flatnonzero(~top))
+        raise SeparationError(labels[np.argmax(top)],
+                              f"no losses against {rest}")
 
 
 def fit_bt(C, tol: float = DEFAULT_FIT_TOL,

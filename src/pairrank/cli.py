@@ -31,8 +31,8 @@ from .asymptotics import (circular_covariance, delta_method_covariance,
                           round_robin_covariance)
 from .bradley_terry import AbilityVector, bt_covariance, fit_bt
 from .counts import CountMatrix, default_labels
-from .errors import (ConnectivityError, ConvergenceError, DomainError,
-                     NotQuasiSymmetricError, ParseError, RankingError)
+from .errors import (ConnectivityError, ConsistencyError, ConvergenceError,
+                     DomainError, NotQuasiSymmetricError, RankingError)
 from .generators import (SimulationConfig, monte_carlo_covariance,
                          structure_matrix)
 from .io import parse_articles, parse_input
@@ -136,7 +136,7 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ParseError, DomainError, RankingError, OSError) as exc:
+    except (RankingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(report.render(args.format))
@@ -229,7 +229,12 @@ def cmd_check_qs(args) -> tuple[RunReport, int]:
         return (RunReport(command="check-qs", diagnostics=diagnostics,
                           metadata=metadata), 4)
     diagnostics["decomposition_residual"] = dec.residual
-    diagnostics["equivalence_residual"] = verify_equivalence(C, dec=dec)
+    try:
+        diagnostics["equivalence_residual"] = verify_equivalence(C, dec=dec)
+    except ConsistencyError as exc:
+        diagnostics["equivalence_error"] = str(exc)
+        return (RunReport(command="check-qs", diagnostics=diagnostics,
+                          metadata=metadata), 4)
     rev = is_reversible(C, tol=args.tol)
     diagnostics["reversible"] = rev.reversible
     diagnostics["detailed_balance_gap"] = rev.max_gap

@@ -38,7 +38,7 @@ def parse_input(path, fmt: str = "auto") -> CountMatrix:
     errors count CSV records, blank ones included. A matrix file with the
     wrong number of data rows reports that ahead of any error inside a
     row."""
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:
         rows = _read_rows(f)
         try:
             return _parse_rows(rows, fmt)
@@ -68,7 +68,7 @@ def parse_articles(path, labels: tuple[str, ...]) -> np.ndarray:
     """Per-player sizes from a CSV file of label,articles rows (an optional
     header row whose second cell is 'articles'), in the order of labels.
     Every label must appear exactly once, and no other."""
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:
         rows = list(_read_rows(f))
     values: dict[str, float] = {}
     for line_no, cells in rows:

@@ -75,40 +75,48 @@ def stationary_vector(P, tol: float = DEFAULT_TOL) -> StationaryResult:
     return StationaryResult(x, residual)
 
 
-def _components(adj: np.ndarray) -> list[list[int]]:
-    """Node groups of the graph with an edge u -> v wherever adj[u, v], each
-    the set reached from its smallest unvisited node, in ascending order.
+def _search(adj: np.ndarray, start: int = 0, seen=None):
+    """Depth-first search from start over the edges u -> v where adj[u, v],
+    past the nodes marked in seen, until all are. Returns the steps (u, the
+    nodes first reached from u) in order, and seen with those marked too."""
+    seen = np.zeros(adj.shape[0], dtype=bool) if seen is None else seen
+    seen[start] = True
+    stack, steps, left = [start], [], seen.size - np.count_nonzero(seen)
+    while stack and left:
+        u = stack.pop()
+        new = np.flatnonzero(adj[u] & ~seen)
+        seen[new] = True
+        left -= new.size
+        stack.extend(new.tolist())
+        steps.append((u, new))
+    return steps, seen
 
-    For a symmetric adj these are the connected components. For any adj the
-    first group is everything reachable from node 0.
-    """
-    n = adj.shape[0]
-    seen = np.zeros(n, dtype=bool)
+
+def _components(adj: np.ndarray) -> list[list[int]]:
+    """Nodes reached from each smallest unvisited node over the edges u -> v
+    where adj[u, v], ascending: the components when adj is symmetric."""
+    seen = np.zeros(adj.shape[0], dtype=bool)
     comps = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        comp = [start]
-        seen[start] = True
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            new = np.flatnonzero(adj[u] & ~seen)
-            seen[new] = True
-            comp.extend(new.tolist())
-            stack.extend(new.tolist())
-        comps.append(sorted(comp))
+    while not seen.all():
+        before = seen.copy()
+        _search(adj, int(np.argmin(seen)), seen)
+        comps.append(np.flatnonzero(seen & ~before).tolist())
     return comps
 
 
-def is_irreducible(C) -> bool:
-    """True when the directed graph on the positive entries of C is strongly
-    connected (edge j -> i for every c_ij > 0).
+def _closed_group(adj: np.ndarray) -> np.ndarray | None:
+    """None when the graph of adj is strongly connected, else a mask of a
+    group with no edge into it: what node 0 cannot reach, or else what
+    reaches node 0. For n >= 2 counts C and adj = C > 0, None is exactly
+    when C A^-1 has a unique positive stationary vector and exactly when
+    the Bradley-Terry MLE exists (Zermelo 1929; Ford 1957)."""
+    reached = _search(adj)[1]
+    if not reached.all():
+        return ~reached
+    reached = _search(adj.T)[1]
+    return None if reached.all() else reached
 
-    A single node is trivially irreducible.
-    """
-    C = _as_square(C)
-    if C.shape[0] == 1:
-        return True
-    adj = C > 0
-    return len(_components(adj)) == 1 and len(_components(adj.T)) == 1
+
+def is_irreducible(C) -> bool:
+    """True when the positive entries of C form a strongly connected graph."""
+    return _closed_group(_as_square(C) > 0) is None

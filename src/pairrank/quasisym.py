@@ -20,11 +20,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bradley_terry import fit_bt
+from .bradley_terry import _require_connected, fit_bt
 from .counts import CountMatrix, as_count_matrix
-from .errors import ConnectivityError, ConsistencyError, DomainError, \
-    NotQuasiSymmetricError
-from .linalg import DEFAULT_TOL, _components, stationary_vector
+from .errors import ConsistencyError, DomainError, NotQuasiSymmetricError
+from .linalg import DEFAULT_TOL, _search, stationary_vector
 from .rankings import influence_weight, transition_matrix
 
 DEFAULT_QS_TOL = 1e-8
@@ -196,26 +195,14 @@ def decompose_qs(C, tol: float = DEFAULT_QS_TOL) -> QSDecomposition:
     if not tol > 0:
         raise DomainError(f"tol must be positive, got {tol}")
     counts = C.counts
-    n = C.n
     mutual = (counts > 0) & (counts.T > 0)
-    np.fill_diagonal(mutual, False)
 
-    d = np.zeros(n)
-    d[0] = 1.0
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    stack = [0]
-    order = [0]
-    while stack:
-        u = stack.pop()
-        for v in np.flatnonzero(mutual[u] & ~seen):
-            d[v] = d[u] * counts[v, u] / counts[u, v]
-            seen[v] = True
-            stack.append(int(v))
-            order.append(int(v))
+    d = np.ones(C.n)
+    steps, seen = _search(mutual)
+    for u, new in steps:
+        d[new] = d[u] * counts[new, u] / counts[u, new]
     if not seen.all():
-        raise ConnectivityError([[C.labels[i] for i in comp]
-                                 for comp in _components(mutual)])
+        _require_connected(mutual, C.labels)
 
     M = counts / d[:, None]
     asym = np.abs(M - M.T)

@@ -2,14 +2,26 @@
 
 Everything here avoids the package's own iterative code paths on purpose:
 eigenvectors come straight from LAPACK (numpy.linalg.eig), maximum
-likelihood fits from scipy.optimize with an analytic gradient, and
-derivatives from central finite differences of the LAPACK route.
+likelihood fits from scipy.optimize with an analytic gradient, derivatives
+from central finite differences of the LAPACK route, and graph components
+from scipy.sparse.csgraph. Nothing here imports the package.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.optimize import minimize
+from scipy.sparse.csgraph import connected_components
+
+
+def graph_components(adj: np.ndarray, strong: bool) -> list[list[int]]:
+    """Strong (strong=True) or weak components of the directed graph with
+    an edge u -> v wherever adj[u, v], each ascending, ordered by their
+    smallest node."""
+    count, labels = connected_components(
+        np.asarray(adj, dtype=bool), directed=True,
+        connection="strong" if strong else "weak")
+    return sorted(np.flatnonzero(labels == c).tolist() for c in range(count))
 
 
 def stationary_eig(P: np.ndarray) -> np.ndarray:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -181,6 +183,17 @@ class TestLogIwJacobian:
         J = log_iw_jacobian(circular(6, 1))
         assert J.shape == (6, 15)
         assert np.all(np.isfinite(J))
+
+
+    def test_peak_memory_is_about_two_jacobians(self):
+        # the pair differences and the product share two pair-sized buffers
+        tracemalloc.start()
+        try:
+            J = log_iw_jacobian(circular(120, 1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * J.nbytes
 
 
 class TestDeltaCovariance:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import subprocess
 import sys
@@ -244,6 +245,16 @@ def test_unreadable_text_is_one_error_line(matrix_file, tmp_path, capsys,
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_byte_order_mark_is_skipped_but_hashed(tmp_path, capsys):
+    raw = b"\xef\xbb\xbf" + EDGES.encode()
+    p = tmp_path / "bom.csv"
+    p.write_bytes(raw)
+    assert main(["rank", str(p), "--format", "json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert sorted(e["label"] for e in obj["scores"]) == ["a", "b", "c"]
+    assert obj["metadata"]["input_sha256"] == hashlib.sha256(raw).hexdigest()
+
+
 class TestCheckQs:
     def test_quasi_symmetric_input(self, matrix_file, capsys):
         assert main(["check-qs", matrix_file, "--format", "json"]) == 0
@@ -268,6 +279,28 @@ class TestCheckQs:
         obj = json.loads(capsys.readouterr().out)
         assert obj["diagnostics"]["quasi_symmetric"] is False
         assert obj["diagnostics"]["triplet_violations"] >= 1
+        assert obj["scores"] == []
+
+    def test_failed_equivalence_is_exit_4(self, tmp_path, capsys):
+        # 1e-6 noise passes the triplet test and the decomposition at
+        # --tol 1e-4, then misses the equivalence check's own 1e-10
+        rng = np.random.default_rng(3)
+        n = 6
+        d = rng.uniform(0.5, 2.0, n)
+        S = rng.uniform(2.0, 8.0, (n, n))
+        C = d[:, None] * (S + S.T) * (1 + 1e-6 * rng.standard_normal((n, n)))
+        np.fill_diagonal(C, 0.0)
+        p = tmp_path / "noisy.csv"
+        p.write_text(matrix_to_csv(CountMatrix(C, default_labels(n))))
+        argv = ["check-qs", str(p), "--tol", "1e-4", "--format", "json"]
+        assert main(argv) == 4
+        out = capsys.readouterr()
+        assert out.err == ""
+        obj = json.loads(out.out)
+        assert obj["diagnostics"]["quasi_symmetric"] is True
+        assert obj["diagnostics"]["equivalence_error"].startswith(
+            "fixed-point residual")
+        assert "equivalence_residual" not in obj["diagnostics"]
         assert obj["scores"] == []
 
     def test_schema_validation(self, matrix_file, tmp_path, capsys):

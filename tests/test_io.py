@@ -1,3 +1,4 @@
+import codecs
 import csv
 import json
 
@@ -254,6 +255,30 @@ class TestUnreadableText:
         p.write_bytes(b"winner,loser,count\nx,y,oops\n" + filler + b"\xff\n")
         with pytest.raises(ParseError, match="not valid UTF-8"):
             parse_input(p)
+
+
+class TestByteOrderMark:
+    # spreadsheet "CSV UTF-8" exports start with a UTF-8 byte-order mark
+    BOM = codecs.BOM_UTF8
+
+    def test_matrix(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_bytes(self.BOM + MATRIX.encode())
+        C = parse_input(p)
+        assert C.labels == ("a", "b", "c")
+        assert np.array_equal(C.counts, EXPECTED)
+
+    def test_edges(self, tmp_path):
+        p = tmp_path / "e.csv"
+        p.write_bytes(self.BOM + EDGES.encode())
+        C = parse_input(p)
+        assert C.labels == ("a", "b", "c")
+        assert np.array_equal(C.counts, EXPECTED)
+
+    def test_articles(self, tmp_path):
+        p = tmp_path / "a.csv"
+        p.write_bytes(self.BOM + b"a,1\nb,4\n")
+        assert np.array_equal(parse_articles(p, ("a", "b")), [1, 4])
 
 
 class TestRoundTrip:
