@@ -27,10 +27,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .asymptotics import (circular_covariance, delta_method_covariance,
-                          round_robin_covariance)
+from . import asymptotics, rankings
+from .asymptotics import delta_method_covariance
 from .bradley_terry import AbilityVector, bt_covariance, fit_bt
-from .counts import CountMatrix, default_labels
+from .counts import default_labels
 from .errors import (ConnectivityError, ConsistencyError, ConvergenceError,
                      DomainError, NotQuasiSymmetricError, RankingError)
 from .generators import (SimulationConfig, monte_carlo_covariance,
@@ -38,17 +38,16 @@ from .generators import (SimulationConfig, monte_carlo_covariance,
 from .io import parse_articles, parse_input
 from .quasisym import check_triplets, decompose_qs, is_reversible, \
     verify_equivalence
-from .rankings import (RankingVector, influence_per_publication,
-                       influence_weight, pagerank, total_influence)
+from .rankings import influence_per_publication
 from .report import MatrixBlock, RunReport, sort_scores
 
-METHOD_NAMES = {
-    "pagerank": "pagerank",
-    "iw": "influence_weight",
-    "total": "total_influence",
-    "ipp": "influence_per_publication",
-    "bt": "bradley_terry",
-}
+# Each choice names the library function it runs, looked up on its module at
+# call time so that a rebinding there (bench/spans.py wraps each in a span)
+# reaches the CLI. ipp (needs --articles) and bt (a fit) branch on their own.
+_EIGEN_METHODS = {"pagerank": "pagerank", "iw": "influence_weight",
+                  "total": "total_influence"}
+_DESIGNS = {"round-robin": "round_robin_covariance",
+            "circular": "circular_covariance"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -61,9 +60,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("table", "json", "csv"),
                        default="table", help="output format")
 
+    def add_design(p):
+        p.add_argument("--structure", choices=list(_DESIGNS), required=True)
+        p.add_argument("--n", type=int, required=True, help="players")
+        p.add_argument("--k", type=int, required=True,
+                       help="wins per direction per playing pair (2k games)")
+
     p_rank = sub.add_parser("rank", help="score players from a CSV file")
     p_rank.add_argument("input", help="CSV file (edges or matrix layout)")
-    p_rank.add_argument("--method", choices=sorted(METHOD_NAMES),
+    p_rank.add_argument("--method", choices=sorted([*_EIGEN_METHODS, "ipp",
+                                                    "bt"]),
                         default="pagerank",
                         help="pagerank, iw (influence weight), total "
                              "(total influence), ipp (influence per "
@@ -98,11 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_asy = sub.add_parser("asymptotics",
                            help="closed-form log-influence covariance")
-    p_asy.add_argument("--structure", choices=("round-robin", "circular"),
-                       required=True)
-    p_asy.add_argument("--n", type=int, required=True, help="players")
-    p_asy.add_argument("--k", type=int, required=True,
-                       help="wins per direction per playing pair (2k games)")
+    add_design(p_asy)
     p_asy.add_argument("--check", action="store_true",
                        help="cross-check against the delta-method and "
                             "Bradley-Terry covariances; exit 4 on "
@@ -116,11 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate",
                            help="Monte Carlo covariance vs the closed form")
-    p_sim.add_argument("--structure", choices=("round-robin", "circular"),
-                       required=True)
-    p_sim.add_argument("--n", type=int, required=True, help="players")
-    p_sim.add_argument("--k", type=int, required=True,
-                       help="wins per direction per playing pair (2k games)")
+    add_design(p_sim)
     p_sim.add_argument("--reps", type=int, default=1000,
                        help="replications")
     p_sim.add_argument("--seed", type=int, default=0)
@@ -153,161 +151,130 @@ def _digest(path) -> str:
 
 def cmd_rank(args) -> tuple[RunReport, int]:
     C = parse_input(args.input, args.input_format)
-    method = METHOD_NAMES[args.method]
-    tol = args.tol
     diagnostics: dict = {}
-    metadata: dict = {"input_sha256": _digest(args.input), "tol": tol}
-    alpha_out = None
-
+    metadata: dict = {"input_sha256": _digest(args.input), "tol": args.tol}
+    alpha = args.alpha
     if args.method == "bt":
-        if args.alpha is not None:
+        if alpha is not None:
             diagnostics["note"] = "alpha is ignored for bradley_terry"
-        fit = fit_bt(C, tol=tol)
+        fit = fit_bt(C, tol=args.tol)
         stderrs = np.sqrt(np.clip(np.diag(fit.covariance), 0.0, None))
         scores = sort_scores(C.labels, fit.abilities.mu, stderrs)
+        method, alpha = "bradley_terry", None
         diagnostics.update(deviance=fit.deviance, iterations=fit.iterations,
                            converged=fit.converged)
     else:
-        vector, alpha = _eigen_scores(C, args, tol)
-        if args.method == "pagerank":
-            alpha_out = alpha
-        elif alpha < 1.0:
-            alpha_out = alpha
-            diagnostics["damped_variant"] = True
-            diagnostics["note"] = ("damped analogue of an undamped "
-                                   "quantity (alpha < 1)")
+        if alpha is None:
+            alpha = 0.85 if args.method == "pagerank" else 1.0
         if args.method == "ipp":
+            if args.articles is None:
+                raise DomainError(
+                    "--method ipp requires --articles (per-player sizes)")
+            articles = parse_articles(args.articles, C.labels)
+            vector = influence_per_publication(C, articles, alpha,
+                                               tol=args.tol)
             metadata["articles_sha256"] = _digest(args.articles)
+        else:
+            score = getattr(rankings, _EIGEN_METHODS[args.method])
+            vector = score(C, alpha, tol=args.tol)
         scores = sort_scores(vector.labels, vector.scores)
-
-    report = RunReport(command="rank", scores=scores, method=method,
-                       alpha=alpha_out, diagnostics=diagnostics,
-                       metadata=metadata)
-    return report, 0
-
-
-def _eigen_scores(C: CountMatrix, args,
-                  tol: float) -> tuple[RankingVector, float]:
-    """Score C by an eigenvector method at the resolved alpha (default 0.85
-    for pagerank, 1 for iw/total/ipp). Returns (vector, alpha)."""
-    alpha = args.alpha
-    if alpha is None:
-        alpha = 0.85 if args.method == "pagerank" else 1.0
-    if args.method == "pagerank":
-        return pagerank(C, alpha, tol=tol), alpha
-    if args.method == "iw":
-        return influence_weight(C, alpha, tol=tol), alpha
-    if args.method == "total":
-        return total_influence(C, alpha, tol=tol), alpha
-    if args.articles is None:
-        raise DomainError("--method ipp requires --articles (per-player sizes)")
-    articles = parse_articles(args.articles, C.labels)
-    return influence_per_publication(C, articles, alpha, tol=tol), alpha
+        method = vector.method
+        if args.method != "pagerank":
+            if alpha < 1.0:
+                diagnostics["damped_variant"] = True
+                diagnostics["note"] = ("damped analogue of an undamped "
+                                       "quantity (alpha < 1)")
+            else:
+                alpha = None
+    return (RunReport(command="rank", scores=scores, method=method,
+                      alpha=alpha, diagnostics=diagnostics,
+                      metadata=metadata), 0)
 
 
 def cmd_check_qs(args) -> tuple[RunReport, int]:
     C = parse_input(args.input, args.input_format)
     metadata = {"input_sha256": _digest(args.input), "tol": args.tol}
-    triplets = check_triplets(C, tol=args.tol)
-    diagnostics: dict = {
-        "quasi_symmetric": triplets.is_quasi_symmetric,
-        "triplet_max_gap": triplets.max_relative_gap,
-        "triplet_violations": triplets.violation_count,
-    }
-    if not triplets.is_quasi_symmetric:
-        worst = triplets.worst
-        diagnostics["worst_triplet"] = "|".join(
-            C.labels[idx] for idx in (worst.i, worst.j, worst.k))
-        return (RunReport(command="check-qs", diagnostics=diagnostics,
-                          metadata=metadata), 4)
+    diagnostics: dict = {}
 
+    def report(scores=(), code=4) -> tuple[RunReport, int]:
+        return (RunReport(command="check-qs", scores=scores,
+                          diagnostics=diagnostics, metadata=metadata), code)
+
+    triplets = check_triplets(C, tol=args.tol)
+    diagnostics.update(quasi_symmetric=triplets.is_quasi_symmetric,
+                       triplet_max_gap=triplets.max_relative_gap,
+                       triplet_violations=triplets.violation_count)
+    if not triplets.is_quasi_symmetric:
+        diagnostics["worst_triplet"] = "|".join(
+            C.labels[idx] for idx in triplets.worst[:3])
+        return report()
     try:
         dec = decompose_qs(C, tol=args.tol)
     except (NotQuasiSymmetricError, ConnectivityError) as exc:
-        diagnostics["quasi_symmetric"] = False
-        diagnostics["decomposition_error"] = str(exc)
-        return (RunReport(command="check-qs", diagnostics=diagnostics,
-                          metadata=metadata), 4)
+        diagnostics.update(quasi_symmetric=False,
+                           decomposition_error=str(exc))
+        return report()
     diagnostics["decomposition_residual"] = dec.residual
     try:
         diagnostics["equivalence_residual"] = verify_equivalence(C, dec=dec)
     except ConsistencyError as exc:
         diagnostics["equivalence_error"] = str(exc)
-        return (RunReport(command="check-qs", diagnostics=diagnostics,
-                          metadata=metadata), 4)
+        return report()
     rev = is_reversible(C, tol=args.tol)
-    diagnostics["reversible"] = rev.reversible
-    diagnostics["detailed_balance_gap"] = rev.max_gap
-    scores = sort_scores(C.labels, dec.d)
-    return (RunReport(command="check-qs", scores=scores,
-                      diagnostics=diagnostics, metadata=metadata), 0)
+    diagnostics.update(reversible=rev.reversible,
+                       detailed_balance_gap=rev.max_gap)
+    return report(sort_scores(C.labels, dec.d), 0)
 
 
-def _closed_covariance(structure: str, n: int, k: int) -> np.ndarray:
-    """Closed-form reference covariance of the design."""
-    if structure == "round-robin":
-        return round_robin_covariance(n, k)
-    return circular_covariance(n, k)
+def _design(args) -> dict:
+    """The --structure/--n/--k design, as the head of the diagnostics."""
+    return {"structure": args.structure, "n": args.n, "k": args.k,
+            "games_per_pair": 2 * args.k}
+
+
+def _closed_form(args) -> np.ndarray:
+    """Closed-form covariance of the design's centered log weights."""
+    return getattr(asymptotics, _DESIGNS[args.structure])(args.n, args.k)
 
 
 def cmd_asymptotics(args) -> tuple[RunReport, int]:
-    n, k = args.n, args.k
-    labels = default_labels(n)
-    target = _closed_covariance(args.structure, n, k)
-    diagnostics: dict = {"structure": args.structure, "n": n, "k": k,
-                         "games_per_pair": 2 * k,
-                         "covariance_source": "closed-form"}
+    target = _closed_form(args)
+    diagnostics = {**_design(args), "covariance_source": "closed-form"}
     code = 0
     if args.check:
-        C = structure_matrix(args.structure, n, k)
-        delta = delta_method_covariance(C)
-        bt = bt_covariance(C, np.zeros(n))
+        if not args.tol > 0:
+            raise DomainError(f"tol must be positive, got {args.tol}")
+        C = structure_matrix(args.structure, args.n, args.k)
         scale = float(np.max(np.abs(target)))
-        d_delta = float(np.max(np.abs(delta - target))) / scale
-        d_bt = float(np.max(np.abs(bt - target))) / scale
-        diagnostics["max_discrepancy_delta"] = d_delta
-        diagnostics["max_discrepancy_bt"] = d_bt
-        diagnostics["check_tol"] = args.tol
-        if max(d_delta, d_bt) > args.tol:
-            code = 4
-    report = RunReport(
-        command="asymptotics",
-        matrices={"covariance": MatrixBlock(labels, target)},
-        diagnostics=diagnostics,
-        metadata={},
-    )
-    return report, code
+        delta, bt = (float(np.max(np.abs(cov - target))) / scale
+                     for cov in (delta_method_covariance(C),
+                                 bt_covariance(C, np.zeros(args.n))))
+        diagnostics.update(max_discrepancy_delta=delta,
+                           max_discrepancy_bt=bt, check_tol=args.tol)
+        code = 4 if max(delta, bt) > args.tol else 0
+    matrices = {"covariance": MatrixBlock(default_labels(args.n), target)}
+    return (RunReport(command="asymptotics", matrices=matrices,
+                      diagnostics=diagnostics), code)
 
 
 def cmd_simulate(args) -> tuple[RunReport, int]:
-    n, k = args.n, args.k
-    labels = default_labels(n)
-    abilities = AbilityVector(np.zeros(n), labels)
-    config = SimulationConfig(abilities=abilities, games_per_pair=2 * k,
+    labels = default_labels(args.n)
+    abilities = AbilityVector(np.zeros(args.n), labels)
+    config = SimulationConfig(abilities=abilities, games_per_pair=2 * args.k,
                               replications=args.reps, seed=args.seed)
     result = monte_carlo_covariance(config, args.structure)
-    target = _closed_covariance(args.structure, n, k)
+    target = _closed_form(args)
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(result.standard_errors > 0,
                      (result.covariance - target) / result.standard_errors,
                      0.0)
-    report = RunReport(
-        command="simulate",
-        matrices={
-            "empirical": MatrixBlock(labels, result.covariance),
-            "target": MatrixBlock(labels, target),
-            "zscores": MatrixBlock(labels, z),
-        },
-        diagnostics={
-            "structure": args.structure,
-            "n": n,
-            "k": k,
-            "games_per_pair": 2 * k,
-            "replications": result.replications,
-            "rejections": result.rejections,
-            "max_abs_z": float(np.max(np.abs(z))),
-            "target_source": "closed-form",
-        },
-        metadata={"seed": args.seed},
-    )
-    return report, 0
+    diagnostics = {**_design(args), "replications": result.replications,
+                   "rejections": result.rejections,
+                   "max_abs_z": float(np.max(np.abs(z))),
+                   "target_source": "closed-form"}
+    return (RunReport(
+        command="simulate", diagnostics=diagnostics,
+        matrices={"empirical": MatrixBlock(labels, result.covariance),
+                  "target": MatrixBlock(labels, target),
+                  "zscores": MatrixBlock(labels, z)},
+        metadata={"seed": args.seed}), 0)

@@ -106,20 +106,16 @@ class SimulationConfig:
             raise DomainError(
                 f"replications must be >= 1, got {self.replications}")
         _seed_word(self.seed)
+        # the draw keys pack (replication, retry, pair) into one 64-bit word
+        if self.n * (self.n - 1) // 2 >= _MAX_PAIRS:
+            raise DomainError("too many pairs for the keying scheme (n > 362)")
+        if self.replications > _MAX_REPLICATION:
+            raise DomainError(
+                f"replications must be <= 2^32, got {self.replications}")
 
     @property
     def n(self) -> int:
         return len(self.abilities.labels)
-
-
-def _pair_key_word(replication: int, retry: int, pair_index: int) -> int:
-    if not 0 <= replication < _MAX_REPLICATION:
-        raise DomainError(f"replication must lie in [0, 2^32), got {replication}")
-    if not 0 <= retry < _MAX_RETRY:
-        raise DomainError(f"retry must lie in [0, 2^16), got {retry}")
-    if not 0 <= pair_index < _MAX_PAIRS:
-        raise DomainError("too many pairs for the keying scheme (n > 362)")
-    return (replication << 32) | (retry << 16) | pair_index
 
 
 def _draw_counts(seed: int, replication: int, retry: int, n: int,
@@ -127,13 +123,14 @@ def _draw_counts(seed: int, replication: int, retry: int, n: int,
                  mask: np.ndarray) -> np.ndarray:
     """One tournament draw. probs[i, j] = P(i beats j); mask selects which
     unordered pairs play. Pair indices run over the complete lexicographic
-    list regardless of mask, so keying is structure-independent."""
+    list regardless of mask, so keying is structure-independent. The caller
+    keeps replication < 2^32, retry < 2^16 and n(n-1)/2 < 2^16."""
     C = np.zeros((n, n))
     pair_index = 0
     for i in range(n):
         for j in range(i + 1, n):
             if mask[i, j]:
-                word = _pair_key_word(replication, retry, pair_index)
+                word = (replication << 32) | (retry << 16) | pair_index
                 rng = np.random.Generator(
                     np.random.Philox(key=[seed, word]))
                 wins = int(rng.binomial(games, probs[i, j]))
@@ -147,9 +144,10 @@ def simulate_tournament(config: SimulationConfig,
                         replication: int = 0) -> CountMatrix:
     """Draw one complete tournament (every pair plays) at the configured
     abilities. Deterministic in (seed, replication)."""
+    if not 0 <= replication < _MAX_REPLICATION:
+        raise DomainError(
+            f"replication must lie in [0, 2^32), got {replication}")
     n = config.n
-    if n * (n - 1) // 2 >= _MAX_PAIRS:
-        raise DomainError("too many pairs for the keying scheme (n > 362)")
     mu = config.abilities.mu
     probs = _logistic(np.subtract.outer(mu, mu))
     mask = np.ones((n, n), dtype=bool)
@@ -182,10 +180,11 @@ def monte_carlo_covariance(config: SimulationConfig,
     replicated even-strength tournaments on the given structure.
 
     Degenerate draws are rejected and redrawn with a bumped retry counter;
-    once rejections exceed the replication count (a rate above 50%) the
-    sample is declared degenerate and the caller should raise
-    games_per_pair. Requires all-zero abilities (the closed-form targets
-    hold at even strength) and at least two replications.
+    once rejections exceed the replication count (a rate above 50%), or
+    when every accepted draw gives the same weights, the sample is declared
+    degenerate and the caller should raise games_per_pair. Requires
+    all-zero abilities (the closed-form targets hold at even strength) and
+    at least two replications.
     """
     if np.any(config.abilities.mu != 0):
         raise DomainError(
@@ -193,8 +192,6 @@ def monte_carlo_covariance(config: SimulationConfig,
     if config.replications < 2:
         raise DomainError("need at least two replications for a covariance")
     n = config.n
-    if n * (n - 1) // 2 >= _MAX_PAIRS:
-        raise DomainError("too many pairs for the keying scheme (n > 362)")
     mask = structure_matrix(structure, n).counts > 0
     probs = np.full((n, n), 0.5)
     seed = _seed_word(config.seed)
@@ -220,6 +217,11 @@ def monte_carlo_covariance(config: SimulationConfig,
                 "increase games_per_pair")
         y = np.log(w.scores)
         Y[rep] = y - y.mean()
+    if np.all(Y == Y[0]):
+        raise DegenerateSampleError(
+            f"all {reps} accepted tournament draws gave the same log "
+            "weights, so the sample has no variation; increase "
+            "games_per_pair")
     G = Y - Y.mean(axis=0)
     prods = G[:, :, None] * G[:, None, :]
     cov = prods.sum(axis=0) / (reps - 1)

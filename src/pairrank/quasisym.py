@@ -227,6 +227,8 @@ def verify_equivalence(C, tol: float = 1e-10,
     check raises the consistency error.
     """
     C = as_count_matrix(C)
+    if not tol > 0:
+        raise DomainError(f"tol must be positive, got {tol}")
     if dec is None:
         dec = decompose_qs(C)
     d = dec.d
@@ -273,6 +275,8 @@ def is_reversible(C, tol: float = DEFAULT_QS_TOL) -> ReversibilityReport:
     and irreducibility (the undamped chain must exist).
     """
     C = as_count_matrix(C)
+    if not tol > 0:
+        raise DomainError(f"tol must be positive, got {tol}")
     P = transition_matrix(C, 1.0)
     pi = stationary_vector(P, tol=DEFAULT_TOL).vector
     flow = P * pi[None, :]

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import json
@@ -8,7 +9,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pairrank.cli import main
+import pairrank.cli as cli
+from pairrank import asymptotics, rankings
+from pairrank.cli import build_parser, main
 from pairrank.counts import CountMatrix, default_labels
 from pairrank.io import matrix_to_csv
 from pairrank.report import load_schema
@@ -55,6 +58,18 @@ def _ring_edges(tmp_path, n: int) -> tuple[str, np.ndarray, np.ndarray]:
     p = tmp_path / f"ring{n}.csv"
     p.write_text("\n".join(rows) + "\n")
     return str(p), C, d
+
+
+def _noisy_qs(n: int) -> CountMatrix:
+    """Quasi-symmetric counts times 1 + 1e-6 noise: they pass the triplet
+    test and the decomposition at --tol 1e-4, then miss the equivalence
+    check's own 1e-10."""
+    rng = np.random.default_rng(3)
+    d = rng.uniform(0.5, 2.0, n)
+    S = rng.uniform(2.0, 8.0, (n, n))
+    C = d[:, None] * (S + S.T) * (1 + 1e-6 * rng.standard_normal((n, n)))
+    np.fill_diagonal(C, 0.0)
+    return CountMatrix(C, default_labels(n))
 
 
 def _bounded_run(*args: str) -> tuple[int, float]:
@@ -282,16 +297,8 @@ class TestCheckQs:
         assert obj["scores"] == []
 
     def test_failed_equivalence_is_exit_4(self, tmp_path, capsys):
-        # 1e-6 noise passes the triplet test and the decomposition at
-        # --tol 1e-4, then misses the equivalence check's own 1e-10
-        rng = np.random.default_rng(3)
-        n = 6
-        d = rng.uniform(0.5, 2.0, n)
-        S = rng.uniform(2.0, 8.0, (n, n))
-        C = d[:, None] * (S + S.T) * (1 + 1e-6 * rng.standard_normal((n, n)))
-        np.fill_diagonal(C, 0.0)
         p = tmp_path / "noisy.csv"
-        p.write_text(matrix_to_csv(CountMatrix(C, default_labels(n))))
+        p.write_text(matrix_to_csv(_noisy_qs(6)))
         argv = ["check-qs", str(p), "--tol", "1e-4", "--format", "json"]
         assert main(argv) == 4
         out = capsys.readouterr()
@@ -393,6 +400,13 @@ class TestAsymptotics:
         diagnostics = json.loads(capsys.readouterr().out)["diagnostics"]
         assert diagnostics["check_tol"] == 1e-30
 
+    @pytest.mark.parametrize("tol", ["nan", "0", "-1"])
+    def test_check_tol_must_be_positive(self, capsys, tol):
+        assert main(["asymptotics", "--structure", "circular", "--n", "5",
+                     "--k", "1", "--check", "--tol", tol]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: tol must be positive, got {float(tol)}\n")
+
     @pytest.mark.skipif(sys.platform != "linux",
                         reason="ru_maxrss is in kilobytes on Linux")
     @pytest.mark.parametrize("structure", ["round-robin", "circular"])
@@ -428,6 +442,178 @@ class TestSimulate:
         first = capsys.readouterr().out
         main(args)
         assert capsys.readouterr().out == first
+
+    def test_sample_without_variation_is_an_error(self, capsys):
+        # one game a direction: every accepted draw is the 1-1 split
+        assert main(["simulate", "--structure", "round-robin", "--n", "2",
+                     "--k", "1", "--reps", "200"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "no variation" in err
+
+
+def _dispatch_choices(command: str, option: str) -> list:
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    return next(action.choices for action in sub.choices[command]._actions
+                if option in action.option_strings)
+
+
+# the library function each --method choice must reach, with the method
+# name the report prints
+METHOD_TARGETS = {
+    "pagerank": (rankings, "pagerank", "pagerank"),
+    "iw": (rankings, "influence_weight", "influence_weight"),
+    "total": (rankings, "total_influence", "total_influence"),
+    "ipp": (cli, "influence_per_publication", "influence_per_publication"),
+    "bt": (cli, "fit_bt", "bradley_terry"),
+}
+DESIGN_TARGETS = {"round-robin": "round_robin_covariance",
+                  "circular": "circular_covariance"}
+
+
+def _counting(monkeypatch, owner, name: str) -> list:
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestDispatch:
+    """Every parser choice reaches the library function it names, looked up
+    at call time, so a choice and its dispatch table cannot drift apart."""
+
+    def test_choices_keep_their_order(self):
+        assert _dispatch_choices("rank", "--method") == sorted(METHOD_TARGETS)
+        for command in ("asymptotics", "simulate"):
+            assert list(_dispatch_choices(command, "--structure")) == list(
+                DESIGN_TARGETS)
+
+    @pytest.mark.parametrize("choice", _dispatch_choices("rank", "--method"))
+    def test_every_method_is_dispatched(self, choice, matrix_file, tmp_path,
+                                        monkeypatch, capsys):
+        owner, name, printed = METHOD_TARGETS[choice]
+        calls = _counting(monkeypatch, owner, name)
+        art = tmp_path / "a.csv"
+        art.write_text("a,1\nb,1\nc,2\n")
+        assert main(["rank", matrix_file, "--method", choice, "--articles",
+                     str(art), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["method"] == printed
+        assert calls == [name]
+
+    @pytest.mark.parametrize("command", ["asymptotics", "simulate"])
+    def test_every_structure_is_dispatched(self, command, monkeypatch,
+                                           capsys):
+        for choice in _dispatch_choices(command, "--structure"):
+            name = DESIGN_TARGETS[choice]
+            calls = _counting(monkeypatch, asymptotics, name)
+            argv = [command, "--structure", choice, "--n", "4", "--k", "2",
+                    "--format", "json"]
+            if command == "simulate":
+                argv += ["--reps", "20"]
+            assert main(argv) == 0
+            obj = json.loads(capsys.readouterr().out)
+            assert obj["diagnostics"]["structure"] == choice
+            assert calls == [name]
+
+
+DIAG_ASYMPTOTICS = ["structure", "n", "k", "games_per_pair",
+                    "covariance_source"]
+DIAG_QS = ["quasi_symmetric", "triplet_max_gap", "triplet_violations"]
+
+
+def _layout(argv: list[str], capsys) -> tuple:
+    """Exit code, the top-level JSON keys, and the diagnostics and metadata
+    keys, each in print order."""
+    code = main([*argv, "--format", "json"])
+    obj = json.loads(capsys.readouterr().out)
+    return code, list(obj), list(obj["diagnostics"]), list(obj["metadata"])
+
+
+class TestReportLayout:
+    """The report of every branch of every handler: exit code and keys in
+    order."""
+
+    @pytest.mark.parametrize("args, top, diagnostics, metadata", [
+        (["--method", "bt", "--alpha", "0.5"],
+         ["command", "method", "scores", "diagnostics", "metadata"],
+         ["note", "deviance", "iterations", "converged"],
+         ["input_sha256", "tol"]),
+        (["--method", "iw", "--alpha", "0.9"],
+         ["command", "method", "alpha", "scores", "diagnostics", "metadata"],
+         ["damped_variant", "note"], ["input_sha256", "tol"]),
+        (["--method", "ipp", "--alpha", "0.9", "--articles", "ARTICLES"],
+         ["command", "method", "alpha", "scores", "diagnostics", "metadata"],
+         ["damped_variant", "note"],
+         ["input_sha256", "tol", "articles_sha256"]),
+        (["--method", "ipp", "--articles", "ARTICLES"],
+         ["command", "method", "scores", "diagnostics", "metadata"],
+         [], ["input_sha256", "tol", "articles_sha256"]),
+        (["--method", "pagerank"],
+         ["command", "method", "alpha", "scores", "diagnostics", "metadata"],
+         [], ["input_sha256", "tol"]),
+    ], ids=["bt-alpha", "iw-damped", "ipp-damped", "ipp", "pagerank"])
+    def test_rank(self, matrix_file, tmp_path, capsys, args, top,
+                  diagnostics, metadata):
+        art = tmp_path / "a.csv"
+        art.write_text("a,1\nb,1\nc,2\n")
+        args = [str(art) if a == "ARTICLES" else a for a in args]
+        assert _layout(["rank", matrix_file, *args], capsys) == (
+            0, top, diagnostics, metadata)
+
+    def test_rank_ipp_without_articles(self, matrix_file, capsys):
+        assert main(["rank", matrix_file, "--method", "ipp",
+                     "--format", "json"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: --method ipp requires --articles (per-player "
+                "sizes)\n")
+
+    @pytest.mark.parametrize("matrix, code, diagnostics", [
+        (",a,b,c\na,0,2,1\nb,2,0,2\nc,4,4,0\n", 4,
+         DIAG_QS + ["worst_triplet"]),
+        # two mutual pairs with no games between them: the triplets hold
+        # vacuously, but d is not identified across the two groups
+        (",a,b,c,d\na,0,2,0,0\nb,2,0,0,0\nc,0,0,0,1\nd,0,0,1,0\n", 4,
+         DIAG_QS + ["decomposition_error"]),
+        ("NOISY", 4, DIAG_QS + ["decomposition_residual",
+                                "equivalence_error"]),
+        (MATRIX, 0, DIAG_QS + ["decomposition_residual",
+                               "equivalence_residual", "reversible",
+                               "detailed_balance_gap"]),
+    ], ids=["triplets", "decomposition", "equivalence", "pass"])
+    def test_check_qs(self, tmp_path, capsys, matrix, code, diagnostics):
+        p = tmp_path / "m.csv"
+        if matrix == "NOISY":
+            p.write_text(matrix_to_csv(_noisy_qs(6)))
+        else:
+            p.write_text(matrix)
+        assert _layout(["check-qs", str(p), "--tol", "1e-4"], capsys) == (
+            code, ["command", "scores", "diagnostics", "metadata"],
+            diagnostics, ["input_sha256", "tol"])
+
+    @pytest.mark.parametrize("tol, code", [("1e-10", 0), ("1e-30", 4)])
+    def test_asymptotics_check(self, capsys, tol, code):
+        argv = ["asymptotics", "--structure", "round-robin", "--n", "6",
+                "--k", "1", "--check", "--tol", tol]
+        assert _layout(argv, capsys) == (
+            code, ["command", "scores", "matrices", "diagnostics",
+                   "metadata"],
+            DIAG_ASYMPTOTICS + ["max_discrepancy_delta",
+                                "max_discrepancy_bt", "check_tol"], [])
+
+    def test_simulate(self, capsys):
+        argv = ["simulate", "--structure", "circular", "--n", "5", "--k",
+                "2", "--reps", "50", "--seed", "3"]
+        assert _layout(argv, capsys) == (
+            0, ["command", "scores", "matrices", "diagnostics", "metadata"],
+            DIAG_ASYMPTOTICS[:4] + ["replications", "rejections",
+                                    "max_abs_z", "target_source"],
+            ["seed"])
 
 
 class TestEntryPoint:

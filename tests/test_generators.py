@@ -123,6 +123,14 @@ class TestSimulateTournament:
         C = simulate_tournament(_config(2, games=20_000, seed=6, mu=mu)).counts
         assert abs(C[0, 1] / 20_000 - 0.75) < 0.02
 
+    def test_keying_limits_checked_once_in_the_config(self):
+        _config(362, games=1)
+        with pytest.raises(DomainError, match=r"too many pairs.*n > 362"):
+            _config(363, games=1)
+        _config(2, games=1, reps=1 << 32)
+        with pytest.raises(DomainError, match="replications"):
+            _config(2, games=1, reps=(1 << 32) + 1)
+
     def test_replication_bounds(self):
         with pytest.raises(DomainError):
             simulate_tournament(_config(3, games=4), replication=-1)
@@ -187,6 +195,13 @@ class TestMonteCarlo:
         # two players, one game: one column is always zero
         with pytest.raises(DegenerateSampleError):
             monte_carlo_covariance(_config(2, games=1, reps=10), "round-robin")
+
+    def test_sample_without_variation_raises(self):
+        # two games a pair: every accepted draw is the 1-1 split, so the
+        # standard errors would all be 0
+        with pytest.raises(DegenerateSampleError, match="no variation"):
+            monte_carlo_covariance(_config(2, games=2, reps=200),
+                                   "round-robin")
 
     def test_large_games_match_first_order_theory(self):
         # at 64 games per pair the first-order covariance is accurate well

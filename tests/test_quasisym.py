@@ -209,6 +209,12 @@ class TestVerifyEquivalence:
         with pytest.raises(NotQuasiSymmetricError):
             verify_equivalence(C)
 
+    @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1.0])
+    def test_tol_must_be_positive(self, tol):
+        # a NaN bound would skip the fixed-point check
+        with pytest.raises(DomainError, match="tol must be positive"):
+            verify_equivalence(WORKED, tol=tol)
+
     def test_uses_the_given_decomposition(self, monkeypatch):
         C = random_quasi_symmetric(8, seed=4)
         dec = decompose_qs(C)
@@ -226,6 +232,12 @@ class TestIsReversible:
         assert rep.reversible
         assert rep.max_gap <= 1e-10
         assert bool(rep)
+
+    @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1.0])
+    def test_tol_must_be_positive(self, tol):
+        # a NaN bound would call every chain irreversible
+        with pytest.raises(DomainError, match="tol must be positive"):
+            is_reversible(WORKED, tol=tol)
 
     def test_symmetric_counts_reversible(self):
         rng = np.random.default_rng(6)
