@@ -8,6 +8,8 @@ quasi-symmetry structure tests with the reversibility equivalence, and
 first-order sampling theory for log influence weights.
 """
 
+from types import ModuleType as _ModuleType
+
 from .asymptotics import (PerturbationDirection, circular_covariance,
                           delta_covariance, delta_method_covariance,
                           lexicographic_pairs, log_iw_jacobian,
@@ -37,4 +39,7 @@ from .report import MatrixBlock, RunReport, ScoreEntry, load_schema
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the submodules are bound here too, but a star import leaves them out:
+# pairrank.io would shadow the standard library's io
+__all__ = [name for name in dir() if not name.startswith("_")
+           and not isinstance(globals()[name], _ModuleType)]

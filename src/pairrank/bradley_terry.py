@@ -45,7 +45,7 @@ class AbilityVector:
                 f"{mu.shape} abilities for {len(self.labels)} labels")
         if not np.all(np.isfinite(mu)):
             raise DomainError("abilities contain non-finite entries")
-        if abs(mu.sum()) > 1e-8 * max(1.0, np.abs(mu).max()):
+        if abs(mu.sum()) > 1e-8 * max(1.0, np.abs(mu).max(initial=0.0)):
             raise DomainError(
                 f"abilities must sum to zero, got {mu.sum():.6g}")
         mu.flags.writeable = False

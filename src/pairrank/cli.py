@@ -259,7 +259,7 @@ def cmd_asymptotics(args) -> tuple[RunReport, int]:
 
 def cmd_simulate(args) -> tuple[RunReport, int]:
     labels = default_labels(args.n)
-    abilities = AbilityVector(np.zeros(args.n), labels)
+    abilities = AbilityVector(np.zeros(len(labels)), labels)
     config = SimulationConfig(abilities=abilities, games_per_pair=2 * args.k,
                               replications=args.reps, seed=args.seed)
     result = monte_carlo_covariance(config, args.structure)

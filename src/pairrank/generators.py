@@ -8,6 +8,7 @@ isolation and results do not depend on execution order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -22,6 +23,7 @@ STRUCTURES = ("round-robin", "circular")
 _MAX_REPLICATION = 1 << 32
 _MAX_RETRY = 1 << 16
 _MAX_PAIRS = 1 << 16
+_MAX_GAMES = 1 << 63  # numpy's binomial takes at most 2^63 - 1 trials
 
 
 def round_robin(n: int, k: int) -> CountMatrix:
@@ -102,10 +104,14 @@ class SimulationConfig:
         if self.games_per_pair < 1:
             raise DomainError(
                 f"games_per_pair must be >= 1, got {self.games_per_pair}")
+        if self.games_per_pair >= _MAX_GAMES:
+            raise DomainError(
+                f"games_per_pair must be < 2^63, the binomial's limit, "
+                f"got {self.games_per_pair}")
         if self.replications < 1:
             raise DomainError(
                 f"replications must be >= 1, got {self.replications}")
-        _seed_word(self.seed)
+        object.__setattr__(self, "seed", _seed_word(self.seed))
         # the draw keys pack (replication, retry, pair) into one 64-bit word
         if self.n * (self.n - 1) // 2 >= _MAX_PAIRS:
             raise DomainError("too many pairs for the keying scheme (n > 362)")
@@ -118,26 +124,33 @@ class SimulationConfig:
         return len(self.abilities.labels)
 
 
-def _draw_counts(seed: int, replication: int, retry: int, n: int,
-                 probs: np.ndarray, games: int,
-                 mask: np.ndarray) -> np.ndarray:
-    """One tournament draw. probs[i, j] = P(i beats j); mask selects which
-    unordered pairs play. Pair indices run over the complete lexicographic
-    list regardless of mask, so keying is structure-independent. The caller
-    keeps replication < 2^32, retry < 2^16 and n(n-1)/2 < 2^16."""
-    C = np.zeros((n, n))
-    pair_index = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if mask[i, j]:
-                word = (replication << 32) | (retry << 16) | pair_index
-                rng = np.random.Generator(
-                    np.random.Philox(key=[seed, word]))
-                wins = int(rng.binomial(games, probs[i, j]))
-                C[i, j] = wins
-                C[j, i] = games - wins
-            pair_index += 1
-    return C
+def _pairs(config: SimulationConfig, structure: str = "round-robin"
+           ) -> list[tuple[int, int, int, float]]:
+    """(index, i, j, P(i beats j)) of each pair i < j that plays in the named
+    structure; in a round robin every pair plays. The index runs over the
+    complete lexicographic list, so keying is structure-independent."""
+    mu = config.abilities.mu
+    probs = _logistic(np.subtract.outer(mu, mu))
+    plays = structure_matrix(structure, config.n).counts
+    return [(index, i, j, float(probs[i, j]))
+            for index, (i, j) in enumerate(combinations(range(config.n), 2))
+            if plays[i, j]]
+
+
+def _draw_counts(config: SimulationConfig,
+                 pairs: list[tuple[int, int, int, float]], replication: int,
+                 retry: int) -> CountMatrix:
+    """One tournament draw over pairs (from _pairs). Callers keep
+    replication < 2^32 and retry < 2^16; the config keeps n(n-1)/2 < 2^16."""
+    games = config.games_per_pair
+    C = np.zeros((config.n, config.n))
+    for index, i, j, p in pairs:
+        word = (replication << 32) | (retry << 16) | index
+        rng = np.random.Generator(np.random.Philox(key=[config.seed, word]))
+        wins = int(rng.binomial(games, p))
+        C[i, j] = wins
+        C[j, i] = games - wins
+    return CountMatrix(C, config.abilities.labels)
 
 
 def simulate_tournament(config: SimulationConfig,
@@ -147,13 +160,7 @@ def simulate_tournament(config: SimulationConfig,
     if not 0 <= replication < _MAX_REPLICATION:
         raise DomainError(
             f"replication must lie in [0, 2^32), got {replication}")
-    n = config.n
-    mu = config.abilities.mu
-    probs = _logistic(np.subtract.outer(mu, mu))
-    mask = np.ones((n, n), dtype=bool)
-    C = _draw_counts(_seed_word(config.seed), replication, 0, n, probs,
-                     config.games_per_pair, mask)
-    return CountMatrix(C, config.abilities.labels)
+    return _draw_counts(config, _pairs(config), replication, 0)
 
 
 @dataclass(frozen=True)
@@ -192,18 +199,15 @@ def monte_carlo_covariance(config: SimulationConfig,
     if config.replications < 2:
         raise DomainError("need at least two replications for a covariance")
     n = config.n
-    mask = structure_matrix(structure, n).counts > 0
-    probs = np.full((n, n), 0.5)
-    seed = _seed_word(config.seed)
+    pairs = _pairs(config, structure)
     reps = config.replications
     Y = np.empty((reps, n))
     rejections = 0
     for rep in range(reps):
         for retry in range(_MAX_RETRY):
-            C = _draw_counts(seed, rep, retry, n, probs,
-                             config.games_per_pair, mask)
+            C = _draw_counts(config, pairs, rep, retry)
             try:
-                w = influence_weight(CountMatrix(C, config.abilities.labels))
+                w = influence_weight(C)
                 break
             except (DanglingNodeError, ReducibilityError):
                 rejections += 1

@@ -134,44 +134,30 @@ def _parse_edges(first: tuple[int, list[str]],
         raise ParseError(
             f"expected header 'winner,loser,count', got {','.join(header)}",
             line=line_no)
-    labels: list[str] = []
-    seen: dict[str, int] = {}
+    index: dict[str, int] = {}
     entries: dict[tuple[int, int], float] = {}
-
-    def index(label: str, line: int) -> int:
-        if label == "":
-            raise ParseError("empty label", line=line)
-        if label not in seen:
-            seen[label] = len(labels)
-            labels.append(label)
-        return seen[label]
-
     for line_no, cells in rows:
         if len(cells) != 3:
             raise ParseError(
                 f"expected 3 fields, got {len(cells)}", line=line_no)
         winner, loser, raw = cells
-        try:
-            count = float(raw)
-        except ValueError:
-            raise ParseError(f"count {raw!r} is not a number",
-                             line=line_no) from None
-        if not np.isfinite(count):
-            raise ParseError(f"count {raw!r} is not finite", line=line_no)
+        count = _cell("count", raw, line_no)
         if count < 0:
             raise DomainError(
                 f"line {line_no}: negative count {count:g} for "
                 f"{winner!r} over {loser!r}")
-        i = index(winner, line_no)
-        j = index(loser, line_no)
+        if "" in (winner, loser):
+            raise ParseError("empty label", line=line_no)
+        i = index.setdefault(winner, len(index))
+        j = index.setdefault(loser, len(index))
         entries[(i, j)] = entries.get((i, j), 0.0) + count
-    if not labels:
+    if not index:
         raise ParseError("no edge rows after the header")
-    n = len(labels)
-    C = np.zeros((n, n))
+    labels = tuple(index)
+    C = np.zeros((len(labels), len(labels)))
     for (i, j), count in entries.items():
         C[i, j] = count
-    return CountMatrix(C, tuple(labels))
+    return CountMatrix(C, labels)
 
 
 def _parse_matrix(first: tuple[int, list[str]],
@@ -181,10 +167,9 @@ def _parse_matrix(first: tuple[int, list[str]],
         raise ParseError(
             "matrix header must start with an empty corner cell",
             line=line_no)
+    # a header of the corner cell alone is a blank row, so n >= 1
     labels = header[1:]
     n = len(labels)
-    if n == 0:
-        raise ParseError("matrix header has no labels", line=line_no)
     if len(set(labels)) != n:
         raise ParseError("duplicate labels in matrix header", line=line_no)
     C = np.zeros((n, n))
@@ -211,7 +196,7 @@ def _parse_matrix(first: tuple[int, list[str]],
 def _matrix_row(cells: list[str], r: int, labels: list[str],
                 data_line: int) -> np.ndarray:
     """Row r of a matrix file as floats. A row that fails the vectorised
-    checks is walked cell by cell, so the first bad cell is reported."""
+    checks has a bad cell; a walk over its cells reports the first one."""
     n = len(labels)
     if len(cells) != n + 1:
         raise ParseError(
@@ -227,22 +212,25 @@ def _matrix_row(cells: list[str], r: int, labels: list[str],
             return values
     except ValueError:
         pass
-    values = np.empty(n)
     for c, raw in enumerate(cells[1:]):
-        try:
-            value = float(raw)
-        except ValueError:
-            raise ParseError(f"entry {raw!r} is not a number",
-                             line=data_line) from None
-        if not np.isfinite(value):
-            raise ParseError(f"entry {raw!r} is not finite",
-                             line=data_line)
+        value = _cell("entry", raw, data_line)
         if value < 0:
             raise DomainError(
                 f"line {data_line}: negative count {value:g} at "
                 f"({labels[r]!r}, {labels[c]!r})")
-        values[c] = value
-    return values
+    raise AssertionError("a row that failed the checks has no bad cell")
+
+
+def _cell(what: str, raw: str, line: int) -> float:
+    """A count or entry cell as a finite float."""
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ParseError(f"{what} {raw!r} is not a number",
+                         line=line) from None
+    if not np.isfinite(value):
+        raise ParseError(f"{what} {raw!r} is not finite", line=line)
+    return value
 
 
 def matrix_to_csv(C: CountMatrix) -> str:

@@ -5,8 +5,8 @@ from numpy.testing import assert_allclose
 from pairrank.bradley_terry import (AbilityVector, bt_covariance, bt_deviance,
                                     fit_bt, predict_prob)
 from pairrank.counts import CountMatrix
-from pairrank.errors import (ConnectivityError, ConvergenceError, DomainError,
-                             SeparationError)
+from pairrank.errors import (ConnectivityError, ConvergenceError,
+                             DimensionError, DomainError, SeparationError)
 
 from oracles import bt_mle, quasi_symmetric_ring, random_counts
 
@@ -234,3 +234,32 @@ class TestPredict:
         mu -= mu.mean()
         ab = AbilityVector(mu, ("a", "b", "c"))
         assert predict_prob(ab, 2, 0) == pytest.approx(0.8, abs=1e-12)
+
+
+class TestAbilityVector:
+    @pytest.mark.parametrize("mu, labels", [
+        ([0.5, -0.5], ("a", "b")),
+        ([1e9, -1e9 + 1e-2], ("a", "b")),
+        ([], ()),
+    ])
+    def test_accepts(self, mu, labels):
+        ab = AbilityVector(mu, labels)
+        assert ab.labels == labels
+        assert not ab.mu.flags.writeable
+
+    @pytest.mark.parametrize("mu, labels, kind, message", [
+        ([0.0, 0.0, 0.0], ("a", "b"), DimensionError,
+         "(3,) abilities for 2 labels"),
+        ([[0.0, 0.0]], ("a", "b"), DimensionError,
+         "(1, 2) abilities for 2 labels"),
+        ([np.nan, 0.0], ("a", "b"), DomainError,
+         "abilities contain non-finite entries"),
+        ([np.inf, -np.inf], ("a", "b"), DomainError,
+         "abilities contain non-finite entries"),
+        ([1.0, 0.0], ("a", "b"), DomainError,
+         "abilities must sum to zero, got 1"),
+    ])
+    def test_rejects(self, mu, labels, kind, message):
+        with pytest.raises(kind) as exc:
+            AbilityVector(mu, labels)
+        assert str(exc.value) == message

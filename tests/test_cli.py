@@ -452,6 +452,46 @@ class TestSimulate:
         assert "no variation" in err
 
 
+    @pytest.mark.parametrize("n", ["-1", "0", "1"])
+    @pytest.mark.parametrize("structure", ["round-robin", "circular"])
+    def test_too_few_players_is_an_error(self, capsys, structure, n):
+        assert main(["simulate", "--structure", structure, "--n", n,
+                     "--k", "1", "--reps", "5"]) == 2
+        assert capsys.readouterr() == ("",
+                                       "error: need at least two players\n")
+
+
+# (command, option, value) for each integer argument value that must end in
+# exit 0 or 2; the other integers stay at --n 4 --k 1 --reps 5
+INTEGER_ARGUMENTS = (
+    [("simulate", "--n", v) for v in (-1, 0, 1, 2, 3)]
+    + [("simulate", "--k", v) for v in (-1, 0, 1 << 62)]
+    + [("simulate", "--reps", v) for v in (-1, 0, 1, (1 << 32) + 1)]
+    + [("simulate", "--seed", v) for v in (-1, 1 << 64)]
+    + [("asymptotics", "--n", v) for v in (-1, 0, 1, 2)]
+    + [("asymptotics", "--k", v) for v in (-1, 0)])
+
+
+@pytest.mark.parametrize("command, option, value", INTEGER_ARGUMENTS)
+@pytest.mark.parametrize("structure", ["round-robin", "circular"])
+def test_integer_argument_never_ends_in_a_traceback(capsys, structure,
+                                                    command, option, value):
+    settings = {"--n": 4, "--k": 1}
+    if command == "simulate":
+        settings["--reps"] = 5
+    else:
+        settings["--check"] = None
+    settings[option] = value
+    argv = [command, "--structure", structure]
+    for flag, setting in settings.items():
+        argv += [flag] if setting is None else [flag, str(setting)]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 2)
+    if code == 2:
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def _dispatch_choices(command: str, option: str) -> list:
     sub = next(action for action in build_parser()._actions
                if isinstance(action, argparse._SubParsersAction))

@@ -131,6 +131,29 @@ class TestSimulateTournament:
         with pytest.raises(DomainError, match="replications"):
             _config(2, games=1, reps=(1 << 32) + 1)
 
+    @pytest.mark.parametrize("n, games, reps, seed, message", [
+        (1, 2, 2, 0, "need at least two players"),
+        (0, 2, 2, 0, "need at least two players"),
+        (3, 0, 2, 0, "games_per_pair must be >= 1, got 0"),
+        (3, -2, 2, 0, "games_per_pair must be >= 1, got -2"),
+        (3, 1 << 63, 2, 0,
+         "games_per_pair must be < 2^63, the binomial's limit, got "
+         f"{1 << 63}"),
+        (3, 2, 0, 0, "replications must be >= 1, got 0"),
+        (3, 2, -1, 0, "replications must be >= 1, got -1"),
+        (3, 2, 2, -1, "seed must lie in [0, 2^64), got -1"),
+        (3, 2, 2, 1 << 64, f"seed must lie in [0, 2^64), got {1 << 64}"),
+    ])
+    def test_config_validation(self, n, games, reps, seed, message):
+        with pytest.raises(DomainError) as exc:
+            _config(n, games=games, reps=reps, seed=seed)
+        assert str(exc.value) == message
+
+    def test_largest_games_per_pair_draws(self):
+        cfg = _config(2, games=(1 << 63) - 1, reps=1)
+        C = simulate_tournament(cfg).counts
+        assert C[0, 1] + C[1, 0] == float((1 << 63) - 1)
+
     def test_replication_bounds(self):
         with pytest.raises(DomainError):
             simulate_tournament(_config(3, games=4), replication=-1)

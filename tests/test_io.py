@@ -1,11 +1,14 @@
 import codecs
 import csv
+import io
 import json
+import types
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import pairrank
 from pairrank.counts import CountMatrix
 from pairrank.errors import DomainError, ParseError
 from pairrank.io import matrix_to_csv, parse_articles, parse_input
@@ -28,6 +31,16 @@ c,4,4,0
 """
 
 EXPECTED = np.array([[0, 1, 1], [2, 0, 2], [4, 4, 0]], float)
+
+
+def test_star_import_binds_no_submodule():
+    # pairrank.io would otherwise shadow the standard library's io
+    namespace = {"io": io}
+    exec("from pairrank import *", namespace)
+    assert namespace["io"] is io
+    assert namespace["parse_input"] is pairrank.parse_input
+    assert [name for name in pairrank.__all__
+            if isinstance(getattr(pairrank, name), types.ModuleType)] == []
 
 
 class TestParseEdges:
@@ -80,6 +93,30 @@ class TestParseEdges:
         p.write_text("")
         with pytest.raises(ParseError):
             parse_input(p, "edges")
+
+    @pytest.mark.parametrize("text, fmt, kind, message", [
+        (EDGES, "xml", DomainError, "unknown input format 'xml'"),
+        ("a,b,c\nx,y,1\n", "edges", ParseError,
+         "line 1: expected header 'winner,loser,count', got a,b,c"),
+        ("winner,loser,count\nx,y,1\n,y,1\n", "edges", ParseError,
+         "line 3: empty label"),
+        ("winner,loser,count\nx,,1\n", "edges", ParseError,
+         "line 2: empty label"),
+        ("winner,loser,count\nx,y,inf\n", "edges", ParseError,
+         "line 2: count 'inf' is not finite"),
+        ("winner,loser,count\nx,y,nan\n", "auto", ParseError,
+         "line 2: count 'nan' is not finite"),
+        ("winner,loser,count\nx,y,\n", "edges", ParseError,
+         "line 2: count '' is not a number"),
+        ("winner,loser,count\n\n", "edges", ParseError,
+         "no edge rows after the header"),
+    ])
+    def test_errors(self, tmp_path, text, fmt, kind, message):
+        p = tmp_path / "e.csv"
+        p.write_text(text)
+        with pytest.raises(kind) as exc:
+            parse_input(p, fmt)
+        assert str(exc.value) == message
 
 
 class TestParseMatrix:
@@ -196,6 +233,19 @@ class TestMatrixParserBehaviour:
     def test_long_row(self, tmp_path):
         msg = _matrix_error(tmp_path, ",a,b\na,0,1\nb,1,0,4\n")
         assert msg == "line 3: expected 3 fields, got 4"
+
+    @pytest.mark.parametrize("text, message", [
+        ("a,b\na,0,1\n",
+         "line 1: matrix header must start with an empty corner cell"),
+        (",a,a\na,0,1\na,1,0\n", "line 1: duplicate labels in matrix header"),
+        # a header of the corner cell alone is a blank row, so no header
+        # ever reaches the parser without a label
+        (",\n , \n", "input file is empty"),
+        (",\na,0\n",
+         "line 2: matrix header must start with an empty corner cell"),
+    ])
+    def test_header_errors(self, tmp_path, text, message):
+        assert _matrix_error(tmp_path, text) == message
 
 
 class TestParseArticles:
