@@ -2,7 +2,10 @@
 
 Random draws use the counter-based Philox generator keyed by
 (seed, replication, retry, pair), so every replication is reproducible in
-isolation and results do not depend on execution order.
+isolation and results do not depend on execution order. One Philox per call
+is re-keyed before each pair's draw, which gives the bits a fresh
+Philox(key=[seed, word]) would. The Monte Carlo draws and checks its
+replications in fixed blocks and solves each block as one stack.
 """
 
 from __future__ import annotations
@@ -14,9 +17,8 @@ import numpy as np
 
 from .bradley_terry import AbilityVector, _logistic
 from .counts import CountMatrix, default_labels
-from .errors import (DanglingNodeError, DegenerateSampleError,
-                     DimensionError, DomainError, ReducibilityError)
-from .rankings import influence_weight
+from .errors import DegenerateSampleError, DomainError
+from .linalg import _closed_group, stationary_vector
 
 STRUCTURES = ("round-robin", "circular")
 
@@ -24,6 +26,7 @@ _MAX_REPLICATION = 1 << 32
 _MAX_RETRY = 1 << 16
 _MAX_PAIRS = 1 << 16
 _MAX_GAMES = 1 << 63  # numpy's binomial takes at most 2^63 - 1 trials
+_BLOCK = 64  # Monte Carlo replications drawn, checked and solved together
 
 
 def round_robin(n: int, k: int) -> CountMatrix:
@@ -68,7 +71,8 @@ def random_quasi_symmetric(n: int, seed: int) -> CountMatrix:
     off-diagonal entries uniform in [1, 10] and zero diagonal."""
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
-    rng = np.random.Generator(np.random.Philox(key=[_seed_word(seed), 0]))
+    key = np.array([_seed_word(seed), 0], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
     d = rng.uniform(0.5, 2.0, size=n)
     d[0] = 1.0
     S = np.zeros((n, n))
@@ -138,19 +142,34 @@ def _pairs(config: SimulationConfig, structure: str = "round-robin"
 
 
 def _draw_counts(config: SimulationConfig,
-                 pairs: list[tuple[int, int, int, float]], replication: int,
-                 retry: int) -> CountMatrix:
-    """One tournament draw over pairs (from _pairs). Callers keep
-    replication < 2^32 and retry < 2^16; the config keeps n(n-1)/2 < 2^16."""
-    games = config.games_per_pair
-    C = np.zeros((config.n, config.n))
-    for index, i, j, p in pairs:
-        word = (replication << 32) | (retry << 16) | index
-        rng = np.random.Generator(np.random.Philox(key=[config.seed, word]))
-        wins = int(rng.binomial(games, p))
-        C[i, j] = wins
-        C[j, i] = games - wins
-    return CountMatrix(C, config.abilities.labels)
+                 pairs: list[tuple[int, int, int, float]]):
+    """draw(replication, retry) -> counts array of one tournament over pairs
+    (from _pairs). Each pair draws from the one Philox re-keyed to
+    (seed, word), its counter and buffer reset; the key is an exact uint64
+    array, since a list mixing a word >= 2^63 with a small one turns into
+    float64. Callers keep replication < 2^32 and retry < 2^16; the config
+    keeps n(n-1)/2 < 2^16."""
+    games, n = config.games_per_pair, config.n
+    key = np.array([config.seed, 0], dtype=np.uint64)
+    zeros = np.zeros(4, dtype=np.uint64)
+    philox = np.random.Philox(key=key)
+    state = {"bit_generator": "Philox",
+             "state": {"counter": zeros, "key": key},
+             "buffer": zeros, "buffer_pos": 4, "has_uint32": 0,
+             "uinteger": 0}
+    binomial = np.random.Generator(philox).binomial
+
+    def draw(replication: int, retry: int) -> np.ndarray:
+        C = np.zeros((n, n))
+        for index, i, j, p in pairs:
+            key[1] = (replication << 32) | (retry << 16) | index
+            philox.state = state
+            wins = int(binomial(games, p))
+            C[i, j] = wins
+            C[j, i] = games - wins
+        return C
+
+    return draw
 
 
 def simulate_tournament(config: SimulationConfig,
@@ -160,7 +179,8 @@ def simulate_tournament(config: SimulationConfig,
     if not 0 <= replication < _MAX_REPLICATION:
         raise DomainError(
             f"replication must lie in [0, 2^32), got {replication}")
-    return _draw_counts(config, _pairs(config), replication, 0)
+    C = _draw_counts(config, _pairs(config))(replication, 0)
+    return CountMatrix(C, config.abilities.labels)
 
 
 @dataclass(frozen=True)
@@ -198,38 +218,46 @@ def monte_carlo_covariance(config: SimulationConfig,
             "monte_carlo_covariance requires all-zero abilities")
     if config.replications < 2:
         raise DomainError("need at least two replications for a covariance")
-    n = config.n
-    pairs = _pairs(config, structure)
-    reps = config.replications
+    n, reps = config.n, config.replications
+    draw = _draw_counts(config, _pairs(config, structure))
     Y = np.empty((reps, n))
     rejections = 0
-    for rep in range(reps):
-        for retry in range(_MAX_RETRY):
-            C = _draw_counts(config, pairs, rep, retry)
-            try:
-                w = influence_weight(C)
-                break
-            except (DanglingNodeError, ReducibilityError):
+    for start in range(0, reps, _BLOCK):
+        block = range(start, min(start + _BLOCK, reps))
+        C = np.empty((len(block), n, n))
+        for b, rep in enumerate(block):
+            for retry in range(_MAX_RETRY):
+                C[b] = draw(rep, retry)
+                if C[b].sum(axis=0).all() and _closed_group(C[b] > 0) is None:
+                    break
                 rejections += 1
-            if rejections > reps:
+                if rejections > reps:
+                    raise DegenerateSampleError(
+                        f"more than half of all tournament draws were "
+                        f"degenerate ({rejections} rejections); increase "
+                        f"games_per_pair")
+            else:
                 raise DegenerateSampleError(
-                    f"more than half of all tournament draws were degenerate "
-                    f"({rejections} rejections); increase games_per_pair")
-        else:
-            raise DegenerateSampleError(
-                "retry budget exhausted for a single replication; "
-                "increase games_per_pair")
-        y = np.log(w.scores)
-        Y[rep] = y - y.mean()
+                    "retry budget exhausted for a single replication; "
+                    "increase games_per_pair")
+        # influence weights normalize(pi / a) of each accepted draw
+        a = C.sum(axis=1)
+        w = stationary_vector(C / a[:, None, :]).vector / a
+        y = np.log(w / w.sum(axis=1, keepdims=True))
+        Y[block.start:block.stop] = y - y.mean(axis=1, keepdims=True)
     if np.all(Y == Y[0]):
         raise DegenerateSampleError(
             f"all {reps} accepted tournament draws gave the same log "
             "weights, so the sample has no variation; increase "
             "games_per_pair")
+    # one row of products at a time keeps memory O(reps n)
     G = Y - Y.mean(axis=0)
-    prods = G[:, :, None] * G[:, None, :]
-    cov = prods.sum(axis=0) / (reps - 1)
-    se = prods.std(axis=0, ddof=1) / np.sqrt(reps)
+    cov = np.empty((n, n))
+    se = np.empty((n, n))
+    for i in range(n):
+        prods = G[:, i, None] * G
+        cov[i] = prods.sum(axis=0) / (reps - 1)
+        se[i] = prods.std(axis=0, ddof=1) / np.sqrt(reps)
     return MonteCarloResult(
         covariance=cov,
         standard_errors=se,

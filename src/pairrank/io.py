@@ -170,6 +170,8 @@ def _parse_matrix(first: tuple[int, list[str]],
     # a header of the corner cell alone is a blank row, so n >= 1
     labels = header[1:]
     n = len(labels)
+    if "" in labels:
+        raise ParseError("empty label", line=line_no)
     if len(set(labels)) != n:
         raise ParseError("duplicate labels in matrix header", line=line_no)
     C = np.zeros((n, n))

@@ -2,7 +2,8 @@
 chain, connected components and irreducibility.
 
 stationary_vector is the one kernel every ranking goes through: a single LU
-solve, followed by a residual check against tol.
+solve, followed by a residual check against tol. It also solves a stack of
+chains at once, as the Monte Carlo does.
 
 All functions take and return plain numpy arrays; wrappers with labels live in
 higher-level modules.
@@ -34,29 +35,36 @@ def column_sums(C) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StationaryResult:
-    """Stationary vector (sum 1) and its residual max|P x - x|."""
+    """Stationary vector (sum 1) and its residual max|P x - x|; on a stack,
+    one vector per row and an array of residuals."""
 
     vector: np.ndarray
-    residual: float
+    residual: float | np.ndarray
 
 
 def stationary_vector(P, tol: float = DEFAULT_TOL) -> StationaryResult:
-    """Stationary vector of an irreducible column-stochastic matrix.
+    """Stationary vector of an irreducible column-stochastic matrix, or of
+    each matrix in a stack of shape (m, n, n).
 
     Solves (I - P) x = 0 with sum(x) = 1 in one LU solve, the last equation
     replaced by the normalization (the system is nonsingular exactly when
     the stationary vector is unique). tol bounds the residual max|P x - x|,
     checked on the returned vector; a larger residual raises the
-    convergence error.
+    convergence error, for the first such matrix of a stack. A stack gives
+    each matrix bit for bit the result it would get alone.
     """
-    P = _as_square(P)
+    P = np.asarray(P, dtype=float)
+    if P.ndim not in (2, 3) or P.shape[-1] != P.shape[-2]:
+        raise DimensionError(
+            f"expected a square matrix or a stack of them, got shape "
+            f"{P.shape}")
     if not tol > 0:
         raise DomainError(f"tol must be positive, got {tol}")
-    if np.max(np.abs(P.sum(axis=0) - 1.0)) > 1e-8:
+    if np.max(np.abs(P.sum(axis=-2) - 1.0)) > 1e-8:
         raise DomainError("P is not column-stochastic")
-    n = P.shape[0]
+    n = P.shape[-1]
     A = np.eye(n) - P
-    A[-1] = 1.0
+    A[..., -1, :] = 1.0
     rhs = np.zeros(n)
     rhs[-1] = 1.0
     try:
@@ -66,13 +74,16 @@ def stationary_vector(P, tol: float = DEFAULT_TOL) -> StationaryResult:
             "the chain has more than one stationary vector (it is not "
             "irreducible)") from None
     x = np.clip(x, 0.0, None)
-    x /= x.sum()
-    residual = float(np.max(np.abs(P @ x - x)))
-    if not residual <= tol:
+    x /= x.sum(axis=-1, keepdims=True)
+    residual = np.max(np.abs((P @ x[..., None])[..., 0] - x), axis=-1)
+    failed = np.flatnonzero(~(residual <= tol))
+    if failed.size:
+        first = float(residual.flat[failed[0]])
+        where = f" for matrix {failed[0]} of the stack" if P.ndim == 3 else ""
         raise ConvergenceError(
-            f"stationary solve residual {residual:.3g} exceeds tol {tol:.3g}",
-            residual=residual)
-    return StationaryResult(x, residual)
+            f"stationary solve residual {first:.3g} exceeds tol {tol:.3g}"
+            f"{where}", residual=first)
+    return StationaryResult(x, float(residual) if P.ndim == 2 else residual)
 
 
 def _search(adj: np.ndarray, start: int = 0, seen=None):

@@ -217,6 +217,13 @@ class TestRank:
         assert main(["rank", str(p)]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_empty_matrix_label_is_error(self, tmp_path, capsys):
+        p = tmp_path / "m.csv"
+        p.write_text(",a,\na,0,1\n,2,0\n")
+        assert main(["rank", str(p), "--method", "iw", "--format",
+                     "csv"]) == 2
+        assert capsys.readouterr() == ("", "error: line 1: empty label\n")
+
     def test_missing_file_is_error(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.csv")
         assert main(["rank", missing]) == 2

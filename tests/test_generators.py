@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from numpy.testing import assert_allclose
 
 from pairrank.bradley_terry import AbilityVector
 from pairrank.errors import DegenerateSampleError, DomainError
+from pairrank import generators
 from pairrank.generators import (MonteCarloResult, SimulationConfig, circular,
                                  monte_carlo_covariance,
                                  random_quasi_symmetric, round_robin,
@@ -13,6 +15,7 @@ from pairrank.generators import (MonteCarloResult, SimulationConfig, circular,
 from pairrank.asymptotics import round_robin_covariance
 from pairrank.counts import default_labels
 from pairrank.quasisym import check_triplets, decompose_qs, verify_equivalence
+from pairrank.linalg import is_irreducible
 from pairrank.rankings import influence_weight, transition_matrix
 
 
@@ -22,6 +25,39 @@ def _config(n, games, reps=10, seed=0, mu=None):
     return SimulationConfig(
         abilities=AbilityVector(mu, default_labels(n)),
         games_per_pair=games, replications=reps, seed=seed)
+
+
+def _reference_draw(cfg, replication, retry=0):
+    """An even-strength round robin drawn by the keying contract: a fresh
+    Philox keyed by (seed, replication << 32 | retry << 16 | pair) for each
+    pair."""
+    n, games = cfg.n, cfg.games_per_pair
+    C = np.zeros((n, n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for index, (i, j) in enumerate(pairs):
+        word = (replication << 32) | (retry << 16) | index
+        key = np.array([cfg.seed, word], dtype=np.uint64)
+        C[i, j] = np.random.Generator(np.random.Philox(key=key)).binomial(
+            games, 0.5)
+        C[j, i] = games - C[i, j]
+    return C
+
+
+def _record_draws(monkeypatch) -> list:
+    """(replication, retry) of every tournament the Monte Carlo draws."""
+    calls = []
+    build = generators._draw_counts
+
+    def recording(config, pairs):
+        draw = build(config, pairs)
+
+        def wrapped(replication, retry):
+            calls.append((replication, retry))
+            return draw(replication, retry)
+        return wrapped
+
+    monkeypatch.setattr(generators, "_draw_counts", recording)
+    return calls
 
 
 class TestStructures:
@@ -154,6 +190,31 @@ class TestSimulateTournament:
         C = simulate_tournament(cfg).counts
         assert C[0, 1] + C[1, 0] == float((1 << 63) - 1)
 
+    @pytest.mark.parametrize("seed", [0, 42, 1 << 63, (1 << 63) + 1,
+                                      (1 << 64) - 1])
+    @pytest.mark.parametrize("replication", [0, 5, 1 << 31, (1 << 32) - 1])
+    def test_draws_follow_the_keying_contract(self, seed, replication):
+        cfg = _config(6, games=1000, seed=seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            C = simulate_tournament(cfg, replication).counts
+        assert np.array_equal(C, _reference_draw(cfg, replication))
+
+    def test_seeds_beyond_int64_draw_apart(self):
+        # a key list mixing 2^63 with a small word used to become float64,
+        # so these seeds drew alike and 2^64 - 1 drew as seed 0
+        draws = {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for seed in (0, 1 << 63, (1 << 63) + 1, (1 << 64) - 1):
+                draws[seed] = (
+                    simulate_tournament(_config(10, games=1000,
+                                                seed=seed)).counts,
+                    random_quasi_symmetric(6, seed).counts)
+        for a, b in ((1 << 63, (1 << 63) + 1), ((1 << 64) - 1, 0)):
+            assert not np.array_equal(draws[a][0], draws[b][0])
+            assert not np.array_equal(draws[a][1], draws[b][1])
+
     def test_replication_bounds(self):
         with pytest.raises(DomainError):
             simulate_tournament(_config(3, games=4), replication=-1)
@@ -218,6 +279,77 @@ class TestMonteCarlo:
         # two players, one game: one column is always zero
         with pytest.raises(DegenerateSampleError):
             monte_carlo_covariance(_config(2, games=1, reps=10), "round-robin")
+
+    @pytest.mark.parametrize("seed", [0, 5, 42])
+    def test_too_many_rejections_fire_at_the_same_draw(self, monkeypatch,
+                                                        seed):
+        # one game a pair on three players: only the two 3-cycles of the 8
+        # outcomes are irreducible, so rejections pass reps part way through
+        cfg = _config(3, games=1, reps=40, seed=seed)
+        rejections, expected = 0, None
+        for rep in range(cfg.replications):
+            retry = 0
+            while expected is None:
+                C = _reference_draw(cfg, rep, retry)
+                if C.sum(axis=0).all() and is_irreducible(C):
+                    break
+                rejections += 1
+                if rejections > cfg.replications:
+                    expected = (rep, retry)
+                retry += 1
+        assert expected is not None and expected[0] < cfg.replications - 1
+        calls = _record_draws(monkeypatch)
+        with pytest.raises(DegenerateSampleError) as exc:
+            monte_carlo_covariance(cfg, "round-robin")
+        assert str(exc.value) == (
+            "more than half of all tournament draws were degenerate "
+            "(41 rejections); increase games_per_pair")
+        assert calls[-1] == expected
+
+    def test_redraws_follow_replication_order(self, monkeypatch):
+        # more replications than one block, so blocks meet in the middle
+        reps = 2 * generators._BLOCK + 9
+        cfg = _config(3, games=2, reps=reps, seed=4)
+        expected = []
+        for rep in range(reps):
+            for retry in range(100):
+                expected.append((rep, retry))
+                C = _reference_draw(cfg, rep, retry)
+                if C.sum(axis=0).all() and is_irreducible(C):
+                    break
+        calls = _record_draws(monkeypatch)
+        res = monte_carlo_covariance(cfg, "round-robin")
+        assert calls == expected
+        assert res.rejections == len(expected) - reps > 0
+
+    def test_retry_budget_exhausted(self, monkeypatch):
+        # two players, one game: every draw has a zero column, and with
+        # 2^16 replications the budget of one replication runs out before
+        # rejections pass half of all draws
+        calls = _record_draws(monkeypatch)
+        with pytest.raises(DegenerateSampleError) as exc:
+            monte_carlo_covariance(_config(2, games=1, reps=1 << 16),
+                                   "round-robin")
+        assert str(exc.value) == ("retry budget exhausted for a single "
+                                  "replication; increase games_per_pair")
+        assert calls[-1] == (0, (1 << 16) - 1)
+        assert len(calls) == 1 << 16
+
+    @pytest.mark.parametrize("structure, n", [("round-robin", 20),
+                                              ("circular", 7)])
+    def test_one_philox_per_call(self, monkeypatch, structure, n):
+        # per-pair generators cost one OS entropy read each
+        built = []
+        philox = np.random.Philox
+
+        def counting(*args, **kwargs):
+            built.append(1)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(generators.np.random, "Philox", counting)
+        monte_carlo_covariance(_config(n, games=8, reps=150, seed=1),
+                               structure)
+        assert len(built) <= 1
 
     def test_sample_without_variation_raises(self):
         # two games a pair: every accepted draw is the 1-1 split, so the

@@ -238,6 +238,10 @@ class TestMatrixParserBehaviour:
         ("a,b\na,0,1\n",
          "line 1: matrix header must start with an empty corner cell"),
         (",a,a\na,0,1\na,1,0\n", "line 1: duplicate labels in matrix header"),
+        # an empty label is rejected as in an edge list
+        (",a,\na,0,1\n,2,0\n", "line 1: empty label"),
+        (",,a\n,0,1\na,2,0\n", "line 1: empty label"),
+        (",a,,\na,0,1,1\n,2,0,1\n,1,1,0\n", "line 1: empty label"),
         # a header of the corner cell alone is a blank row, so no header
         # ever reaches the parser without a label
         (",\n , \n", "input file is empty"),

@@ -72,6 +72,50 @@ class TestStationaryVector:
             stationary_vector(P, tol=residual / 2)
         assert exc.value.residual == residual
 
+    @pytest.mark.parametrize("n", [2, 5, 20, 60])
+    def test_stack_matches_per_matrix_loop(self, n):
+        rng = np.random.default_rng(n)
+        C = rng.uniform(0.1, 4.0, size=(9, n, n))
+        P = C / C.sum(axis=1, keepdims=True)
+        stacked = stationary_vector(P)
+        assert stacked.vector.shape == (9, n)
+        for k in range(9):
+            alone = stationary_vector(P[k])
+            assert np.array_equal(stacked.vector[k], alone.vector)
+            assert stacked.residual[k] == alone.residual
+
+    def test_stack_raises_for_first_bad_residual(self):
+        rng = np.random.default_rng(17)
+        C = rng.uniform(0.1, 4.0, size=(8, 40, 40))
+        P = C / C.sum(axis=1, keepdims=True)
+        residuals = np.array([stationary_vector(M).residual for M in P])
+        order = np.argsort(residuals, kind="stable")
+        P, residuals = P[order], residuals[order]
+        P[[3, -1]] = P[[-1, 3]]  # the largest residual sits at index 3
+        residuals[[3, -1]] = residuals[[-1, 3]]
+        tol = (residuals[2] + residuals[3]) / 2
+        assert residuals[2] < tol < residuals[3]
+        with pytest.raises(ConvergenceError) as exc:
+            stationary_vector(P, tol=tol)
+        assert exc.value.residual == residuals[3]
+        assert str(exc.value) == (
+            f"stationary solve residual {residuals[3]:.3g} exceeds tol "
+            f"{tol:.3g} for matrix 3 of the stack")
+
+    def test_stack_validation(self):
+        with pytest.raises(DimensionError):
+            stationary_vector(np.full((2, 3, 4), 0.25))
+        with pytest.raises(DimensionError):
+            stationary_vector(np.full((1, 2, 2, 2), 0.5))
+        P = np.full((3, 2, 2), 0.5)
+        P[1, 0, 0] = 0.6
+        with pytest.raises(DomainError, match="not column-stochastic"):
+            stationary_vector(P)
+        P = np.full((3, 4, 4), 0.25)
+        P[2] = np.eye(4)
+        with pytest.raises(ReducibilityError):
+            stationary_vector(P)
+
     def test_two_closed_classes_rejected(self):
         P = np.eye(4)
         P[:2, :2] = P[2:, 2:] = 0.5
