@@ -145,28 +145,34 @@ def _draw_counts(config: SimulationConfig,
                  pairs: list[tuple[int, int, int, float]]):
     """draw(replication, retry) -> counts array of one tournament over pairs
     (from _pairs). Each pair draws from the one Philox re-keyed to
-    (seed, word), its counter and buffer reset; the key is an exact uint64
-    array, since a list mixing a word >= 2^63 with a small one turns into
-    float64. Callers keep replication < 2^32 and retry < 2^16; the config
-    keeps n(n-1)/2 < 2^16."""
+    (seed, word), its counter and buffer reset. The state holds plain
+    Python ints, which the state setter converts to uint64 exactly, 2^63
+    and above included. The constructor's key is an exact uint64 array,
+    since a list mixing a word >= 2^63 with a small one turns into float64.
+    Callers keep replication < 2^32 and retry < 2^16; the config keeps
+    n(n-1)/2 < 2^16."""
     games, n = config.games_per_pair, config.n
-    key = np.array([config.seed, 0], dtype=np.uint64)
-    zeros = np.zeros(4, dtype=np.uint64)
-    philox = np.random.Philox(key=key)
+    philox = np.random.Philox(key=np.array([config.seed, 0], dtype=np.uint64))
+    key = [config.seed, 0]
     state = {"bit_generator": "Philox",
-             "state": {"counter": zeros, "key": key},
-             "buffer": zeros, "buffer_pos": 4, "has_uint32": 0,
+             "state": {"counter": [0, 0, 0, 0], "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0,
              "uinteger": 0}
     binomial = np.random.Generator(philox).binomial
+    index, rows, cols, probs = zip(*pairs)
+    keyed = list(zip(index, probs))
+    rows, cols = np.array(rows), np.array(cols)
 
     def draw(replication: int, retry: int) -> np.ndarray:
-        C = np.zeros((n, n))
-        for index, i, j, p in pairs:
-            key[1] = (replication << 32) | (retry << 16) | index
+        word = (replication << 32) | (retry << 16)
+        wins = np.empty(len(keyed), dtype=np.int64)
+        for slot, (pair, p) in enumerate(keyed):
+            key[1] = word | pair
             philox.state = state
-            wins = int(binomial(games, p))
-            C[i, j] = wins
-            C[j, i] = games - wins
+            wins[slot] = binomial(games, p)
+        C = np.zeros((n, n))
+        C[rows, cols] = wins
+        C[cols, rows] = games - wins
         return C
 
     return draw

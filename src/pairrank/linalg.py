@@ -95,9 +95,10 @@ def _search(adj: np.ndarray, start: int = 0, seen=None):
     stack, steps, left = [start], [], seen.size - np.count_nonzero(seen)
     while stack and left:
         u = stack.pop()
-        new = np.flatnonzero(adj[u] & ~seen)
-        seen[new] = True
-        left -= new.size
+        row = adj[u] & ~seen
+        new = row.nonzero()[0]
+        seen |= row
+        left -= len(new)
         stack.extend(new.tolist())
         steps.append((u, new))
     return steps, seen

@@ -424,6 +424,25 @@ class TestAsymptotics:
         assert code == 0
         assert peak_mb < 300
 
+    @pytest.mark.skipif(sys.platform != "linux",
+                        reason="RLIMIT_AS caps the address space on Linux")
+    def test_out_of_memory_exits_2(self):
+        # the 100000 x 100000 closed form needs 74.5 GiB; the cap holds
+        # only in the child, so numpy raises MemoryError there
+        def cap():
+            import resource
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "pairrank", "asymptotics", "--structure",
+             "round-robin", "--n", "100000", "--k", "1"],
+            capture_output=True, text=True, preexec_fn=cap)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+
     def test_schema_validation(self, capsys):
         import jsonschema
 

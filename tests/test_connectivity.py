@@ -13,7 +13,7 @@ from numpy.testing import assert_allclose
 from pairrank.bradley_terry import fit_bt
 from pairrank.errors import (ConnectivityError, DanglingNodeError,
                              ReducibilityError, SeparationError)
-from pairrank.linalg import _components, is_irreducible
+from pairrank.linalg import _components, _search, is_irreducible
 from pairrank.quasisym import decompose_qs
 from pairrank.rankings import influence_weight
 
@@ -42,6 +42,47 @@ def cases():
         C = _sparse_counts(seed)
         out.append((C, len(graph_components(C > 0, strong=True)) == 1))
     return out
+
+
+def _reference_search(adj, start, seen):
+    """Depth-first search over plain lists: pop a node, mark the unmarked
+    nodes it points to in index order, push them, stop once all are
+    marked."""
+    n = len(adj)
+    seen = list(seen)
+    seen[start] = True
+    stack, steps = [start], []
+    while stack and not all(seen):
+        u = stack.pop()
+        new = [v for v in range(n) if adj[u][v] and not seen[v]]
+        for v in new:
+            seen[v] = True
+        stack.extend(new)
+        steps.append((u, new))
+    return steps, seen
+
+
+def test_search_steps_match_a_reference_dfs(cases):
+    # decompose_qs propagates d along these steps, so their order matters
+    for seed, (C, _) in enumerate(cases):
+        n = C.shape[0]
+        marked = np.random.default_rng(20_000 + seed).random(n) < 0.3
+        for adj in (C > 0, (C > 0).T, (C > 0) & (C.T > 0)):
+            steps, seen = _search(adj)
+            ref_steps, ref_seen = _reference_search(adj.tolist(), 0,
+                                                    [False] * n)
+            assert [(u, new.tolist()) for u, new in steps] == ref_steps
+            assert seen.tolist() == ref_seen
+            if marked.all():
+                continue
+            start = int(np.argmin(marked))
+            seen = marked.copy()
+            ref_steps, ref_seen = _reference_search(adj.tolist(), start,
+                                                    seen.tolist())
+            steps, returned = _search(adj, start, seen)
+            assert returned is seen
+            assert [(u, new.tolist()) for u, new in steps] == ref_steps
+            assert seen.tolist() == ref_seen
 
 
 def test_cases_mix_both_outcomes(cases):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pairrank.bradley_terry import AbilityVector
+from pairrank.bradley_terry import AbilityVector, _logistic
 from pairrank.errors import DegenerateSampleError, DomainError
 from pairrank import generators
 from pairrank.generators import (MonteCarloResult, SimulationConfig, circular,
@@ -28,18 +28,20 @@ def _config(n, games, reps=10, seed=0, mu=None):
 
 
 def _reference_draw(cfg, replication, retry=0):
-    """An even-strength round robin drawn by the keying contract: a fresh
-    Philox keyed by (seed, replication << 32 | retry << 16 | pair) for each
-    pair."""
+    """A round robin drawn by the keying contract: a fresh Philox keyed by
+    (seed, replication << 32 | retry << 16 | pair) for each pair, and wins
+    of i over j Binomial(games, logistic(mu_i - mu_j))."""
     n, games = cfg.n, cfg.games_per_pair
+    probs = _logistic(np.subtract.outer(cfg.abilities.mu, cfg.abilities.mu))
     C = np.zeros((n, n))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     for index, (i, j) in enumerate(pairs):
         word = (replication << 32) | (retry << 16) | index
         key = np.array([cfg.seed, word], dtype=np.uint64)
-        C[i, j] = np.random.Generator(np.random.Philox(key=key)).binomial(
-            games, 0.5)
-        C[j, i] = games - C[i, j]
+        wins = int(np.random.Generator(np.random.Philox(key=key)).binomial(
+            games, probs[i, j]))
+        C[i, j] = wins
+        C[j, i] = games - wins
     return C
 
 
@@ -194,11 +196,16 @@ class TestSimulateTournament:
                                       (1 << 64) - 1])
     @pytest.mark.parametrize("replication", [0, 5, 1 << 31, (1 << 32) - 1])
     def test_draws_follow_the_keying_contract(self, seed, replication):
-        cfg = _config(6, games=1000, seed=seed)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            C = simulate_tournament(cfg, replication).counts
-        assert np.array_equal(C, _reference_draw(cfg, replication))
+        # numpy's binomial inverts the cdf while games min(p, 1 - p) <= 30
+        # (4 and 16 games) and samples by BTPE above (1000 and 2^62 + 3);
+        # the nonzero abilities give p on both sides of 1/2
+        for mu in (np.zeros(6), np.array([0.8, -0.4, 0.3, -0.9, 0.0, 0.2])):
+            for games in (4, 16, 1000, (1 << 62) + 3):
+                cfg = _config(6, games=games, seed=seed, mu=mu)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    C = simulate_tournament(cfg, replication).counts
+                assert np.array_equal(C, _reference_draw(cfg, replication))
 
     def test_seeds_beyond_int64_draw_apart(self):
         # a key list mixing 2^63 with a small word used to become float64,
