@@ -10,11 +10,9 @@ first-order sampling theory for log influence weights.
 
 from types import ModuleType as _ModuleType
 
-from .asymptotics import (PerturbationDirection, circular_covariance,
-                          delta_covariance, delta_method_covariance,
+from .asymptotics import (circular_covariance, delta_method_covariance,
                           lexicographic_pairs, log_iw_jacobian,
-                          perturbation_matrix, round_robin_covariance,
-                          stationary_derivative, transition_derivative)
+                          round_robin_covariance, stationary_derivative)
 from .bradley_terry import (AbilityVector, FitReport, bt_covariance,
                             bt_deviance, fit_bt, predict_prob)
 from .counts import CountMatrix, as_count_matrix, default_labels
@@ -27,8 +25,7 @@ from .generators import (MonteCarloResult, SimulationConfig, circular,
                          monte_carlo_covariance, random_quasi_symmetric,
                          round_robin, simulate_tournament, structure_matrix)
 from .io import matrix_to_csv, parse_articles, parse_input
-from .linalg import (StationaryResult, column_sums, is_irreducible,
-                     stationary_vector)
+from .linalg import StationaryResult, is_irreducible, stationary_vector
 from .quasisym import (QSDecomposition, ReversibilityReport, TripletReport,
                        TripletViolation, check_triplets, decompose_qs,
                        is_reversible, verify_equivalence)

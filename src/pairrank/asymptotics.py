@@ -5,7 +5,6 @@ at (i, j) and -1 at (j, i): one game between i and j flips from a j-win to an
 i-win as t moves. The chain maps C -> P -> pi -> iw -> log iw, and each stage
 has an explicit derivative:
 
-* transition_derivative: dP/dt at the balanced round-robin point,
 * stationary_derivative: dpi/dt for any chain, x = (I - P)# Pdot pi with
   the group inverse (I - P)# = (I - P + pi e^T)^-1 - pi e^T (Golub and
   Meyer 1986), the unique sum-zero solution of (I - P) x = Pdot pi,
@@ -22,7 +21,7 @@ over i < j.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
 
 import numpy as np
 
@@ -32,66 +31,16 @@ from .linalg import DEFAULT_TOL, stationary_vector
 from .rankings import transition_matrix
 
 
-@dataclass(frozen=True)
-class PerturbationDirection:
-    """Ordered pair (i, j): one extra i-over-j win, one fewer j-over-i win."""
-
-    i: int
-    j: int
-
-    def __post_init__(self):
-        if self.i < 0 or self.j < 0:
-            raise DomainError(f"indices must be nonnegative, got {(self.i, self.j)}")
-        if self.i == self.j:
-            raise DomainError("perturbation needs two distinct players")
-
-
 def lexicographic_pairs(n: int) -> list[tuple[int, int]]:
     """All unordered pairs (i, j), i < j, in lexicographic order."""
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-def perturbation_matrix(n: int, i: int, j: int) -> np.ndarray:
-    """The direction matrix F with +1 at (i, j) and -1 at (j, i)."""
-    d = _direction(n, (i, j))
-    F = np.zeros((n, n))
-    F[d.i, d.j] = 1.0
-    F[d.j, d.i] = -1.0
-    return F
-
-
-def _direction(n: int, direction) -> PerturbationDirection:
-    if not isinstance(direction, PerturbationDirection):
-        direction = PerturbationDirection(*direction)
-    if direction.i >= n or direction.j >= n:
-        raise DimensionError(
-            f"direction {(direction.i, direction.j)} out of range for n={n}")
-    return direction
-
-
-def transition_derivative(n: int, k: int, direction) -> np.ndarray:
-    """dP/dt at t = 0 for C(t) = (balanced round robin with k) + t F(i, j).
-
-    Only columns i and j move: column i is e/(k n^2) minus e_j/(k n), column
-    j is the mirror image. Columns sum to zero.
-    """
-    if n < 2:
-        raise DomainError(f"need n >= 2, got {n}")
-    if k < 1:
-        raise DomainError(f"need k >= 1, got {k}")
-    d = _direction(n, direction)
-    M = np.zeros((n, n))
-    M[:, d.i] = 1.0 / (k * n * n)
-    M[d.j, d.i] -= 1.0 / (k * n)
-    M[:, d.j] = -1.0 / (k * n * n)
-    M[d.i, d.j] += 1.0 / (k * n)
-    return M
-
-
 def stationary_derivative(P, pi, Pdot) -> np.ndarray:
     """dpi/dt for a column-stochastic chain: the sum-zero solution of
     (I - P) x = Pdot pi, i.e. the group inverse of I - P applied to
-    Pdot pi. pi must be stationary for P within 1e-8.
+    Pdot pi. pi must be a probability vector (finite, nonnegative, sum 1
+    within 1e-8) and stationary for P within 1e-8.
     """
     P = np.asarray(P, dtype=float)
     Pdot = np.asarray(Pdot, dtype=float)
@@ -100,11 +49,14 @@ def stationary_derivative(P, pi, Pdot) -> np.ndarray:
     if P.shape != (n, n) or Pdot.shape != (n, n) or pi.shape != (n,):
         raise DimensionError(
             f"incompatible shapes P{P.shape}, Pdot{Pdot.shape}, pi{pi.shape}")
-    if np.max(np.abs(P.sum(axis=0) - 1.0)) > 1e-8:
+    # each guard is written so that a NaN fails it
+    if not np.max(np.abs(P.sum(axis=0) - 1.0)) <= 1e-8:
         raise DomainError("P is not column-stochastic")
-    if np.max(np.abs(Pdot.sum(axis=0))) > 1e-8:
+    if not np.max(np.abs(Pdot.sum(axis=0))) <= 1e-8:
         raise DomainError("Pdot columns must sum to zero (tangent direction)")
-    if np.max(np.abs(P @ pi - pi)) > 1e-8:
+    if not (np.all(pi >= 0) and abs(pi.sum() - 1.0) <= 1e-8):
+        raise DomainError("pi is not a probability vector")
+    if not np.max(np.abs(P @ pi - pi)) <= 1e-8:
         raise ConsistencyError("pi is not stationary for P within 1e-8")
     return _group_inverse(P, pi / pi.sum()) @ (Pdot @ pi)
 
@@ -162,22 +114,6 @@ def log_iw_jacobian(C, tol: float = DEFAULT_TOL) -> np.ndarray:
     return np.matmul(R, D, out=T)
 
 
-def delta_covariance(J, k: int) -> np.ndarray:
-    """First-order covariance of centered log influence weights when every
-    pair plays 2k games at even strength: J (k/2 I) J^T.
-
-    The k/2 is the binomial variance n p (1 - p) with n = 2k games and
-    p = 1/2. For structures where pairs play unequal games, use
-    delta_method_covariance, which reads the per-pair counts off the matrix.
-    """
-    J = np.asarray(J, dtype=float)
-    if J.ndim != 2:
-        raise DimensionError(f"expected a 2-d Jacobian, got shape {J.shape}")
-    if k < 1:
-        raise DomainError(f"need k >= 1, got {k}")
-    return (k / 2.0) * (J @ J.T)
-
-
 def delta_method_covariance(C, tol: float = DEFAULT_TOL) -> np.ndarray:
     """First-order covariance of centered log influence weights for an
     arbitrary structure: J diag(n_ij / 4) J^T with n_ij = c_ij + c_ji the
@@ -201,13 +137,24 @@ def delta_method_covariance(C, tol: float = DEFAULT_TOL) -> np.ndarray:
     return R @ (B @ L1 @ B.T + G @ L2 @ G.T + X + X.T) @ R.T
 
 
+def _check_size(n: int, k: int) -> None:
+    """Reject k < 1, an n x n float64 array numpy cannot index, and
+    denominators (at most 6 k n^2) beyond the float range."""
+    if not k >= 1:
+        raise DomainError(f"need k >= 1, got {k}")
+    n = int(n)
+    if (n * n * 8 > np.iinfo(np.intp).max
+            or 6 * k * n * n > sys.float_info.max):
+        raise DomainError(
+            f"n={n}, k={k} is too large for a float64 n x n covariance")
+
+
 def round_robin_covariance(n: int, k: int) -> np.ndarray:
     """Closed-form covariance for the balanced round robin:
     diagonal 2(n-1)/(k n^2), off-diagonal -2/(k n^2)."""
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
-    if k < 1:
-        raise DomainError(f"need k >= 1, got {k}")
+    _check_size(n, k)
     M = np.full((n, n), -2.0 / (k * n * n))
     np.fill_diagonal(M, 2.0 * (n - 1) / (k * n * n))
     return M
@@ -224,8 +171,7 @@ def circular_covariance(n: int, k: int) -> np.ndarray:
     """
     if n < 3:
         raise DomainError(f"a ring needs n >= 3, got {n}")
-    if k < 1:
-        raise DomainError(f"need k >= 1, got {k}")
+    _check_size(n, k)
     # d (n - d) takes the same value at |i - j| and at n - |i - j|, so the
     # plain index distance stands in for the circular one
     d = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))

@@ -33,8 +33,8 @@ from .bradley_terry import AbilityVector, bt_covariance, fit_bt
 from .counts import default_labels
 from .errors import (ConnectivityError, ConsistencyError, ConvergenceError,
                      DomainError, NotQuasiSymmetricError, RankingError)
-from .generators import (SimulationConfig, monte_carlo_covariance,
-                         structure_matrix)
+from .generators import (SimulationConfig, _check_players,
+                         monte_carlo_covariance, structure_matrix)
 from .io import parse_articles, parse_input
 from .quasisym import check_triplets, decompose_qs, is_reversible, \
     verify_equivalence
@@ -258,6 +258,7 @@ def cmd_asymptotics(args) -> tuple[RunReport, int]:
 
 
 def cmd_simulate(args) -> tuple[RunReport, int]:
+    _check_players(args.n)  # before the n-sized labels and abilities
     labels = default_labels(args.n)
     abilities = AbilityVector(np.zeros(len(labels)), labels)
     config = SimulationConfig(abilities=abilities, games_per_pair=2 * args.k,

@@ -89,6 +89,15 @@ def _seed_word(seed: int) -> int:
     return seed
 
 
+def _check_players(n: int) -> None:
+    """Reject fewer than two players, and more than the draw keys can
+    index: they pack (replication, retry, pair) into one 64-bit word."""
+    if n < 2:
+        raise DomainError("need at least two players")
+    if n * (n - 1) // 2 >= _MAX_PAIRS:
+        raise DomainError("too many pairs for the keying scheme (n > 362)")
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """Even-strength-or-not tournament simulation settings.
@@ -103,8 +112,7 @@ class SimulationConfig:
     seed: int
 
     def __post_init__(self):
-        if len(self.abilities.labels) < 2:
-            raise DomainError("need at least two players")
+        _check_players(self.n)
         if self.games_per_pair < 1:
             raise DomainError(
                 f"games_per_pair must be >= 1, got {self.games_per_pair}")
@@ -116,9 +124,6 @@ class SimulationConfig:
             raise DomainError(
                 f"replications must be >= 1, got {self.replications}")
         object.__setattr__(self, "seed", _seed_word(self.seed))
-        # the draw keys pack (replication, retry, pair) into one 64-bit word
-        if self.n * (self.n - 1) // 2 >= _MAX_PAIRS:
-            raise DomainError("too many pairs for the keying scheme (n > 362)")
         if self.replications > _MAX_REPLICATION:
             raise DomainError(
                 f"replications must be <= 2^32, got {self.replications}")

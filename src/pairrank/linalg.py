@@ -1,5 +1,5 @@
-"""Dense linear-algebra kernels: column sums, the stationary vector of a
-chain, connected components and irreducibility.
+"""Dense linear-algebra kernels: the stationary vector of a chain,
+connected components and irreducibility.
 
 stationary_vector is the one kernel every ranking goes through: a single LU
 solve, followed by a residual check against tol. It also solves a stack of
@@ -26,11 +26,6 @@ def _as_square(M) -> np.ndarray:
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {M.shape}")
     return M
-
-
-def column_sums(C) -> np.ndarray:
-    """Vector of column sums of a square matrix (element j = sum of column j)."""
-    return _as_square(C).sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -60,7 +55,7 @@ def stationary_vector(P, tol: float = DEFAULT_TOL) -> StationaryResult:
             f"{P.shape}")
     if not tol > 0:
         raise DomainError(f"tol must be positive, got {tol}")
-    if np.max(np.abs(P.sum(axis=-2) - 1.0)) > 1e-8:
+    if not np.max(np.abs(P.sum(axis=-2) - 1.0)) <= 1e-8:
         raise DomainError("P is not column-stochastic")
     n = P.shape[-1]
     A = np.eye(n) - P

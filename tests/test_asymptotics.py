@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pairrank.asymptotics import (PerturbationDirection, circular_covariance,
-                                  delta_covariance, delta_method_covariance,
+from pairrank.asymptotics import (circular_covariance,
+                                  delta_method_covariance,
                                   lexicographic_pairs, log_iw_jacobian,
-                                  perturbation_matrix, round_robin_covariance,
-                                  stationary_derivative,
-                                  transition_derivative)
+                                  round_robin_covariance,
+                                  stationary_derivative)
 from pairrank.bradley_terry import bt_covariance
-from pairrank.errors import (ConsistencyError, DimensionError, DomainError)
+from pairrank.errors import ConsistencyError, DomainError
 from pairrank.generators import circular, round_robin
 from pairrank.rankings import influence_weight, pagerank, transition_matrix
 
@@ -24,48 +23,19 @@ class TestPairs:
         assert lexicographic_pairs(4) == [(0, 1), (0, 2), (0, 3), (1, 2),
                                           (1, 3), (2, 3)]
 
-    def test_direction_matrix(self):
-        F = perturbation_matrix(3, 0, 2)
-        assert F[0, 2] == 1.0 and F[2, 0] == -1.0
-        assert np.count_nonzero(F) == 2
-
-    def test_direction_validation(self):
-        with pytest.raises(DomainError):
-            PerturbationDirection(1, 1)
-        with pytest.raises(DimensionError):
-            perturbation_matrix(3, 0, 5)
-
 
 class TestTransitionDerivative:
-    def test_two_player_value(self):
-        expected = np.array([[0.25, 0.25], [-0.25, -0.25]])
-        assert_allclose(transition_derivative(2, 1, (0, 1)), expected,
-                        atol=1e-15)
-
-    def test_three_player_columns(self):
-        M = transition_derivative(3, 1, (0, 1))
-        assert_allclose(M[:, 0], [1 / 9, -2 / 9, 1 / 9], atol=1e-15)
-        assert_allclose(M[:, 1], [2 / 9, -1 / 9, -1 / 9], atol=1e-15)
-        assert_allclose(M[:, 2], np.zeros(3), atol=1e-15)
-
-    def test_columns_sum_to_zero(self):
-        M = transition_derivative(6, 3, (1, 4))
-        assert_allclose(M.sum(axis=0), np.zeros(6), atol=1e-15)
-
-    def test_k_scaling(self):
-        assert_allclose(transition_derivative(5, 2, (0, 3)),
-                        transition_derivative(5, 1, (0, 3)) / 2, atol=1e-15)
-
     def test_matches_finite_differences(self):
-        for n, k in [(2, 1), (3, 1), (5, 2), (8, 3)]:
-            C = round_robin(n, k).counts
-            got = transition_derivative(n, k, (0, n - 1))
-            fd = fd_transition_derivative(C, 0, n - 1)
-            assert_allclose(got, fd, atol=1e-8)
-
-    def test_reversed_direction_negates(self):
-        assert_allclose(transition_derivative(4, 1, (2, 0)),
-                        -transition_derivative(4, 1, (0, 2)), atol=1e-15)
+        # the analytic dP/dt that builds the inputs of the derivative tests
+        rng = np.random.default_rng(13)
+        cases = [(round_robin(n, k).counts, (0, n - 1))
+                 for n, k in [(2, 1), (3, 1), (5, 2), (8, 3)]]
+        cases += [(random_counts(rng, n), (1, n - 2)) for n in (4, 7)]
+        for C, (i, j) in cases:
+            P = transition_matrix(C, 1.0)
+            got = _general_pdot(P, C.sum(axis=0), i, j)
+            assert_allclose(got, fd_transition_derivative(C, i, j),
+                            atol=1e-8)
 
 
 class TestStationaryDerivative:
@@ -75,7 +45,7 @@ class TestStationaryDerivative:
             C = round_robin(n, k)
             P = transition_matrix(C, 1.0)
             pi = np.full(n, 1 / n)
-            Pdot = transition_derivative(n, k, (0, 1))
+            Pdot = _general_pdot(P, C.column_sums(), 0, 1)
             x = stationary_derivative(P, pi, Pdot)
             expected = np.zeros(n)
             expected[0] = 1 / (k * n * n)
@@ -130,6 +100,28 @@ class TestStationaryDerivative:
         P = transition_matrix(round_robin(3, 1), 1.0)
         with pytest.raises(DomainError):
             stationary_derivative(P, np.full(3, 1 / 3), np.ones((3, 3)))
+
+    @pytest.mark.parametrize("pi", [np.zeros(3), np.full(3, np.nan),
+                                    np.full(3, -1 / 3),
+                                    np.array([0.5, 0.5, np.inf])],
+                             ids=["zero", "nan", "negative", "inf"])
+    def test_rejects_pi_off_the_simplex(self, pi):
+        # each of these passed the stationarity test: pi = 0 and -1/3 are
+        # fixed by P, and a NaN residual is not > 1e-8
+        P = transition_matrix(round_robin(3, 1), 1.0)
+        with pytest.raises(DomainError, match="pi is not a probability"):
+            stationary_derivative(P, pi, _general_pdot(P, np.full(3, 3.0),
+                                                       0, 1))
+
+    @pytest.mark.parametrize("where", ["P", "Pdot"])
+    def test_rejects_nan_chain(self, where):
+        P = transition_matrix(round_robin(3, 1), 1.0)
+        args = {"P": P, "pi": np.full(3, 1 / 3),
+                "Pdot": _general_pdot(P, np.full(3, 3.0), 0, 1)}
+        args[where] = args[where].copy()
+        args[where][1, 2] = np.nan
+        with pytest.raises(DomainError):
+            stationary_derivative(**args)
 
 
 def _general_pdot(P: np.ndarray, a: np.ndarray, i: int, j: int) -> np.ndarray:
@@ -200,12 +192,8 @@ class TestDeltaCovariance:
     def test_round_robin_matches_closed_form(self):
         for n, k in [(3, 1), (4, 2), (6, 5)]:
             J = log_iw_jacobian(round_robin(n, k))
-            assert_allclose(delta_covariance(J, k),
+            assert_allclose((k / 2) * J @ J.T,
                             round_robin_covariance(n, k), atol=1e-12)
-
-    def test_zero_jacobian(self):
-        assert_allclose(delta_covariance(np.zeros((3, 3)), 2),
-                        np.zeros((3, 3)))
 
     def test_general_form_matches_bradley_terry_on_circular(self):
         for n, k in [(5, 1), (7, 1), (8, 2)]:
@@ -232,12 +220,9 @@ class TestDeltaCovariance:
 
     def test_general_form_reduces_to_uniform_on_round_robin(self):
         C = round_robin(5, 3)
-        assert_allclose(delta_method_covariance(C),
-                        delta_covariance(log_iw_jacobian(C), 3), atol=1e-12)
-
-    def test_rejects_bad_k(self):
-        with pytest.raises(DomainError):
-            delta_covariance(np.zeros((3, 3)), 0)
+        J = log_iw_jacobian(C)
+        assert_allclose(delta_method_covariance(C), (3 / 2) * J @ J.T,
+                        atol=1e-12)
 
 
 class TestClosedForms:

@@ -94,6 +94,18 @@ def _bounded_run(*args: str) -> tuple[int, float]:
     return code, peak_kb / 1024
 
 
+def _cap_address_space():
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def _run_capped(argv: list) -> subprocess.CompletedProcess:
+    """Run pairrank with a 2 GiB address-space cap held only in the child."""
+    return subprocess.run([sys.executable, "-m", "pairrank", *argv],
+                          capture_output=True, text=True,
+                          preexec_fn=_cap_address_space)
+
+
 def _by_index(scores: dict) -> np.ndarray:
     return np.array([scores[f"p{i + 1}"] for i in range(len(scores))])
 
@@ -427,21 +439,24 @@ class TestAsymptotics:
     @pytest.mark.skipif(sys.platform != "linux",
                         reason="RLIMIT_AS caps the address space on Linux")
     def test_out_of_memory_exits_2(self):
-        # the 100000 x 100000 closed form needs 74.5 GiB; the cap holds
-        # only in the child, so numpy raises MemoryError there
-        def cap():
-            import resource
-            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
-
-        proc = subprocess.run(
-            [sys.executable, "-m", "pairrank", "asymptotics", "--structure",
-             "round-robin", "--n", "100000", "--k", "1"],
-            capture_output=True, text=True, preexec_fn=cap)
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert proc.stderr.startswith("error: ")
-        assert proc.stderr.count("\n") == 1
-        assert "Traceback" not in proc.stderr
+        # the 100000 x 100000 closed form needs 74.5 GiB, so numpy raises
+        # MemoryError; the larger designs are beyond what numpy can index
+        # or beyond the float range, and are rejected before any allocation
+        designs = [("round-robin", 100000, 1)]
+        designs += [(structure, 3, 10 ** 310)
+                    for structure in ("round-robin", "circular")]
+        designs += [("round-robin", 10 ** 20, 1), ("round-robin", 2 ** 40, 1),
+                    ("circular", 10 ** 20, 1)]
+        for structure, n, k in designs:
+            proc = _run_capped(["asymptotics", "--structure", structure,
+                                "--n", str(n), "--k", str(k)])
+            assert proc.returncode == 2
+            assert proc.stdout == ""
+            assert proc.stderr.startswith("error: ")
+            assert proc.stderr.count("\n") == 1
+            assert "Traceback" not in proc.stderr
+            if n == 100000:
+                assert proc.stderr.startswith("error: Unable to allocate")
 
     def test_schema_validation(self, capsys):
         import jsonschema
@@ -485,6 +500,18 @@ class TestSimulate:
                      "--k", "1", "--reps", "5"]) == 2
         assert capsys.readouterr() == ("",
                                        "error: need at least two players\n")
+
+    @pytest.mark.skipif(sys.platform != "linux",
+                        reason="RLIMIT_AS caps the address space on Linux")
+    def test_too_many_players_is_rejected_before_allocating(self):
+        # n labels and abilities would need terabytes; the keying bound
+        # must reject n first
+        proc = _run_capped(["simulate", "--structure", "round-robin",
+                            "--n", str(10 ** 12), "--k", "1"])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == ("error: too many pairs for the keying scheme "
+                               "(n > 362)\n")
 
 
 # (command, option, value) for each integer argument value that must end in

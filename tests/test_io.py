@@ -43,6 +43,31 @@ def test_star_import_binds_no_submodule():
             if isinstance(getattr(pairrank, name), types.ModuleType)] == []
 
 
+def test_public_api_is_pinned():
+    # a name joins or leaves the public API only by editing this list
+    assert sorted(pairrank.__all__) == [
+        "AbilityVector", "ConnectivityError", "ConsistencyError",
+        "ConvergenceError", "CountMatrix", "DanglingNodeError",
+        "DecompositionError", "DegenerateSampleError", "DimensionError",
+        "DomainError", "FitReport", "MatrixBlock", "MonteCarloResult",
+        "NotQuasiSymmetricError", "ParseError", "QSDecomposition",
+        "RankingError", "RankingVector", "ReducibilityError",
+        "ReversibilityReport", "RunReport", "ScoreEntry", "SeparationError",
+        "SimulationConfig", "StationaryResult", "TripletReport",
+        "TripletViolation", "as_count_matrix", "bt_covariance", "bt_deviance",
+        "check_triplets", "circular", "circular_covariance", "decompose_qs",
+        "default_labels", "delta_method_covariance", "fit_bt",
+        "influence_per_publication", "influence_weight", "is_irreducible",
+        "is_reversible", "iw_from_pagerank", "lexicographic_pairs",
+        "load_schema", "log_iw_jacobian", "matrix_to_csv",
+        "monte_carlo_covariance", "pagerank", "pagerank_from_iw",
+        "parse_articles", "parse_input", "predict_prob",
+        "random_quasi_symmetric", "round_robin", "round_robin_covariance",
+        "simulate_tournament", "stationary_derivative", "stationary_vector",
+        "structure_matrix", "total_influence", "transition_matrix",
+        "verify_equivalence"]
+
+
 class TestParseEdges:
     def test_basic(self, tmp_path):
         p = tmp_path / "e.csv"
