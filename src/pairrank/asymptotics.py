@@ -21,13 +21,12 @@ over i < j.
 
 from __future__ import annotations
 
-import sys
-
 import numpy as np
 
 from .counts import as_count_matrix
 from .errors import ConsistencyError, DimensionError, DomainError
-from .linalg import DEFAULT_TOL, stationary_vector
+from .generators import _check_design
+from .linalg import DEFAULT_TOL, _check_chain, stationary_vector
 from .rankings import transition_matrix
 
 
@@ -50,8 +49,7 @@ def stationary_derivative(P, pi, Pdot) -> np.ndarray:
         raise DimensionError(
             f"incompatible shapes P{P.shape}, Pdot{Pdot.shape}, pi{pi.shape}")
     # each guard is written so that a NaN fails it
-    if not np.max(np.abs(P.sum(axis=0) - 1.0)) <= 1e-8:
-        raise DomainError("P is not column-stochastic")
+    _check_chain(P)
     if not np.max(np.abs(Pdot.sum(axis=0))) <= 1e-8:
         raise DomainError("Pdot columns must sum to zero (tangent direction)")
     if not (np.all(pi >= 0) and abs(pi.sum() - 1.0) <= 1e-8):
@@ -137,24 +135,10 @@ def delta_method_covariance(C, tol: float = DEFAULT_TOL) -> np.ndarray:
     return R @ (B @ L1 @ B.T + G @ L2 @ G.T + X + X.T) @ R.T
 
 
-def _check_size(n: int, k: int) -> None:
-    """Reject k < 1, an n x n float64 array numpy cannot index, and
-    denominators (at most 6 k n^2) beyond the float range."""
-    if not k >= 1:
-        raise DomainError(f"need k >= 1, got {k}")
-    n = int(n)
-    if (n * n * 8 > np.iinfo(np.intp).max
-            or 6 * k * n * n > sys.float_info.max):
-        raise DomainError(
-            f"n={n}, k={k} is too large for a float64 n x n covariance")
-
-
 def round_robin_covariance(n: int, k: int) -> np.ndarray:
     """Closed-form covariance for the balanced round robin:
     diagonal 2(n-1)/(k n^2), off-diagonal -2/(k n^2)."""
-    if n < 2:
-        raise DomainError(f"need n >= 2, got {n}")
-    _check_size(n, k)
+    _check_design(n, k)
     M = np.full((n, n), -2.0 / (k * n * n))
     np.fill_diagonal(M, 2.0 * (n - 1) / (k * n * n))
     return M
@@ -169,9 +153,7 @@ def circular_covariance(n: int, k: int) -> np.ndarray:
     every n >= 3: (n^2-1)/(6kn), (n-1)(n-5)/(6kn), (n^2-12n+23)/(6kn) for
     d = 0, 1, 2.
     """
-    if n < 3:
-        raise DomainError(f"a ring needs n >= 3, got {n}")
-    _check_size(n, k)
+    _check_design(n, k, ring=True)
     # d (n - d) takes the same value at |i - j| and at n - |i - j|, so the
     # plain index distance stands in for the circular one
     d = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))

@@ -23,7 +23,7 @@ import numpy as np
 from .counts import CountMatrix, as_count_matrix
 from .errors import (ConnectivityError, ConvergenceError, DecompositionError,
                      DimensionError, DomainError, SeparationError)
-from .linalg import _closed_group, _components
+from .linalg import _check_tol, _closed_group, _components
 
 DEFAULT_FIT_TOL = 1e-10
 DEFAULT_FIT_MAX_ITER = 100
@@ -131,8 +131,7 @@ def fit_bt(C, tol: float = DEFAULT_FIT_TOL,
     ignored.
     """
     C = as_count_matrix(C)
-    if not tol > 0:
-        raise DomainError(f"tol must be positive, got {tol}")
+    _check_tol(tol)
     if C.n < 2:
         raise DomainError("need at least two players to fit")
     n = C.n
@@ -199,10 +198,9 @@ def _as_mu(mu, n: int) -> np.ndarray:
 
 def _covariance(games: np.ndarray, mu: np.ndarray) -> np.ndarray:
     n = len(mu)
-    gauge = np.full((n, n), 1.0 / n)
     F = _fisher(games, _logistic(np.subtract.outer(mu, mu)))
     try:
-        return np.linalg.inv(F + gauge) - gauge
+        return np.linalg.inv(F + 1.0 / n) - 1.0 / n
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(
             f"Fisher information is singular beyond the gauge: {exc}") from exc

@@ -36,6 +36,7 @@ from .errors import (ConnectivityError, ConsistencyError, ConvergenceError,
 from .generators import (SimulationConfig, _check_players,
                          monte_carlo_covariance, structure_matrix)
 from .io import parse_articles, parse_input
+from .linalg import _check_tol
 from .quasisym import check_triplets, decompose_qs, is_reversible, \
     verify_equivalence
 from .rankings import influence_per_publication
@@ -242,8 +243,7 @@ def cmd_asymptotics(args) -> tuple[RunReport, int]:
     diagnostics = {**_design(args), "covariance_source": "closed-form"}
     code = 0
     if args.check:
-        if not args.tol > 0:
-            raise DomainError(f"tol must be positive, got {args.tol}")
+        _check_tol(args.tol)
         C = structure_matrix(args.structure, args.n, args.k)
         scale = float(np.max(np.abs(target)))
         delta, bt = (float(np.max(np.abs(cov - target))) / scale

@@ -10,6 +10,7 @@ replications in fixed blocks and solves each block as one stack.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -29,23 +30,33 @@ _MAX_GAMES = 1 << 63  # numpy's binomial takes at most 2^63 - 1 trials
 _BLOCK = 64  # Monte Carlo replications drawn, checked and solved together
 
 
+def _check_design(n: int, k: int, ring: bool = False) -> None:
+    """Reject n < 2 (n < 3 on a ring), k < 1, an n x n float64 array numpy
+    cannot index, and 6 k n^2 (a closed-form denominator) beyond floats."""
+    if ring and n < 3:
+        raise DomainError(f"a ring needs n >= 3, got {n}")
+    if n < 2:
+        raise DomainError(f"need n >= 2, got {n}")
+    if not k >= 1:
+        raise DomainError(f"need k >= 1, got {k}")
+    n = int(n)
+    if (n * n * 8 > np.iinfo(np.intp).max
+            or 6 * k * n * n > sys.float_info.max):
+        raise DomainError(
+            f"n={n}, k={k} is too large for a float64 n x n array")
+
+
 def round_robin(n: int, k: int) -> CountMatrix:
     """Balanced complete structure: every entry k, diagonal included, so
     every pair splits its 2k games evenly and every column sums to k n."""
-    if n < 2:
-        raise DomainError(f"need n >= 2, got {n}")
-    if k < 1:
-        raise DomainError(f"need k >= 1, got {k}")
+    _check_design(n, k)
     return CountMatrix(np.full((n, n), float(k)))
 
 
 def circular(n: int, k: int) -> CountMatrix:
     """Ring structure: each node splits 2k games with each ring neighbor,
     zero elsewhere. Column sums are 2k."""
-    if n < 3:
-        raise DomainError(f"a ring needs n >= 3, got {n}")
-    if k < 1:
-        raise DomainError(f"need k >= 1, got {k}")
+    _check_design(n, k, ring=True)
     C = np.zeros((n, n))
     idx = np.arange(n)
     C[idx, (idx + 1) % n] = float(k)
@@ -69,8 +80,7 @@ def random_quasi_symmetric(n: int, seed: int) -> CountMatrix:
     """Random strictly positive off-diagonal quasi-symmetric matrix
     C = diag(d) S: d uniform in [0.5, 2] with d[0] = 1, S symmetric with
     off-diagonal entries uniform in [1, 10] and zero diagonal."""
-    if n < 2:
-        raise DomainError(f"need n >= 2, got {n}")
+    _check_design(n, 1)
     key = np.array([_seed_word(seed), 0], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
     d = rng.uniform(0.5, 2.0, size=n)
@@ -239,7 +249,8 @@ def monte_carlo_covariance(config: SimulationConfig,
         for b, rep in enumerate(block):
             for retry in range(_MAX_RETRY):
                 C[b] = draw(rep, retry)
-                if C[b].sum(axis=0).all() and _closed_group(C[b] > 0) is None:
+                # strongly connected on n >= 2 nodes: no column sums to zero
+                if _closed_group(C[b] > 0) is None:
                     break
                 rejections += 1
                 if rejections > reps:

@@ -5,6 +5,9 @@ stationary_vector is the one kernel every ranking goes through: a single LU
 solve, followed by a residual check against tol. It also solves a stack of
 chains at once, as the Monte Carlo does.
 
+The package's input guards for a tolerance (_check_tol: positive) and a
+chain (_check_chain: nonnegative, columns summing to 1) live here too.
+
 All functions take and return plain numpy arrays; wrappers with labels live in
 higher-level modules.
 """
@@ -28,6 +31,18 @@ def _as_square(M) -> np.ndarray:
     return M
 
 
+def _check_tol(tol) -> None:
+    if not tol > 0:
+        raise DomainError(f"tol must be positive, got {tol}")
+
+
+def _check_chain(P: np.ndarray) -> None:
+    """Raise unless P, or each matrix of a stack, is column-stochastic:
+    entries >= 0 and columns summing to 1 within 1e-8. A NaN fails."""
+    if not (P.min() >= 0 and np.max(np.abs(P.sum(axis=-2) - 1.0)) <= 1e-8):
+        raise DomainError("P is not column-stochastic")
+
+
 @dataclass(frozen=True)
 class StationaryResult:
     """Stationary vector (sum 1) and its residual max|P x - x|; on a stack,
@@ -38,8 +53,8 @@ class StationaryResult:
 
 
 def stationary_vector(P, tol: float = DEFAULT_TOL) -> StationaryResult:
-    """Stationary vector of an irreducible column-stochastic matrix, or of
-    each matrix in a stack of shape (m, n, n).
+    """Stationary vector of an irreducible, nonnegative column-stochastic
+    matrix, or of each matrix in a stack of shape (m, n, n).
 
     Solves (I - P) x = 0 with sum(x) = 1 in one LU solve, the last equation
     replaced by the normalization (the system is nonsingular exactly when
@@ -53,10 +68,8 @@ def stationary_vector(P, tol: float = DEFAULT_TOL) -> StationaryResult:
         raise DimensionError(
             f"expected a square matrix or a stack of them, got shape "
             f"{P.shape}")
-    if not tol > 0:
-        raise DomainError(f"tol must be positive, got {tol}")
-    if not np.max(np.abs(P.sum(axis=-2) - 1.0)) <= 1e-8:
-        raise DomainError("P is not column-stochastic")
+    _check_tol(tol)
+    _check_chain(P)
     n = P.shape[-1]
     A = np.eye(n) - P
     A[..., -1, :] = 1.0

@@ -23,7 +23,7 @@ import numpy as np
 from .bradley_terry import _require_connected, fit_bt
 from .counts import CountMatrix, as_count_matrix
 from .errors import ConsistencyError, DomainError, NotQuasiSymmetricError
-from .linalg import DEFAULT_TOL, _search, stationary_vector
+from .linalg import DEFAULT_TOL, _check_tol, _search, stationary_vector
 from .rankings import influence_weight, transition_matrix
 
 DEFAULT_QS_TOL = 1e-8
@@ -79,8 +79,7 @@ def check_triplets(C, tol: float = DEFAULT_QS_TOL) -> TripletReport:
     pairs for one i at a time.
     """
     C = as_count_matrix(C)
-    if not tol > 0:
-        raise DomainError(f"tol must be positive, got {tol}")
+    _check_tol(tol)
     counts = C.counts
     listed: list[TripletViolation] = []
     worst = None
@@ -192,8 +191,7 @@ def decompose_qs(C, tol: float = DEFAULT_QS_TOL) -> QSDecomposition:
     error with the worst entry.
     """
     C = as_count_matrix(C)
-    if not tol > 0:
-        raise DomainError(f"tol must be positive, got {tol}")
+    _check_tol(tol)
     counts = C.counts
     mutual = (counts > 0) & (counts.T > 0)
 
@@ -227,8 +225,7 @@ def verify_equivalence(C, tol: float = 1e-10,
     check raises the consistency error.
     """
     C = as_count_matrix(C)
-    if not tol > 0:
-        raise DomainError(f"tol must be positive, got {tol}")
+    _check_tol(tol)
     if dec is None:
         dec = decompose_qs(C)
     d = dec.d
@@ -275,8 +272,7 @@ def is_reversible(C, tol: float = DEFAULT_QS_TOL) -> ReversibilityReport:
     and irreducibility (the undamped chain must exist).
     """
     C = as_count_matrix(C)
-    if not tol > 0:
-        raise DomainError(f"tol must be positive, got {tol}")
+    _check_tol(tol)
     P = transition_matrix(C, 1.0)
     pi = stationary_vector(P, tol=DEFAULT_TOL).vector
     flow = P * pi[None, :]

@@ -143,12 +143,7 @@ def influence_per_publication(C, articles, alpha: float = 1.0,
                               tol: float = DEFAULT_TOL) -> RankingVector:
     """Total influence divided entrywise by a positive size vector."""
     C = as_count_matrix(C)
-    articles = np.asarray(articles, dtype=float)
-    if articles.shape != (C.n,):
-        raise DimensionError(
-            f"articles has shape {articles.shape}, expected ({C.n},)")
-    if np.any(articles <= 0) or not np.all(np.isfinite(articles)):
-        raise DomainError("articles must be finite and strictly positive")
+    articles = _positive(articles, C.n, "articles")
     t = total_influence(C, alpha, tol=tol)
     scores = t.scores / articles
     return RankingVector(scores / scores.sum(), C.labels,
@@ -157,22 +152,23 @@ def influence_per_publication(C, articles, alpha: float = 1.0,
 
 def iw_from_pagerank(pi: RankingVector, colsums) -> RankingVector:
     """Convert a stationary vector to influence weights: normalize(pi / a)."""
-    a = _positive_colsums(colsums, len(pi.labels))
+    a = _positive(colsums, len(pi.labels), "column sums")
     w = pi.scores / a
     return RankingVector(w / w.sum(), pi.labels, "influence_weight")
 
 
 def pagerank_from_iw(w: RankingVector, colsums) -> RankingVector:
     """Convert influence weights to the stationary vector: normalize(w * a)."""
-    a = _positive_colsums(colsums, len(w.labels))
+    a = _positive(colsums, len(w.labels), "column sums")
     pi = w.scores * a
     return RankingVector(pi / pi.sum(), w.labels, "pagerank")
 
 
-def _positive_colsums(colsums, n: int) -> np.ndarray:
-    a = np.asarray(colsums, dtype=float)
+def _positive(values, n: int, name: str) -> np.ndarray:
+    """values as a float vector of shape (n,), every entry finite and > 0."""
+    a = np.asarray(values, dtype=float)
     if a.shape != (n,):
-        raise DimensionError(f"column sums have shape {a.shape}, expected ({n},)")
+        raise DimensionError(f"{name} has shape {a.shape}, expected ({n},)")
     if np.any(a <= 0) or not np.all(np.isfinite(a)):
-        raise DomainError("column sums must be finite and strictly positive")
+        raise DomainError(f"{name} must be finite and strictly positive")
     return a

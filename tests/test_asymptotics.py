@@ -113,13 +113,18 @@ class TestStationaryDerivative:
             stationary_derivative(P, pi, _general_pdot(P, np.full(3, 3.0),
                                                        0, 1))
 
-    @pytest.mark.parametrize("where", ["P", "Pdot"])
+    @pytest.mark.parametrize("where", ["P", "Pdot", "negative-P"])
     def test_rejects_nan_chain(self, where):
         P = transition_matrix(round_robin(3, 1), 1.0)
         args = {"P": P, "pi": np.full(3, 1 / 3),
                 "Pdot": _general_pdot(P, np.full(3, 3.0), 0, 1)}
-        args[where] = args[where].copy()
-        args[where][1, 2] = np.nan
+        if where == "negative-P":
+            # columns still sum to 1 and pi stays stationary, so only the
+            # negative entries make this P not a chain
+            args["P"] = P + 0.5 * (np.eye(3) - np.roll(np.eye(3), 1, axis=0))
+        else:
+            args[where] = args[where].copy()
+            args[where][1, 2] = np.nan
         with pytest.raises(DomainError):
             stationary_derivative(**args)
 

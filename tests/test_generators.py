@@ -105,6 +105,16 @@ class TestStructures:
             round_robin(3, 0)
         with pytest.raises(DomainError):
             circular(2, 1)
+        for k in (np.nan, 10 ** 310):  # rejected by the design guard itself
+            with pytest.raises(DomainError, match="need k >= 1|too large"):
+                round_robin(3, k)
+        # sizes numpy cannot index fail before anything is allocated
+        for n in (10 ** 20, 2 ** 40):
+            for build in (lambda: round_robin(n, 1), lambda: circular(n, 1),
+                          lambda: structure_matrix("round-robin", n),
+                          lambda: random_quasi_symmetric(n, 0)):
+                with pytest.raises(DomainError, match="too large"):
+                    build()
 
 
 class TestRandomQuasiSymmetric:

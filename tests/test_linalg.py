@@ -8,6 +8,9 @@ from pairrank.linalg import is_irreducible, stationary_vector
 
 from oracles import random_counts, stationary_eig
 
+# columns sum to 1 and P (1/3, 2/3) = (1/3, 2/3), but P is not a chain
+NOT_A_CHAIN = np.array([[1.2, -0.1], [-0.2, 1.1]])
+
 
 class TestStationaryVector:
     def test_worked_example_chain(self):
@@ -105,13 +108,19 @@ class TestStationaryVector:
         with pytest.raises(DomainError):
             stationary_vector(np.full((3, 3), 0.5))
 
-    @pytest.mark.parametrize("shape", [(3, 3), (4, 3, 3)],
-                             ids=["single", "stack"])
-    def test_rejects_nan_chain(self, shape):
+    @pytest.mark.parametrize("shape, last", [
+        ((3, 3), None), ((4, 3, 3), None),
+        ((2, 2), NOT_A_CHAIN), ((4, 2, 2), NOT_A_CHAIN)],
+        ids=["single", "stack", "negative-single", "negative-stack"])
+    def test_rejects_nan_chain(self, shape, last):
         # a NaN column sum is not > 1e-8 off 1; it reached the solve and
-        # failed there as a residual, not as a domain error
-        P = np.full(shape, 1 / 3)
-        P.reshape(-1, 3, 3)[-1, 1, 2] = np.nan  # the last matrix alone
+        # failed there as a residual, not as a domain error. A matrix with
+        # negative entries whose columns sum to 1 solved to (1/3, 2/3).
+        P = np.full(shape, 1 / shape[-1])
+        if last is None:
+            P.reshape(-1, 3, 3)[-1, 1, 2] = np.nan  # the last matrix alone
+        else:
+            P.reshape(-1, 2, 2)[-1] = last
         with pytest.raises(DomainError, match="not column-stochastic"):
             stationary_vector(P)
 
