@@ -48,6 +48,8 @@ def stationary_derivative(P, pi, Pdot) -> np.ndarray:
     if P.shape != (n, n) or Pdot.shape != (n, n) or pi.shape != (n,):
         raise DimensionError(
             f"incompatible shapes P{P.shape}, Pdot{Pdot.shape}, pi{pi.shape}")
+    if not n:
+        raise DimensionError(f"P is empty, got shape {P.shape}")
     # each guard is written so that a NaN fails it
     _check_chain(P)
     if not np.max(np.abs(Pdot.sum(axis=0))) <= 1e-8:

@@ -2,14 +2,22 @@
 
 Random draws use the counter-based Philox generator keyed by
 (seed, replication, retry, pair), so every replication is reproducible in
-isolation and results do not depend on execution order. One Philox per call
-is re-keyed before each pair's draw, which gives the bits a fresh
-Philox(key=[seed, word]) would. The Monte Carlo draws and checks its
-replications in fixed blocks and solves each block as one stack.
+isolation and results do not depend on execution order. Each pair's wins
+are bit for bit what a fresh Generator(Philox(key=[seed, word])).binomial
+gives. Where numpy inverts the binomial cdf (games min(p, 1 - p) <= 30),
+the draws of many (replication, retry, pair) lanes are computed at once:
+Philox4x64-10 on uint64 arrays and numpy's inversion walk in lockstep, at
+most 2^14 lanes at a time. In numpy's BTPE regime one Philox per call is
+re-keyed before each draw. The Monte Carlo draws a block of replications
+in one call and examines the draws in replication order. Redraws come in
+calls of about 2^10 lanes, since a call costs as much as that many lanes:
+retry 1 for the following replications of the block, then later retries
+of one replication. Each block is solved as one stack.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from itertools import combinations
@@ -28,6 +36,12 @@ _MAX_RETRY = 1 << 16
 _MAX_PAIRS = 1 << 16
 _MAX_GAMES = 1 << 63  # numpy's binomial takes at most 2^63 - 1 trials
 _BLOCK = 64  # Monte Carlo replications drawn, checked and solved together
+_CHUNK = 1 << 14  # draw lanes whose words and wins are built together
+_REDRAW_LANES = 1 << 10  # lanes that cost about a draw call's fixed overhead
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_MASK32, _MASK64 = (1 << 32) - 1, (1 << 64) - 1
+_LOW, _HALF = np.uint64(_MASK32), np.uint64(32)
 
 
 def _check_design(n: int, k: int, ring: bool = False) -> None:
@@ -156,38 +170,165 @@ def _pairs(config: SimulationConfig, structure: str = "round-robin"
             if plays[i, j]]
 
 
+def _mulhilo(a: int, b):
+    """High and low 64-bit words of the 128-bit product a * b, for a Python
+    int a and b a Python int or a uint64 array. numpy has no 128-bit
+    integers, so the high word of an array is built from 32-bit halves;
+    no partial sum below passes 2^64 - 1."""
+    if isinstance(b, int):
+        return (a * b) >> 64, (a * b) & _MASK64
+    a_lo, a_hi = np.uint64(a & _MASK32), np.uint64(a >> 32)
+    b_lo = b & _LOW
+    t = a_hi * b_lo
+    t += (a_lo * b_lo) >> _HALF
+    w = t & _LOW
+    w += a_lo * (b >> _HALF)
+    hi = a_hi * (b >> _HALF)
+    hi += t >> _HALF
+    hi += w >> _HALF
+    return hi, b * np.uint64(a)
+
+
+def _philox(seed: int, words: np.ndarray, block: int) -> tuple:
+    """Output block `block` (counter [block, 0, 0, 0]) of Philox4x64-10 keyed
+    by (seed, word) for each uint64 word: four uint64 arrays, as numpy's
+    Philox(key=[seed, word]) computes them. The key and counter words that
+    are the same on every lane stay Python ints, masked to 64 bits."""
+    k0, k1 = seed, words
+    v = (block, 0, 0, 0)
+    for r in range(10):
+        if r:
+            k0 = (k0 + _PHILOX_W[0]) & _MASK64
+            k1 = k1 + np.uint64(_PHILOX_W[1])
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], v[0])
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], v[2])
+        v = (hi1 ^ v[1] ^ k0, lo1, hi0 ^ v[3] ^ k1, lo0)
+    return v
+
+
+def _uniform(seed: int, words: np.ndarray, k: int) -> np.ndarray:
+    """Uniform k of the Philox stream of each key (seed, word), as numpy's
+    next_double gives it: word k % 4 of block k // 4 + 1 (numpy bumps the
+    counter before it generates), as (x >> 11) * 2^-53."""
+    x = _philox(seed, words, k // 4 + 1)[k % 4]
+    return (x >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+
+
+def _inversion_table(games: int, probs: np.ndarray):
+    """numpy's random_binomial_inversion constants for each distinct p <= 1/2
+    of probs: (pid, px, bound) with probs = distinct[pid], px[g, x] the
+    P(X = x) of p = distinct[g] and bound[g] the X past which the walk
+    restarts. qn = exp(games log q) and the bound come from math, the libm
+    numpy calls, and px[:, x] = ((games - x + 1) p px[:, x - 1]) / (x q) in
+    numpy's order of operations."""
+    distinct, pid = np.unique(probs, return_inverse=True)
+    bound = np.zeros(len(distinct), dtype=np.int64)
+    qn = np.empty(len(distinct))
+    for g, p in enumerate(distinct.tolist()):
+        q = 1.0 - p
+        qn[g] = math.exp(games * math.log(q))
+        mean = games * p
+        bound[g] = int(min(games, mean + 10.0 * math.sqrt(mean * q + 1)))
+    px = np.empty((len(distinct), bound.max(initial=0) + 1))
+    px[:, 0] = qn
+    q = 1.0 - distinct
+    for x in range(1, px.shape[1]):
+        px[:, x] = float(games - x + 1) * distinct * px[:, x - 1] / (x * q)
+    return pid, px, bound
+
+
+def _inversion(uniform, pid: np.ndarray, px: np.ndarray,
+               bound: np.ndarray) -> np.ndarray:
+    """X of numpy's random_binomial_inversion on every lane at once, in
+    lockstep: lane l walks X = 0, 1, ... along row pid[l] of px (from
+    _inversion_table), subtracting each P(X = x) from its uniform while the
+    uniform exceeds it. A lane whose X passes bound[pid] restarts at X = 0
+    with its next uniform; uniform(lanes, k) gives uniform k of lanes."""
+    X = np.zeros(pid.size, dtype=np.int64)
+    lanes, k = np.arange(pid.size), 0
+    while lanes.size:
+        X[lanes] = 0
+        U, g = uniform(lanes, k), pid[lanes]
+        live = np.flatnonzero(U > px[:, 0][g])
+        U, g, restart, x = U[live], g[live], [], 0
+        while live.size:
+            x += 1
+            over = bound[g] < x
+            if over.any():
+                restart.append(live[over])
+                live, U, g = live[~over], U[~over], g[~over]
+                if not live.size:
+                    break
+            U -= px[:, x - 1][g]
+            X[lanes[live]] = x
+            more = U > px[:, x][g]
+            live, U, g = live[more], U[more], g[more]
+        lanes = lanes[np.concatenate(restart)] if restart else lanes[:0]
+        k += 1
+    return X
+
+
 def _draw_counts(config: SimulationConfig,
                  pairs: list[tuple[int, int, int, float]]):
-    """draw(replication, retry) -> counts array of one tournament over pairs
-    (from _pairs). Each pair draws from the one Philox re-keyed to
-    (seed, word), its counter and buffer reset. The state holds plain
-    Python ints, which the state setter converts to uint64 exactly, 2^63
-    and above included. The constructor's key is an exact uint64 array,
-    since a list mixing a word >= 2^63 with a small one turns into float64.
-    Callers keep replication < 2^32 and retry < 2^16; the config keeps
-    n(n-1)/2 < 2^16."""
-    games, n = config.games_per_pair, config.n
-    philox = np.random.Philox(key=np.array([config.seed, 0], dtype=np.uint64))
-    key = [config.seed, 0]
+    """draw(replications, retries) -> counts of shape (rows, n, n), one
+    tournament over pairs (from _pairs) per (replication, retry) row.
+
+    Each pair's wins are what Generator(Philox(key=[seed, word])).binomial
+    gives, word = replication << 32 | retry << 16 | pair. Where numpy
+    inverts the cdf, games min(p, 1 - p) <= 30, the draws are one
+    vectorised Philox4x64-10 (_philox) and numpy's inversion walk
+    (_inversion) over lanes of (row, pair), at most _CHUNK lanes at a time,
+    so memory does not grow with n; for p > 1/2 a lane draws games minus
+    the walk at 1 - p, and p = 0 gives 0. Pairs in numpy's BTPE regime draw
+    from one Philox, built on first use, re-keyed to (seed, word) with its
+    counter and buffer reset; its state holds plain Python ints, which the
+    state setter converts to uint64 exactly, and the constructor's key is
+    an exact uint64 array. Callers keep replication < 2^32 and
+    retry < 2^16; the config keeps n(n-1)/2 < 2^16."""
+    games, n, seed = config.games_per_pair, config.n, config.seed
+    index, rows, cols, probs = (np.array(v) for v in zip(*pairs))
+    flip = probs > 0.5
+    low = np.where(flip, 1.0 - probs, probs)
+    in_btpe = low * float(games) > 30.0
+    btpe = [pairs[s] for s in np.flatnonzero(in_btpe)]
+    inv = np.flatnonzero(~in_btpe)
+    pid, px, bound = _inversion_table(games, low[inv])
+    inv_words = index[inv].astype(np.uint64)
+    inv_flip, inv_ij = flip[inv], rows[inv] * n + cols[inv]
+    inv_ji = cols[inv] * n + rows[inv]
+    key = [seed, 0]
     state = {"bit_generator": "Philox",
              "state": {"counter": [0, 0, 0, 0], "key": key},
              "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0,
              "uinteger": 0}
-    binomial = np.random.Generator(philox).binomial
-    index, rows, cols, probs = zip(*pairs)
-    keyed = list(zip(index, probs))
-    rows, cols = np.array(rows), np.array(cols)
+    sampler = []  # the BTPE regime's Philox and binomial, once built
 
-    def draw(replication: int, retry: int) -> np.ndarray:
-        word = (replication << 32) | (retry << 16)
-        wins = np.empty(len(keyed), dtype=np.int64)
-        for slot, (pair, p) in enumerate(keyed):
-            key[1] = word | pair
-            philox.state = state
-            wins[slot] = binomial(games, p)
-        C = np.zeros((n, n))
-        C[rows, cols] = wins
-        C[cols, rows] = games - wins
+    def draw(replications, retries) -> np.ndarray:
+        head = ((np.asarray(replications, dtype=np.uint64) << _HALF)
+                | (np.asarray(retries, dtype=np.uint64) << np.uint64(16)))
+        C = np.zeros((len(head), n, n))
+        flat = C.reshape(len(head), n * n)
+        lanes = len(head) * len(inv)
+        for start in range(0, lanes, _CHUNK):
+            row, slot = np.divmod(np.arange(start, min(start + _CHUNK, lanes)),
+                                  len(inv))
+            words = head[row] | inv_words[slot]
+            x = _inversion(lambda at, k: _uniform(seed, words[at], k),
+                           pid[slot], px, bound)
+            wins = np.where(inv_flip[slot], games - x, x)
+            flat[row, inv_ij[slot]] = wins
+            flat[row, inv_ji[slot]] = games - wins
+        if btpe and not sampler:
+            philox = np.random.Philox(
+                key=np.array([seed, 0], dtype=np.uint64))
+            sampler.extend((philox, np.random.Generator(philox).binomial))
+        for pair, i, j, p in btpe:
+            for r, word in enumerate(head.tolist()):
+                key[1] = word | pair
+                sampler[0].state = state
+                wins = sampler[1](games, p)
+                C[r, i, j] = wins
+                C[r, j, i] = games - wins
         return C
 
     return draw
@@ -200,7 +341,7 @@ def simulate_tournament(config: SimulationConfig,
     if not 0 <= replication < _MAX_REPLICATION:
         raise DomainError(
             f"replication must lie in [0, 2^32), got {replication}")
-    C = _draw_counts(config, _pairs(config))(replication, 0)
+    C = _draw_counts(config, _pairs(config))([replication], [0])[0]
     return CountMatrix(C, config.abilities.labels)
 
 
@@ -240,28 +381,41 @@ def monte_carlo_covariance(config: SimulationConfig,
     if config.replications < 2:
         raise DomainError("need at least two replications for a covariance")
     n, reps = config.n, config.replications
-    draw = _draw_counts(config, _pairs(config, structure))
+    pairs = _pairs(config, structure)
+    draw = _draw_counts(config, pairs)
+    span = max(1, _REDRAW_LANES // len(pairs))  # rows of one redraw call
     Y = np.empty((reps, n))
     rejections = 0
     for start in range(0, reps, _BLOCK):
         block = range(start, min(start + _BLOCK, reps))
-        C = np.empty((len(block), n, n))
+        C = draw(block, [0] * len(block))
+        first = range(0)  # replications whose retry 1 is drawn, in `again`
         for b, rep in enumerate(block):
-            for retry in range(_MAX_RETRY):
-                C[b] = draw(rep, retry)
-                # strongly connected on n >= 2 nodes: no column sums to zero
-                if _closed_group(C[b] > 0) is None:
-                    break
+            retry, batch = 0, range(0)
+            # strongly connected on n >= 2 nodes: no column sums to zero
+            while _closed_group(C[b] > 0) is not None:
                 rejections += 1
                 if rejections > reps:
                     raise DegenerateSampleError(
                         f"more than half of all tournament draws were "
                         f"degenerate ({rejections} rejections); increase "
                         f"games_per_pair")
-            else:
-                raise DegenerateSampleError(
-                    "retry budget exhausted for a single replication; "
-                    "increase games_per_pair")
+                retry += 1
+                if retry == _MAX_RETRY:
+                    raise DegenerateSampleError(
+                        "retry budget exhausted for a single replication; "
+                        "increase games_per_pair")
+                # retry 1 is drawn for the next replications of the block
+                # at once, later retries in batches of up to _BLOCK
+                if retry == 1 and rep not in first:
+                    first = block[b:b + span]
+                    again = draw(first, [1] * len(first))
+                elif retry > 1 and retry not in batch:
+                    batch = range(retry, min(retry + min(span, _BLOCK),
+                                             _MAX_RETRY))
+                    redraws = draw([rep] * len(batch), batch)
+                C[b] = (again[rep - first.start] if retry == 1
+                        else redraws[retry - batch.start])
         # influence weights normalize(pi / a) of each accepted draw
         a = C.sum(axis=1)
         w = stationary_vector(C / a[:, None, :]).vector / a

@@ -68,6 +68,8 @@ def stationary_vector(P, tol: float = DEFAULT_TOL) -> StationaryResult:
         raise DimensionError(
             f"expected a square matrix or a stack of them, got shape "
             f"{P.shape}")
+    if not P.size:
+        raise DimensionError(f"P is empty, got shape {P.shape}")
     _check_tol(tol)
     _check_chain(P)
     n = P.shape[-1]

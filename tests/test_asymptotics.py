@@ -10,7 +10,7 @@ from pairrank.asymptotics import (circular_covariance,
                                   round_robin_covariance,
                                   stationary_derivative)
 from pairrank.bradley_terry import bt_covariance
-from pairrank.errors import ConsistencyError, DomainError
+from pairrank.errors import ConsistencyError, DimensionError, DomainError
 from pairrank.generators import circular, round_robin
 from pairrank.rankings import influence_weight, pagerank, transition_matrix
 
@@ -127,6 +127,12 @@ class TestStationaryDerivative:
             args[where][1, 2] = np.nan
         with pytest.raises(DomainError):
             stationary_derivative(**args)
+
+    def test_rejects_empty_chain(self):
+        # n = 0 used to reach the chain guard and fail in numpy's min()
+        with pytest.raises(DimensionError, match="P is empty"):
+            stationary_derivative(np.zeros((0, 0)), np.zeros(0),
+                                  np.zeros((0, 0)))
 
 
 def _general_pdot(P: np.ndarray, a: np.ndarray, i: int, j: int) -> np.ndarray:

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import warnings
 
 import numpy as np
@@ -45,21 +46,60 @@ def _reference_draw(cfg, replication, retry=0):
     return C
 
 
-def _record_draws(monkeypatch) -> list:
-    """(replication, retry) of every tournament the Monte Carlo draws."""
-    calls = []
-    build = generators._draw_counts
+def _record_draws(monkeypatch) -> tuple[list, list]:
+    """What the Monte Carlo draws and what it examines: (drawn, examined),
+    drawn the (replication, retry) of every tournament drawn, in batches
+    and ahead of use, and examined the support C > 0 of every draw the
+    degeneracy check sees, in the order it sees them."""
+    drawn, examined = [], []
+    build, closed_group = generators._draw_counts, generators._closed_group
 
     def recording(config, pairs):
         draw = build(config, pairs)
 
-        def wrapped(replication, retry):
-            calls.append((replication, retry))
-            return draw(replication, retry)
+        def wrapped(replications, retries):
+            drawn.extend(zip(replications, retries))
+            return draw(replications, retries)
         return wrapped
 
+    def examining(adj):
+        examined.append(adj.copy())
+        return closed_group(adj)
+
     monkeypatch.setattr(generators, "_draw_counts", recording)
-    return calls
+    monkeypatch.setattr(generators, "_closed_group", examining)
+    return drawn, examined
+
+
+def _numpy_inversion(games, p, uniforms):
+    """numpy's random_binomial_inversion, line by line, on the given
+    uniforms."""
+    q = 1.0 - p
+    qn = math.exp(games * math.log(q))
+    mean = games * p
+    bound = int(min(games, mean + 10.0 * math.sqrt(mean * q + 1)))
+    X, px, U = 0, qn, next(uniforms)
+    while U > px:
+        X += 1
+        if X > bound:
+            X, px, U = 0, qn, next(uniforms)
+        else:
+            U -= px
+            px = ((games - X + 1) * p * px) / (X * q)
+    return X
+
+
+def _count_philox(monkeypatch) -> list:
+    """One entry per numpy Philox built through generators."""
+    built = []
+    philox = np.random.Philox
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(generators.np.random, "Philox", counting)
+    return built
 
 
 class TestStructures:
@@ -239,6 +279,105 @@ class TestSimulateTournament:
             simulate_tournament(_config(3, games=4), replication=1 << 32)
 
 
+class TestDrawKernel:
+    """The vectorised draws against a fresh numpy Generator(Philox(key))."""
+
+    @pytest.mark.parametrize("games, philoxes", [(60, 0), (61, 1)])
+    def test_inversion_and_btpe_split(self, monkeypatch, games, philoxes):
+        # numpy inverts the cdf while games p <= 30 and samples by BTPE
+        # above; only the BTPE side builds a Philox
+        cfg = _config(6, games=games, seed=11)
+        expected = [_reference_draw(cfg, replication) for replication in
+                    range(5)]
+        built = _count_philox(monkeypatch)
+        for replication in range(5):
+            assert np.array_equal(simulate_tournament(cfg, replication).counts,
+                                  expected[replication])
+        assert len(built) == 5 * philoxes
+
+    @pytest.mark.parametrize("games", [1, 7, (1 << 62) + 3])
+    def test_probabilities_zero_and_one(self, games):
+        mu = np.array([-400.0, 400.0, 40.0, -40.0])
+        cfg = _config(4, games=games, seed=3, mu=mu)
+        p = _logistic(np.subtract.outer(mu, mu))
+        assert p[0, 1] == 0.0 and p[1, 2] == p[2, 3] == 1.0
+        for replication in range(3):
+            C = simulate_tournament(cfg, replication).counts
+            assert np.array_equal(C, _reference_draw(cfg, replication))
+            assert C[0, 1] == 0 and C[2, 3] == games
+
+    def test_one_game(self):
+        mu = np.array([0.7, -0.2, 0.0, -0.5])
+        for seed in (0, 1):
+            cfg = _config(4, games=1, seed=seed, mu=mu)
+            for replication in range(20):
+                assert np.array_equal(
+                    simulate_tournament(cfg, replication).counts,
+                    _reference_draw(cfg, replication))
+
+    def test_largest_keys(self):
+        mu = np.array([0.3, -0.1, 0.5, -0.7])
+        cfg = _config(4, games=16, seed=(1 << 64) - 1, mu=mu)
+        draw = generators._draw_counts(cfg, generators._pairs(cfg))
+        rows = [((1 << 32) - 1, (1 << 16) - 1), ((1 << 32) - 1, 0),
+                (0, (1 << 16) - 1)]
+        C = draw(*zip(*rows))
+        for c, (replication, retry) in zip(C, rows):
+            assert np.array_equal(c, _reference_draw(cfg, replication, retry))
+
+    def test_random_lanes(self):
+        # games 1-60 at abilities that put p on both sides of 1/2, random
+        # 64-bit seeds and random (replication, retry) rows
+        rng = np.random.default_rng(2024)
+        for _ in range(12):
+            mu = rng.normal(0.0, 1.5, 5)
+            cfg = _config(5, games=int(rng.integers(1, 61)),
+                          seed=int(rng.integers(0, 1 << 64, dtype=np.uint64)),
+                          mu=mu - mu.mean())
+            reps = rng.integers(0, 1 << 32, 4).tolist()
+            retries = rng.integers(0, 1 << 16, 4).tolist()
+            C = generators._draw_counts(cfg, generators._pairs(cfg))(
+                reps, retries)
+            for c, replication, retry in zip(C, reps, retries):
+                assert np.array_equal(c,
+                                      _reference_draw(cfg, replication, retry))
+
+    def test_uniforms_follow_numpy_stream(self):
+        # uniform k is word k % 4 of counter block k // 4 + 1
+        words = np.array([0, 5, (1 << 64) - 1], dtype=np.uint64)
+        for seed in (0, (1 << 64) - 1):
+            got = np.array([generators._uniform(seed, words, k)
+                            for k in range(9)]).T
+            for row, word in zip(got, words):
+                key = np.array([seed, word], dtype=np.uint64)
+                ref = np.random.Generator(np.random.Philox(key=key)).random(9)
+                assert np.array_equal(row, ref)
+
+    def test_restart_with_a_forced_uniform(self):
+        # a uniform above the cdf at the bound restarts the walk with the
+        # lane's next uniform, as numpy's loop does
+        top = 1.0 - 2.0 ** -53
+        lanes = [(1000, 0.001, [top, 0.3]), (1000, 0.001, [top, top, 0.9]),
+                 (1000, 0.001, [0.5]), (3, 0.5, [top]), (50, 0.4, [top, 0.7])]
+        for games in (1000, 3, 50):
+            rows = [(p, u) for g, p, u in lanes if g == games]
+            p = np.array([p for p, _ in rows])
+            forced = np.zeros((len(rows), 3))
+            for row, (_, u) in enumerate(rows):
+                forced[row, :len(u)] = u
+            asked = []
+
+            def uniform(at, k):
+                asked.append(k)
+                return forced[at, k]
+
+            pid, px, bound = generators._inversion_table(games, p)
+            got = generators._inversion(uniform, pid, px, bound)
+            for x, (pr, u) in zip(got, rows):
+                assert x == _numpy_inversion(games, pr, iter(u))
+            assert max(asked) == max(len(u) for _, u in rows) - 1
+
+
 class TestMonteCarlo:
     def test_requires_zero_abilities(self):
         cfg = _config(3, games=8, reps=5,
@@ -269,18 +408,27 @@ class TestMonteCarlo:
         assert res.structure == "circular"
         assert res.covariance.shape == (5, 5)
 
-    @pytest.mark.parametrize("structure, n, rejections, digest", [
-        ("circular", 7, 3,
-         "354be6fa8a98014c156a272f46c7f4b9b2df6d842732ecb7df77a793602a4524"),
-        ("round-robin", 4, 0,
-         "7d09afccb45cd661f20f438f7abb0c28d8f8dd7849fa13491f04dc3bf9a83485"),
+    @pytest.mark.parametrize("structure, n, games, rejections, digest", [
+        pytest.param(
+            "circular", 7, 4, 3,
+            "354be6fa8a98014c156a272f46c7f4b9b2df6d842732ecb7df77a793602a4524",
+            id="circular-7-3-354be6fa8a98014c156a272f46c7f4b9b2df6d842732ecb7"
+               "df77a793602a4524"),
+        pytest.param(
+            "round-robin", 4, 4, 0,
+            "7d09afccb45cd661f20f438f7abb0c28d8f8dd7849fa13491f04dc3bf9a83485",
+            id="round-robin-4-0-7d09afccb45cd661f20f438f7abb0c28d8f8dd7849fa"
+               "13491f04dc3bf9a83485"),
+        ("round-robin", 20, 2, 0,
+         "594a5beac8398b2e784f9556a18bbdc85e6b1329b131c7d69d36d44c03f02f78"),
     ])
-    def test_seed_42_covariance_is_pinned(self, structure, n, rejections,
-                                          digest):
+    def test_seed_42_covariance_is_pinned(self, structure, n, games,
+                                          rejections, digest):
         # bit for bit: the draw keying, the structure's pairs and the
-        # per-replication solve must not change (the ring redraws 3 times)
-        res = monte_carlo_covariance(_config(n, games=4, reps=30, seed=42),
-                                     structure)
+        # per-replication solve must not change (the ring redraws 3 times);
+        # the n = 20 round robin is the draw-bound design
+        res = monte_carlo_covariance(_config(n, games=games, reps=30,
+                                             seed=42), structure)
         assert res.rejections == rejections
         assert hashlib.sha256(res.covariance.tobytes()).hexdigest() == digest
 
@@ -315,13 +463,18 @@ class TestMonteCarlo:
                     expected = (rep, retry)
                 retry += 1
         assert expected is not None and expected[0] < cfg.replications - 1
-        calls = _record_draws(monkeypatch)
+        drawn, examined = _record_draws(monkeypatch)
         with pytest.raises(DegenerateSampleError) as exc:
             monte_carlo_covariance(cfg, "round-robin")
         assert str(exc.value) == (
             "more than half of all tournament draws were degenerate "
             "(41 rejections); increase games_per_pair")
-        assert calls[-1] == expected
+        # the last draw examined is the reference walk's last: its count is
+        # the accepted replications before it plus the 41 rejections
+        assert expected in drawn
+        assert len(examined) == expected[0] + 41
+        assert np.array_equal(examined[-1],
+                              _reference_draw(cfg, *expected) > 0)
 
     def test_redraws_follow_replication_order(self, monkeypatch):
         # more replications than one block, so blocks meet in the middle
@@ -334,39 +487,44 @@ class TestMonteCarlo:
                 C = _reference_draw(cfg, rep, retry)
                 if C.sum(axis=0).all() and is_irreducible(C):
                     break
-        calls = _record_draws(monkeypatch)
+        drawn, examined = _record_draws(monkeypatch)
         res = monte_carlo_covariance(cfg, "round-robin")
-        assert calls == expected
+        # the draws examined are the reference walk's, in its order
+        assert set(expected) <= set(drawn)
+        assert len(examined) == len(expected)
+        for adj, (rep, retry) in zip(examined, expected):
+            assert np.array_equal(adj, _reference_draw(cfg, rep, retry) > 0)
         assert res.rejections == len(expected) - reps > 0
 
     def test_retry_budget_exhausted(self, monkeypatch):
         # two players, one game: every draw has a zero column, and with
         # 2^16 replications the budget of one replication runs out before
         # rejections pass half of all draws
-        calls = _record_draws(monkeypatch)
+        drawn, examined = _record_draws(monkeypatch)
         with pytest.raises(DegenerateSampleError) as exc:
             monte_carlo_covariance(_config(2, games=1, reps=1 << 16),
                                    "round-robin")
         assert str(exc.value) == ("retry budget exhausted for a single "
                                   "replication; increase games_per_pair")
-        assert calls[-1] == (0, (1 << 16) - 1)
-        assert len(calls) == 1 << 16
+        # replication 0 is examined at every retry 0 .. 2^16 - 1, each
+        # drawn once, and nothing past the budget is drawn
+        assert sorted(retry for rep, retry in drawn if rep == 0) == \
+            list(range(1 << 16))
+        assert len(examined) == 1 << 16
 
     @pytest.mark.parametrize("structure, n", [("round-robin", 20),
                                               ("circular", 7)])
     def test_one_philox_per_call(self, monkeypatch, structure, n):
-        # per-pair generators cost one OS entropy read each
-        built = []
-        philox = np.random.Philox
-
-        def counting(*args, **kwargs):
-            built.append(1)
-            return philox(*args, **kwargs)
-
-        monkeypatch.setattr(generators.np.random, "Philox", counting)
+        # per-pair generators cost one OS entropy read each; numpy's
+        # inversion regime (8 games) is drawn without any, and the BTPE
+        # regime (100 games at p = 1/2) builds one over several blocks
+        built = _count_philox(monkeypatch)
         monte_carlo_covariance(_config(n, games=8, reps=150, seed=1),
                                structure)
-        assert len(built) <= 1
+        assert built == []
+        monte_carlo_covariance(_config(n, games=100, reps=70, seed=1),
+                               structure)
+        assert len(built) == 1
 
     def test_sample_without_variation_raises(self):
         # two games a pair: every accepted draw is the 1-1 split, so the

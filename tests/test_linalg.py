@@ -124,6 +124,13 @@ class TestStationaryVector:
         with pytest.raises(DomainError, match="not column-stochastic"):
             stationary_vector(P)
 
+    @pytest.mark.parametrize("shape", [(0, 0), (2, 0, 0), (0, 3, 3)])
+    def test_rejects_empty_chain(self, shape):
+        # the chain guard's min() used to fail on a zero-size array with
+        # numpy's ValueError
+        with pytest.raises(DimensionError, match="P is empty"):
+            stationary_vector(np.zeros(shape))
+
     def test_rejects_bad_tol(self):
         with pytest.raises(DomainError):
             stationary_vector(np.full((2, 2), 0.5), tol=0.0)
