@@ -112,7 +112,7 @@ def _check_fittable(counts: np.ndarray, labels) -> None:
         if losses[i] == 0:
             raise SeparationError(labels[i], "no losses")
     top = _closed_group(counts > 0)
-    if top is not None:
+    if top.any():
         rest = ", ".join(labels[i] for i in np.flatnonzero(~top))
         raise SeparationError(labels[np.argmax(top)],
                               f"no losses against {rest}")

@@ -8,11 +8,11 @@ gives. Where numpy inverts the binomial cdf (games min(p, 1 - p) <= 30),
 the draws of many (replication, retry, pair) lanes are computed at once:
 Philox4x64-10 on uint64 arrays and numpy's inversion walk in lockstep, at
 most 2^14 lanes at a time. In numpy's BTPE regime one Philox per call is
-re-keyed before each draw. The Monte Carlo draws a block of replications
-in one call and examines the draws in replication order. Redraws come in
-calls of about 2^10 lanes, since a call costs as much as that many lanes:
-retry 1 for the following replications of the block, then later retries
-of one replication. Each block is solved as one stack.
+re-keyed before each draw. The Monte Carlo checks a block's retry-0 draws
+as one stack and redraws the rejected ones in rounds: one call, about 2^10
+lanes (its fixed cost), gives each its next retry and the spare rows to
+the earliest. A walk over the rejection counts finds the error that one
+replication after another would meet. Each block is solved as one stack.
 """
 
 from __future__ import annotations
@@ -383,44 +383,44 @@ def monte_carlo_covariance(config: SimulationConfig,
     n, reps = config.n, config.replications
     pairs = _pairs(config, structure)
     draw = _draw_counts(config, pairs)
-    span = max(1, _REDRAW_LANES // len(pairs))  # rows of one redraw call
     Y = np.empty((reps, n))
     rejections = 0
     for start in range(0, reps, _BLOCK):
-        block = range(start, min(start + _BLOCK, reps))
-        C = draw(block, [0] * len(block))
-        first = range(0)  # replications whose retry 1 is drawn, in `again`
-        for b, rep in enumerate(block):
-            retry, batch = 0, range(0)
+        block = np.arange(start, min(start + _BLOCK, reps))
+        C = np.empty((len(block), n, n))
+        count = np.zeros(len(block), dtype=np.int64)  # rejected draws
+        todo, rows = np.arange(len(block)), 1
+        while todo.size:
+            # each in todo draws its next retry, and todo[0] its next `rows`
+            D = draw(block[np.r_[np.full(rows, todo[0]), todo[1:]]],
+                     np.r_[count[todo[0]] + np.arange(rows), count[todo[1:]]])
             # strongly connected on n >= 2 nodes: no column sums to zero
-            while _closed_group(C[b] > 0) is not None:
-                rejections += 1
-                if rejections > reps:
-                    raise DegenerateSampleError(
-                        f"more than half of all tournament draws were "
-                        f"degenerate ({rejections} rejections); increase "
-                        f"games_per_pair")
-                retry += 1
-                if retry == _MAX_RETRY:
-                    raise DegenerateSampleError(
-                        "retry budget exhausted for a single replication; "
-                        "increase games_per_pair")
-                # retry 1 is drawn for the next replications of the block
-                # at once, later retries in batches of up to _BLOCK
-                if retry == 1 and rep not in first:
-                    first = block[b:b + span]
-                    again = draw(first, [1] * len(first))
-                elif retry > 1 and retry not in batch:
-                    batch = range(retry, min(retry + min(span, _BLOCK),
-                                             _MAX_RETRY))
-                    redraws = draw([rep] * len(batch), batch)
-                C[b] = (again[rep - first.start] if retry == 1
-                        else redraws[retry - batch.start])
+            ok = ~_closed_group(D > 0).any(axis=1)
+            first = int(np.argmax(np.r_[ok[:rows], True]))  # rows if none
+            ok = np.r_[first < rows, ok[rows:]]
+            count[todo] += np.r_[first, ~ok[1:]]
+            C[todo[ok]] = D[np.r_[first, rows:len(D)][ok]]
+            todo = todo[~ok]
+            # the errors a one-by-one walk would meet are known up to todo[0]
+            head = todo[0] if todo.size else len(block) - 1
+            if rejections + count[:head + 1].sum() > reps:
+                raise DegenerateSampleError(
+                    f"more than half of all tournament draws were "
+                    f"degenerate ({reps + 1} rejections); increase "
+                    f"games_per_pair")
+            if count[head] == _MAX_RETRY:
+                raise DegenerateSampleError(
+                    "retry budget exhausted for a single replication; "
+                    "increase games_per_pair")
+            # no retry reaches _MAX_RETRY: todo[0] has drawn the most
+            rows = min(max(1, _REDRAW_LANES // len(pairs) - len(todo) + 1),
+                       _MAX_RETRY - int(count[head]))
+        rejections += int(count.sum())
         # influence weights normalize(pi / a) of each accepted draw
         a = C.sum(axis=1)
         w = stationary_vector(C / a[:, None, :]).vector / a
         y = np.log(w / w.sum(axis=1, keepdims=True))
-        Y[block.start:block.stop] = y - y.mean(axis=1, keepdims=True)
+        Y[block] = y - y.mean(axis=1, keepdims=True)
     if np.all(Y == Y[0]):
         raise DegenerateSampleError(
             f"all {reps} accepted tournament draws gave the same log "

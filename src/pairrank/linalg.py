@@ -5,6 +5,9 @@ stationary_vector is the one kernel every ranking goes through: a single LU
 solve, followed by a residual check against tol. It also solves a stack of
 chains at once, as the Monte Carlo does.
 
+The one graph traversal is _levels, a breadth-first search of a graph or
+a stack of them; components and strong connectivity are built on it.
+
 The package's input guards for a tolerance (_check_tol: positive) and a
 chain (_check_chain: nonnegative, columns summing to 1) live here too.
 
@@ -22,13 +25,6 @@ from .errors import (ConvergenceError, DimensionError, DomainError,
                      ReducibilityError)
 
 DEFAULT_TOL = 1e-12
-
-
-def _as_square(M) -> np.ndarray:
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {M.shape}")
-    return M
 
 
 def _check_tol(tol) -> None:
@@ -96,49 +92,49 @@ def stationary_vector(P, tol: float = DEFAULT_TOL) -> StationaryResult:
     return StationaryResult(x, float(residual) if P.ndim == 2 else residual)
 
 
-def _search(adj: np.ndarray, start: int = 0, seen=None):
-    """Depth-first search from start over the edges u -> v where adj[u, v],
-    past the nodes marked in seen, until all are. Returns the steps (u, the
-    nodes first reached from u) in order, and seen with those marked too."""
-    seen = np.zeros(adj.shape[0], dtype=bool) if seen is None else seen
-    seen[start] = True
-    stack, steps, left = [start], [], seen.size - np.count_nonzero(seen)
-    while stack and left:
-        u = stack.pop()
-        row = adj[u] & ~seen
-        new = row.nonzero()[0]
-        seen |= row
-        left -= len(new)
-        stack.extend(new.tolist())
-        steps.append((u, new))
-    return steps, seen
+def _levels(adj: np.ndarray, start: int = 0) -> np.ndarray:
+    """Breadth-first levels from start over the edges u -> v where
+    adj[..., u, v], of a graph (n, n) or each graph of a stack (m, n, n):
+    edges on a shortest path from start, -1 where it cannot reach. The rows
+    of a level's nodes are read together, each reached node's row once,
+    until every node is reached."""
+    graphs = adj.reshape(-1, *adj.shape[-2:])
+    level = np.full(graphs.shape[:2], -1)
+    level[:, start] = 0
+    g, u = np.arange(len(graphs)), np.full(len(graphs), start)
+    while g.size and level.min() < 0:
+        depth = level.max() + 1
+        at, v = (graphs[g, u] & (level < 0)[g]).nonzero()
+        level[g[at], v] = depth
+        g, u = (level == depth).nonzero()
+    return level.reshape(adj.shape[:-1])
 
 
 def _components(adj: np.ndarray) -> list[list[int]]:
-    """Nodes reached from each smallest unvisited node over the edges u -> v
-    where adj[u, v], ascending: the components when adj is symmetric."""
-    seen = np.zeros(adj.shape[0], dtype=bool)
-    comps = []
-    while not seen.all():
-        before = seen.copy()
-        _search(adj, int(np.argmin(seen)), seen)
-        comps.append(np.flatnonzero(seen & ~before).tolist())
-    return comps
+    """Components of the graph of a symmetric adj, each ascending, in the
+    order of their smallest node."""
+    label = np.full(adj.shape[0], -1)
+    while (label < 0).any():
+        label[_levels(adj, int(np.argmin(label))) >= 0] = label.max() + 1
+    return [np.flatnonzero(label == c).tolist()
+            for c in range(label.max(initial=-1) + 1)]
 
 
-def _closed_group(adj: np.ndarray) -> np.ndarray | None:
-    """None when the graph of adj is strongly connected, else a mask of a
-    group with no edge into it: what node 0 cannot reach, or else what
-    reaches node 0. For n >= 2 counts C and adj = C > 0, None is exactly
-    when C A^-1 has a unique positive stationary vector and exactly when
-    the Bradley-Terry MLE exists (Zermelo 1929; Ford 1957)."""
-    reached = _search(adj)[1]
-    if not reached.all():
-        return ~reached
-    reached = _search(adj.T)[1]
-    return None if reached.all() else reached
+def _closed_group(adj: np.ndarray) -> np.ndarray:
+    """A mask of a group with no edge into it, of a graph or each graph of
+    a stack: what node 0 cannot reach, or else what reaches node 0; all
+    False exactly when the graph is strongly connected. For n >= 2 counts C
+    and adj = C > 0, exactly when C A^-1 has a unique positive stationary
+    vector and the Bradley-Terry MLE exists (Zermelo 1929; Ford 1957)."""
+    ahead = _levels(adj) >= 0
+    behind = _levels(np.swapaxes(adj, -1, -2)) >= 0
+    return np.where(ahead.all(axis=-1, keepdims=True),
+                    behind & ~behind.all(axis=-1, keepdims=True), ~ahead)
 
 
 def is_irreducible(C) -> bool:
     """True when the positive entries of C form a strongly connected graph."""
-    return _closed_group(_as_square(C) > 0) is None
+    C = np.asarray(C, dtype=float)
+    if C.ndim != 2 or C.shape[0] != C.shape[1]:
+        raise DimensionError(f"expected a square matrix, got shape {C.shape}")
+    return not _closed_group(C > 0).any()

@@ -23,7 +23,7 @@ import numpy as np
 from .bradley_terry import _require_connected, fit_bt
 from .counts import CountMatrix, as_count_matrix
 from .errors import ConsistencyError, DomainError, NotQuasiSymmetricError
-from .linalg import DEFAULT_TOL, _check_tol, _search, stationary_vector
+from .linalg import DEFAULT_TOL, _check_tol, _levels, stationary_vector
 from .rankings import influence_weight, transition_matrix
 
 DEFAULT_QS_TOL = 1e-8
@@ -183,9 +183,10 @@ class QSDecomposition:
 def decompose_qs(C, tol: float = DEFAULT_QS_TOL) -> QSDecomposition:
     """Recover d and S from a quasi-symmetric matrix.
 
-    d is propagated along a spanning tree of the reciprocal-support graph
-    (pairs with counts in both directions) via d_v = d_u c_vu / c_uv, then
-    the verdict is max asymmetry of diag(d)^-1 C against tol. Disconnected
+    d is propagated by breadth-first levels from node 0 of the
+    reciprocal-support graph (pairs with counts in both directions): d_v =
+    d_u c_vu / c_uv, u the lowest-indexed neighbour one level up. Then the
+    verdict is max asymmetry of diag(d)^-1 C against tol. Disconnected
     reciprocal support means d is not identified and raises the
     connectivity error; asymmetry beyond tol raises the quasi-symmetry
     error with the worst entry.
@@ -195,12 +196,14 @@ def decompose_qs(C, tol: float = DEFAULT_QS_TOL) -> QSDecomposition:
     counts = C.counts
     mutual = (counts > 0) & (counts.T > 0)
 
-    d = np.ones(C.n)
-    steps, seen = _search(mutual)
-    for u, new in steps:
-        d[new] = d[u] * counts[new, u] / counts[u, new]
-    if not seen.all():
+    level = _levels(mutual)
+    if (level < 0).any():
         _require_connected(mutual, C.labels)
+    d = np.ones(C.n)
+    for depth in range(1, level.max() + 1):
+        prev, new = np.flatnonzero(level == depth - 1), level == depth
+        parent = prev[np.argmax(mutual[prev][:, new], axis=0)]
+        d[new] = d[parent] * counts[new, parent] / counts[parent, new]
 
     M = counts / d[:, None]
     asym = np.abs(M - M.T)

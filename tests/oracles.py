@@ -4,14 +4,14 @@ Everything here avoids the package's own iterative code paths on purpose:
 eigenvectors come straight from LAPACK (numpy.linalg.eig), maximum
 likelihood fits from scipy.optimize with an analytic gradient, derivatives
 from central finite differences of the LAPACK route, and graph components
-from scipy.sparse.csgraph. Nothing here imports the package.
+and reachability from scipy.sparse.csgraph. Nothing here imports the package.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 
 def graph_components(adj: np.ndarray, strong: bool) -> list[list[int]]:
@@ -22,6 +22,16 @@ def graph_components(adj: np.ndarray, strong: bool) -> list[list[int]]:
         np.asarray(adj, dtype=bool), directed=True,
         connection="strong" if strong else "weak")
     return sorted(np.flatnonzero(labels == c).tolist() for c in range(count))
+
+
+def graph_reach(adj: np.ndarray, start: int) -> np.ndarray:
+    """Mask of the nodes reached from start over the edges u -> v where
+    adj[u, v], start included."""
+    order = breadth_first_order(np.asarray(adj, dtype=bool), start,
+                                directed=True, return_predecessors=False)
+    reached = np.zeros(len(adj), dtype=bool)
+    reached[order] = True
+    return reached
 
 
 def stationary_eig(P: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""The existence checks against scipy's graph components.
+"""The graph search and the existence checks against scipy's graph
+components.
 
 For n >= 2 counts, the undamped chain C A^-1 has a unique positive
 stationary vector exactly when the Bradley-Terry MLE exists: both need a
@@ -10,14 +11,18 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pairrank.bradley_terry import fit_bt
+from pairrank import generators
+from pairrank.bradley_terry import AbilityVector, fit_bt
+from pairrank.counts import default_labels
 from pairrank.errors import (ConnectivityError, DanglingNodeError,
                              ReducibilityError, SeparationError)
-from pairrank.linalg import _components, _search, is_irreducible
+from pairrank.generators import SimulationConfig
+from pairrank.linalg import (_closed_group, _components, _levels,
+                             is_irreducible)
 from pairrank.quasisym import decompose_qs
 from pairrank.rankings import influence_weight
 
-from oracles import graph_components
+from oracles import graph_components, graph_reach
 
 CASES = 400
 
@@ -44,45 +49,29 @@ def cases():
     return out
 
 
-def _reference_search(adj, start, seen):
-    """Depth-first search over plain lists: pop a node, mark the unmarked
-    nodes it points to in index order, push them, stop once all are
-    marked."""
-    n = len(adj)
-    seen = list(seen)
-    seen[start] = True
-    stack, steps = [start], []
-    while stack and not all(seen):
-        u = stack.pop()
-        new = [v for v in range(n) if adj[u][v] and not seen[v]]
-        for v in new:
-            seen[v] = True
-        stack.extend(new)
-        steps.append((u, new))
-    return steps, seen
+def _reference_levels(adj, start):
+    """Breadth-first search over plain lists: each node's number of edges
+    on a shortest path from start, -1 where start cannot reach."""
+    level = [-1] * len(adj)
+    level[start] = 0
+    queue = [start]
+    for u in queue:
+        for v, edge in enumerate(adj[u]):
+            if edge and level[v] < 0:
+                level[v] = level[u] + 1
+                queue.append(v)
+    return level
 
 
-def test_search_steps_match_a_reference_dfs(cases):
-    # decompose_qs propagates d along these steps, so their order matters
+def test_search_levels_match_a_reference_bfs(cases):
+    # decompose_qs propagates d level by level, so the levels must be exact
     for seed, (C, _) in enumerate(cases):
         n = C.shape[0]
-        marked = np.random.default_rng(20_000 + seed).random(n) < 0.3
+        start = int(np.random.default_rng(20_000 + seed).integers(1, n))
         for adj in (C > 0, (C > 0).T, (C > 0) & (C.T > 0)):
-            steps, seen = _search(adj)
-            ref_steps, ref_seen = _reference_search(adj.tolist(), 0,
-                                                    [False] * n)
-            assert [(u, new.tolist()) for u, new in steps] == ref_steps
-            assert seen.tolist() == ref_seen
-            if marked.all():
-                continue
-            start = int(np.argmin(marked))
-            seen = marked.copy()
-            ref_steps, ref_seen = _reference_search(adj.tolist(), start,
-                                                    seen.tolist())
-            steps, returned = _search(adj, start, seen)
-            assert returned is seen
-            assert [(u, new.tolist()) for u, new in steps] == ref_steps
-            assert seen.tolist() == ref_seen
+            for s in (0, start):
+                assert _levels(adj, s).tolist() == \
+                    _reference_levels(adj.tolist(), s)
 
 
 def test_cases_mix_both_outcomes(cases):
@@ -93,6 +82,39 @@ def test_cases_mix_both_outcomes(cases):
 def test_is_irreducible(cases):
     for C, connected in cases:
         assert is_irreducible(C) == connected
+
+
+def _check_closed_groups(adj: np.ndarray) -> None:
+    # per graph of the stack: what node 0 cannot reach, or else what
+    # reaches node 0, and nothing exactly when scipy finds one strong
+    # component
+    groups = _closed_group(adj)
+    assert groups.shape == adj.shape[:2]
+    for a, group in zip(adj, groups):
+        ahead = graph_reach(a, 0)
+        expected = ~ahead if not ahead.all() else graph_reach(a.T, 0)
+        if expected.all():
+            expected = ~expected
+        assert np.array_equal(group, expected)
+        assert group.any() == (len(graph_components(a, strong=True)) > 1)
+
+
+def test_closed_group_of_stacks_matches_scipy(cases):
+    by_n = {}
+    for C, _ in cases:
+        by_n.setdefault(C.shape[0], []).append(C > 0)
+    for adjs in by_n.values():
+        _check_closed_groups(np.stack(adjs))
+    # blocks of drawn tournaments, at games low enough to reject some
+    for structure, n, games in [("round-robin", 3, 1), ("circular", 7, 2),
+                                ("circular", 30, 4)]:
+        cfg = SimulationConfig(AbilityVector(np.zeros(n), default_labels(n)),
+                               games_per_pair=games, replications=1, seed=7)
+        draw = generators._draw_counts(cfg, generators._pairs(cfg, structure))
+        adj = draw(np.arange(generators._BLOCK),
+                   np.zeros(generators._BLOCK)) > 0
+        assert 0 < _closed_group(adj).any(axis=1).sum() < len(adj)
+        _check_closed_groups(adj)
 
 
 def test_bt_fit_exists_exactly_when_strongly_connected(cases):

@@ -46,24 +46,30 @@ def _reference_draw(cfg, replication, retry=0):
     return C
 
 
-def _record_draws(monkeypatch) -> tuple[list, list]:
+def _record_draws(monkeypatch) -> tuple[list, dict]:
     """What the Monte Carlo draws and what it examines: (drawn, examined),
     drawn the (replication, retry) of every tournament drawn, in batches
-    and ahead of use, and examined the support C > 0 of every draw the
-    degeneracy check sees, in the order it sees them."""
-    drawn, examined = [], []
+    and ahead of use, and examined the support C > 0 the degeneracy check
+    sees of each (replication, retry). The check must take exactly the
+    stack of the draw call before it."""
+    drawn, examined, pending = [], {}, []
     build, closed_group = generators._draw_counts, generators._closed_group
 
     def recording(config, pairs):
         draw = build(config, pairs)
 
         def wrapped(replications, retries):
-            drawn.extend(zip(replications, retries))
+            keys = list(zip(np.asarray(replications).tolist(),
+                            np.asarray(retries).tolist()))
+            drawn.extend(keys)
+            pending[:] = keys
             return draw(replications, retries)
         return wrapped
 
     def examining(adj):
-        examined.append(adj.copy())
+        assert adj.shape[0] == len(pending)
+        examined.update(zip(pending, adj.copy()))
+        pending.clear()
         return closed_group(adj)
 
     monkeypatch.setattr(generators, "_draw_counts", recording)
@@ -408,26 +414,38 @@ class TestMonteCarlo:
         assert res.structure == "circular"
         assert res.covariance.shape == (5, 5)
 
-    @pytest.mark.parametrize("structure, n, games, rejections, digest", [
+    @pytest.mark.parametrize("structure, n, games, reps, rejections, digest", [
         pytest.param(
-            "circular", 7, 4, 3,
+            "circular", 7, 4, 30, 3,
             "354be6fa8a98014c156a272f46c7f4b9b2df6d842732ecb7df77a793602a4524",
             id="circular-7-3-354be6fa8a98014c156a272f46c7f4b9b2df6d842732ecb7"
                "df77a793602a4524"),
         pytest.param(
-            "round-robin", 4, 4, 0,
+            "round-robin", 4, 4, 30, 0,
             "7d09afccb45cd661f20f438f7abb0c28d8f8dd7849fa13491f04dc3bf9a83485",
             id="round-robin-4-0-7d09afccb45cd661f20f438f7abb0c28d8f8dd7849fa"
                "13491f04dc3bf9a83485"),
-        ("round-robin", 20, 2, 0,
-         "594a5beac8398b2e784f9556a18bbdc85e6b1329b131c7d69d36d44c03f02f78"),
+        pytest.param(
+            "round-robin", 20, 2, 30, 0,
+            "594a5beac8398b2e784f9556a18bbdc85e6b1329b131c7d69d36d44c03f02f78",
+            id="round-robin-20-2-0-594a5beac8398b2e784f9556a18bbdc85e6b1329b1"
+               "31c7d69d36d44c03f02f78"),
+        pytest.param(
+            "round-robin", 3, 2, 1000, 357,
+            "a295ddc05203f14991d9fb8768c76f8623f729f7c9a8ee85772d879d4493eef2",
+            id="round-robin-3-2-1000-357"),
+        pytest.param(
+            "circular", 7, 4, 1000, 141,
+            "e3a2806d06ec44c5caa835ad51f49479323b8587d0f14c5acab9efe95fd19706",
+            id="circular-7-4-1000-141"),
     ])
-    def test_seed_42_covariance_is_pinned(self, structure, n, games,
+    def test_seed_42_covariance_is_pinned(self, structure, n, games, reps,
                                           rejections, digest):
         # bit for bit: the draw keying, the structure's pairs and the
         # per-replication solve must not change (the ring redraws 3 times);
-        # the n = 20 round robin is the draw-bound design
-        res = monte_carlo_covariance(_config(n, games=games, reps=30,
+        # the n = 20 round robin is the draw-bound design, and the two
+        # 1000-replication designs redraw hundreds of times across blocks
+        res = monte_carlo_covariance(_config(n, games=games, reps=reps,
                                              seed=42), structure)
         assert res.rejections == rejections
         assert hashlib.sha256(res.covariance.tobytes()).hexdigest() == digest
@@ -441,9 +459,21 @@ class TestMonteCarlo:
         assert res.replications == 60
 
     def test_all_degenerate_raises(self):
-        # two players, one game: one column is always zero
-        with pytest.raises(DegenerateSampleError):
+        # two players, one game: one column is always zero, so the first
+        # replication alone passes half of all draws
+        with pytest.raises(DegenerateSampleError) as exc:
             monte_carlo_covariance(_config(2, games=1, reps=10), "round-robin")
+        assert str(exc.value) == (
+            "more than half of all tournament draws were degenerate "
+            "(11 rejections); increase games_per_pair")
+        # a 30-ring at 4 games: two pairs swept 4-0 in opposite directions
+        # around the ring cut it, and most draws have such a pair of pairs
+        with pytest.raises(DegenerateSampleError) as exc:
+            monte_carlo_covariance(_config(30, games=4, reps=500, seed=42),
+                                   "circular")
+        assert str(exc.value) == (
+            "more than half of all tournament draws were degenerate "
+            "(501 rejections); increase games_per_pair")
 
     @pytest.mark.parametrize("seed", [0, 5, 42])
     def test_too_many_rejections_fire_at_the_same_draw(self, monkeypatch,
@@ -451,30 +481,30 @@ class TestMonteCarlo:
         # one game a pair on three players: only the two 3-cycles of the 8
         # outcomes are irreducible, so rejections pass reps part way through
         cfg = _config(3, games=1, reps=40, seed=seed)
-        rejections, expected = 0, None
+        rejections, walk = 0, []
         for rep in range(cfg.replications):
             retry = 0
-            while expected is None:
+            while rejections <= cfg.replications:
+                walk.append((rep, retry))
                 C = _reference_draw(cfg, rep, retry)
                 if C.sum(axis=0).all() and is_irreducible(C):
                     break
                 rejections += 1
-                if rejections > cfg.replications:
-                    expected = (rep, retry)
                 retry += 1
-        assert expected is not None and expected[0] < cfg.replications - 1
+        expected = walk[-1]
+        assert rejections == 41 and expected[0] < cfg.replications - 1
         drawn, examined = _record_draws(monkeypatch)
         with pytest.raises(DegenerateSampleError) as exc:
             monte_carlo_covariance(cfg, "round-robin")
         assert str(exc.value) == (
             "more than half of all tournament draws were degenerate "
             "(41 rejections); increase games_per_pair")
-        # the last draw examined is the reference walk's last: its count is
-        # the accepted replications before it plus the 41 rejections
+        # every draw of the reference walk, up to the one where it fires,
+        # was drawn and its support examined
         assert expected in drawn
-        assert len(examined) == expected[0] + 41
-        assert np.array_equal(examined[-1],
-                              _reference_draw(cfg, *expected) > 0)
+        for key in walk:
+            assert np.array_equal(examined[key],
+                                  _reference_draw(cfg, *key) > 0)
 
     def test_redraws_follow_replication_order(self, monkeypatch):
         # more replications than one block, so blocks meet in the middle
@@ -489,11 +519,11 @@ class TestMonteCarlo:
                     break
         drawn, examined = _record_draws(monkeypatch)
         res = monte_carlo_covariance(cfg, "round-robin")
-        # the draws examined are the reference walk's, in its order
+        # every draw of the reference walk was drawn and examined
         assert set(expected) <= set(drawn)
-        assert len(examined) == len(expected)
-        for adj, (rep, retry) in zip(examined, expected):
-            assert np.array_equal(adj, _reference_draw(cfg, rep, retry) > 0)
+        for key in expected:
+            assert np.array_equal(examined[key],
+                                  _reference_draw(cfg, *key) > 0)
         assert res.rejections == len(expected) - reps > 0
 
     def test_retry_budget_exhausted(self, monkeypatch):
@@ -506,11 +536,12 @@ class TestMonteCarlo:
                                    "round-robin")
         assert str(exc.value) == ("retry budget exhausted for a single "
                                   "replication; increase games_per_pair")
-        # replication 0 is examined at every retry 0 .. 2^16 - 1, each
-        # drawn once, and nothing past the budget is drawn
+        # replication 0 is drawn once and examined at every retry
+        # 0 .. 2^16 - 1, and nothing past the budget is drawn
         assert sorted(retry for rep, retry in drawn if rep == 0) == \
             list(range(1 << 16))
-        assert len(examined) == 1 << 16
+        assert all((0, retry) in examined for retry in range(1 << 16))
+        assert max(retry for _, retry in drawn) < 1 << 16
 
     @pytest.mark.parametrize("structure, n", [("round-robin", 20),
                                               ("circular", 7)])
