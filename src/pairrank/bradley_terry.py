@@ -12,6 +12,13 @@ singular along the all-ones gauge direction, so each step solves
 which keeps delta sum-zero, and then halves the step until the
 log-likelihood rises (backtracking). tol bounds the relative score residual
 max_i |W_i - sum_j n_ij p_ij| / sum_j n_ij, checked before every step.
+
+A fit holds four n x n float arrays: the counts without their diagonal,
+the games n_ij, the win probabilities p_ij and one work buffer, which takes
+the expected wins n_ij p_ij and then, in place, F + e e^T / n for the solve.
+The log-likelihood is summed from the nonzero counts a block of rows at a
+time. The deviance is built in the probability buffer, and the counts are
+dropped before the covariance's inverse.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ DEFAULT_FIT_TOL = 1e-10
 DEFAULT_FIT_MAX_ITER = 100
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 40
+_BLOCK = 1 << 14  # entries of counts per log-likelihood block
 
 
 @dataclass(frozen=True)
@@ -66,14 +74,25 @@ class FitReport:
     residual: float
 
 
-def _logistic(x):
+def _logistic(x, out=None, work=None):
+    """1 / (1 + exp(-x)) elementwise, through e = exp(-|x|), which never
+    overflows: 1 / (1 + e) where x >= 0 and e / (1 + e) elsewhere. out may
+    be x itself, and work, if given, is scratch of x's shape; with both, an
+    n x n call allocates only its boolean mask."""
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    nonneg = x >= 0
+    e = np.abs(x, out=out)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    denominator = np.add(e, 1.0, out=work)
+    np.copyto(e, 1.0, where=nonneg)
+    return np.divide(e, denominator, out=e)
+
+
+def _win_probabilities(mu: np.ndarray, out: np.ndarray,
+                       work: np.ndarray) -> np.ndarray:
+    """P(i beats j) = logistic(mu_i - mu_j) into out; work is scratch."""
+    return _logistic(np.subtract.outer(mu, mu, out=out), out=out, work=work)
 
 
 def _off_diagonal(C: CountMatrix) -> np.ndarray:
@@ -89,12 +108,56 @@ def _require_connected(games: np.ndarray, labels) -> None:
         raise ConnectivityError([[labels[i] for i in comp] for comp in comps])
 
 
-def _fisher(games: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Fisher information at win probabilities p (p.T = 1 - p)."""
-    weight = games * p * p.T
-    F = -weight
-    np.fill_diagonal(F, weight.sum(axis=1))
-    return F
+def _gauged_fisher(expected: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Turn expected = games * p, the expected wins at win probabilities p
+    (p.T = 1 - p), in place into F + e e^T / n: the Fisher information
+    plus the gauge term."""
+    expected *= p.T
+    diagonal = expected.sum(axis=1)
+    np.negative(expected, out=expected)
+    np.fill_diagonal(expected, diagonal)
+    expected += 1.0 / len(p)
+    return expected
+
+
+def _loglik(counts: np.ndarray, mu: np.ndarray) -> float:
+    """l(mu) = -sum_{i != j} c_ij log(1 + exp(mu_j - mu_i)), gathered from
+    the nonzero counts a block of rows at a time: no list of all of them is
+    kept, and a sparse table costs little more than its nonzeros."""
+    n = len(mu)
+    height = max(1, _BLOCK // n)
+    total = 0.0
+    for start in range(0, n, height):
+        block = counts[start:start + height]
+        rows, cols = np.nonzero(block)
+        total += block[rows, cols] @ np.logaddexp(
+            0.0, mu[cols] - mu[rows + start])
+    return -float(total)
+
+
+def _deviance(counts: np.ndarray, games: np.ndarray, mu: np.ndarray,
+              p: np.ndarray, work: np.ndarray) -> float:
+    """The deviance (see bt_deviance), built in p; work is scratch."""
+    won = counts > 0
+    terms = np.multiply(games, _win_probabilities(mu, p, work), out=p)
+    np.divide(counts, terms, out=terms, where=won)
+    np.log(terms, out=terms, where=won)
+    np.multiply(counts, terms, out=terms, where=won)
+    return float(2.0 * terms[won].sum())
+
+
+def _covariance(games: np.ndarray, mu: np.ndarray, p: np.ndarray,
+                work: np.ndarray) -> np.ndarray:
+    """inv(F + e e^T / n) - e e^T / n at mu (see bt_covariance); p and
+    work are scratch."""
+    np.multiply(games, _win_probabilities(mu, p, work), out=work)
+    try:
+        covariance = np.linalg.inv(_gauged_fisher(work, p))
+    except np.linalg.LinAlgError as exc:
+        raise DecompositionError(
+            f"Fisher information is singular beyond the gauge: {exc}") from exc
+    covariance -= 1.0 / len(mu)
+    return covariance
 
 
 def _check_fittable(counts: np.ndarray, labels) -> None:
@@ -102,7 +165,13 @@ def _check_fittable(counts: np.ndarray, labels) -> None:
     where u beat v) is strongly connected (linalg._closed_group). Otherwise
     some group of players never lost to the rest, and their abilities
     diverge from the others'. A disconnected graph and a player without
-    wins or losses are the common cases and get their own messages."""
+    wins or losses are the common cases and get their own messages; they
+    are looked for only once the win graph is found not strongly
+    connected, which a connected graph with a win and a loss for every
+    player can still be."""
+    top = _closed_group(counts > 0)
+    if not top.any():
+        return
     _require_connected(counts + counts.T, labels)
     wins = counts.sum(axis=1)
     losses = counts.sum(axis=0)
@@ -111,11 +180,8 @@ def _check_fittable(counts: np.ndarray, labels) -> None:
             raise SeparationError(labels[i], "no wins")
         if losses[i] == 0:
             raise SeparationError(labels[i], "no losses")
-    top = _closed_group(counts > 0)
-    if top.any():
-        rest = ", ".join(labels[i] for i in np.flatnonzero(~top))
-        raise SeparationError(labels[np.argmax(top)],
-                              f"no losses against {rest}")
+    rest = ", ".join(labels[i] for i in np.flatnonzero(~top))
+    raise SeparationError(labels[np.argmax(top)], f"no losses against {rest}")
 
 
 def fit_bt(C, tol: float = DEFAULT_FIT_TOL,
@@ -140,40 +206,39 @@ def fit_bt(C, tol: float = DEFAULT_FIT_TOL,
     games = counts + counts.T
     wins = counts.sum(axis=1)
     played = games.sum(axis=1)
-    rows, cols = np.nonzero(counts)
-    won = counts[rows, cols]
-
-    def loglik(mu):
-        return -float(won @ np.logaddexp(0.0, mu[cols] - mu[rows]))
+    # l sums one term per nonzero count, so rounding alone moves it by up
+    # to about this much times |l|; a trial that loses no more is no loss
+    noise = 16 * np.finfo(float).eps * np.count_nonzero(counts)
+    p, work = np.empty((n, n)), np.empty((n, n))
 
     mu = np.zeros(n)
-    ll = loglik(mu)
+    ll = _loglik(counts, mu)
     for step in range(max_iter + 1):
-        p = _logistic(np.subtract.outer(mu, mu))
-        score = wins - (games * p).sum(axis=1)
+        expected = np.multiply(games, _win_probabilities(mu, p, work),
+                               out=work)
+        score = wins - expected.sum(axis=1)
         residual = float(np.max(np.abs(score) / played))
         if residual <= tol:
             abilities = AbilityVector(mu - mu.mean(), C.labels)
+            deviance = _deviance(counts, games, abilities.mu, p, work)
+            del counts  # not needed by the covariance's inverse
             return FitReport(
                 abilities=abilities,
-                covariance=_covariance(games, abilities.mu),
-                deviance=bt_deviance(C, abilities),
+                covariance=_covariance(games, abilities.mu, p, work),
+                deviance=deviance,
                 iterations=step,
                 converged=True,
                 residual=residual,
             )
         if step == max_iter:
             break
-        delta = np.linalg.solve(_fisher(games, p) + 1.0 / n, score)
+        delta = np.linalg.solve(_gauged_fisher(expected, p), score)
         ascent = _ARMIJO * float(score @ delta)
-        # l sums won.size terms, so rounding alone moves it by up to about
-        # this much; a trial that loses no more than that is no loss
-        noise = 16 * np.finfo(float).eps * won.size * abs(ll)
         t = 1.0
         for _ in range(_MAX_HALVINGS):
             trial = mu + t * delta
-            ll_trial = loglik(trial)
-            if ll_trial >= ll + t * ascent - noise:
+            ll_trial = _loglik(counts, trial)
+            if ll_trial >= ll + t * ascent - noise * abs(ll):
                 break
             t *= 0.5
         else:
@@ -196,16 +261,6 @@ def _as_mu(mu, n: int) -> np.ndarray:
     return mu
 
 
-def _covariance(games: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    n = len(mu)
-    F = _fisher(games, _logistic(np.subtract.outer(mu, mu)))
-    try:
-        return np.linalg.inv(F + 1.0 / n) - 1.0 / n
-    except np.linalg.LinAlgError as exc:
-        raise DecompositionError(
-            f"Fisher information is singular beyond the gauge: {exc}") from exc
-
-
 def bt_covariance(C, mu) -> np.ndarray:
     """Asymptotic covariance of the abilities: pseudoinverse of the Fisher
     information at mu.
@@ -221,8 +276,9 @@ def bt_covariance(C, mu) -> np.ndarray:
     mu = _as_mu(mu, C.n)
     counts = _off_diagonal(C)
     games = counts + counts.T
+    del counts
     _require_connected(games, C.labels)
-    return _covariance(games, mu)
+    return _covariance(games, mu, np.empty_like(games), np.empty_like(games))
 
 
 def bt_deviance(C, mu) -> float:
@@ -235,11 +291,8 @@ def bt_deviance(C, mu) -> float:
     mu = _as_mu(mu, C.n)
     counts = _off_diagonal(C)
     games = counts + counts.T
-    p = _logistic(np.subtract.outer(mu, mu))
-    expected = games * p
-    mask = counts > 0
-    terms = counts[mask] * np.log(counts[mask] / expected[mask])
-    return float(2.0 * terms.sum())
+    return _deviance(counts, games, mu, np.empty_like(games),
+                     np.empty_like(games))
 
 
 def predict_prob(mu: AbilityVector, i: int, j: int) -> float:

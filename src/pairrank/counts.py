@@ -34,6 +34,8 @@ class CountMatrix:
         if counts.ndim != 2 or counts.shape[0] != counts.shape[1]:
             raise DimensionError(
                 f"count matrix must be square, got shape {counts.shape}")
+        if counts.size == 0:
+            raise DimensionError("count matrix is empty, got shape (0, 0)")
         if not np.all(np.isfinite(counts)):
             raise DomainError("count matrix contains non-finite entries")
         if np.any(counts < 0):

@@ -137,4 +137,6 @@ def is_irreducible(C) -> bool:
     C = np.asarray(C, dtype=float)
     if C.ndim != 2 or C.shape[0] != C.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {C.shape}")
+    if C.size == 0:
+        raise DimensionError("C is empty, got shape (0, 0)")
     return not _closed_group(C > 0).any()

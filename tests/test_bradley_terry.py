@@ -1,9 +1,12 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pairrank.bradley_terry import (AbilityVector, bt_covariance, bt_deviance,
-                                    fit_bt, predict_prob)
+from pairrank.bradley_terry import (AbilityVector, _loglik, bt_covariance,
+                                    bt_deviance, fit_bt, predict_prob)
 from pairrank.counts import CountMatrix
 from pairrank.errors import (ConnectivityError, ConvergenceError,
                              DimensionError, DomainError, SeparationError)
@@ -11,6 +14,34 @@ from pairrank.errors import (ConnectivityError, ConvergenceError,
 from oracles import bt_mle, quasi_symmetric_ring, random_counts
 
 WORKED = np.array([[0, 1, 1], [2, 0, 2], [4, 4, 0]], float)
+
+
+def dense_noisy(n, seed):
+    """C = diag(d) S with S symmetric in [1, 10], times lognormal noise."""
+    rng = np.random.default_rng(seed)
+    S = np.triu(rng.uniform(1.0, 10.0, (n, n)), 1)
+    C = rng.uniform(0.5, 2.0, n)[:, None] * (S + S.T)
+    return C * rng.lognormal(0.0, 0.2, (n, n))
+
+
+def sparse_lognormal(seed, sizes, sigmas, densities):
+    """Lognormal counts on a random subset of the pairs."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(*sizes))
+    C = rng.lognormal(0.0, float(rng.uniform(*sigmas)), (n, n))
+    C *= rng.random((n, n)) < rng.uniform(*densities)
+    np.fill_diagonal(C, 0.0)
+    return C
+
+
+def peak_bytes(call):
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
 
 
 class TestFit:
@@ -130,6 +161,87 @@ class TestFit:
         with pytest.raises(SeparationError) as exc:
             fit_bt(CountMatrix(C, ("a", "b", "c")))
         assert exc.value.label == "b"
+
+
+class TestPinnedFit:
+    # sha256 of mu and of the covariance bytes, the deviance and residual
+    # in hex and the step count, as the fit gave them before it was moved
+    # into fixed buffers; the two sparse tables halve Newton steps 14 times
+    PINNED = {
+        "dense-noisy-300": (
+            lambda: dense_noisy(300, 1701),
+            "2d07c95a5ba81af989520cac46e4b6d17ecdf7fd110a15e218e84b0787f09c00",
+            "24981ebc208bc8aadb5ab22532fbbc34080d7026eaf749a77368350ac63ba862",
+            "0x1.642daa3d43057p+13", 4, "0x1.fb94a99358258p-47"),
+        "ring-200": (
+            lambda: quasi_symmetric_ring(200, seed=3)[0],
+            "5383d8d55ad1d942e424ce143a4a1d7b2c4724bc20efa5c6f093745eee5c3f04",
+            "a941a9665951810cab2f436447d365dda273ba09f2b4223f8cd07fde44c06e58",
+            "0x1.358816c942e00p-45", 4, "0x1.16bf482733870p-36"),
+        "sparse-267": (
+            lambda: sparse_lognormal(50, (150, 300), (2, 4), (0.01, 0.1)),
+            "202e4986b4b8e2495947d7d2d034040515e606f3e523ea7e38d338dbaec5621f",
+            "79adca0c2666ea51727cfb567b3e7db8a48752982e82719661831ab6770f4db0",
+            "0x1.e6d6b1a06ccd8p+15", 16, "0x1.b3805343f2643p-40"),
+        "sparse-14": (
+            lambda: sparse_lognormal(2368, (3, 30), (1, 4), (0.2, 1)),
+            "ec2a86b449664d6531bd8d1545185782afb919fceddad763f1833b2f7e2a0807",
+            "a0ff09359063c31b545f9c017d3038217fa29b9190dc0c36d2b76e8ca5b00a69",
+            "0x1.65b47edd62cd8p+10", 11, "0x1.82d1017405be2p-36"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_fit_is_bit_for_bit_pinned(self, name):
+        make, mu_sha, cov_sha, deviance, iterations, residual = \
+            self.PINNED[name]
+        C = make()
+        fit = fit_bt(C)
+        assert (hashlib.sha256(fit.abilities.mu.tobytes()).hexdigest(),
+                hashlib.sha256(fit.covariance.tobytes()).hexdigest(),
+                fit.deviance.hex(), fit.iterations, fit.residual.hex()) == (
+            mu_sha, cov_sha, deviance, iterations, residual)
+        # the public entry points give the fit's own bits
+        assert bt_covariance(C, fit.abilities).tobytes() == \
+            fit.covariance.tobytes()
+        assert bt_deviance(C, fit.abilities) == fit.deviance
+
+
+@pytest.mark.parametrize("n, density", [(5, 1.0), (150, 0.05), (300, 1.0)])
+def test_blocked_loglik_matches_one_sum(n, density):
+    # the row blocks only regroup the sum over the nonzero counts
+    rng = np.random.default_rng(n)
+    counts = random_counts(rng, n) * (rng.random((n, n)) < density)
+    mu = rng.normal(0.0, 2.0, n)
+    rows, cols = np.nonzero(counts)
+    expected = -(counts[rows, cols] @ np.logaddexp(0.0, mu[cols] - mu[rows]))
+    assert _loglik(counts, mu) == pytest.approx(expected, rel=1e-13, abs=0)
+
+
+class TestPeakMemory:
+    # in n x n float arrays: a fit holds four (counts, games, probabilities
+    # and work) and, at its deviance, the terms at the nonzero counts; the
+    # covariance holds games, its two buffers and the inverse
+    N = 500
+    ARRAY = 8 * N * N
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        C = CountMatrix(dense_noisy(self.N, 5))
+        return C, fit_bt(C).abilities
+
+    def test_fit(self, table):
+        C, _ = table
+        assert peak_bytes(lambda: fit_bt(C)) <= 6 * self.ARRAY
+
+    def test_deviance(self, table):
+        C, abilities = table
+        assert peak_bytes(lambda: bt_deviance(C, abilities)) <= \
+            5.5 * self.ARRAY
+
+    def test_covariance(self, table):
+        C, abilities = table
+        assert peak_bytes(lambda: bt_covariance(C, abilities)) <= \
+            4.5 * self.ARRAY
 
 
 class TestCovariance:
