@@ -1,19 +1,27 @@
 """First-order (delta-method) sampling theory for log influence weights.
 
-A tournament is perturbed along a pair direction F(i, j), the matrix with +1
-at (i, j) and -1 at (j, i): one game between i and j flips from a j-win to an
-i-win as t moves. The chain maps C -> P -> pi -> iw -> log iw, and each stage
-has an explicit derivative:
+The unnormalized influence weights u = pi / a (pi stationary for
+P = C A^-1, A = diag(a), a the column sums) are the fixed point
+(C - A) u = 0. A pair direction F(i, j), +1 at (i, j) and -1 at (j, i),
+flips one game between i and j from a j-win to an i-win: C moves by F, a
+by e_j - e_i, and so (C - A) u by (u_i + u_j)(e_i - e_j). As
+C - A = (P - I) A, the fixed point moves by d log u = (u_i + u_j)
+diag(1/pi) G (e_i - e_j) up to a multiple of 1, with G = (I - P)# =
+(I - P + pi e^T)^-1 - pi e^T the group inverse (Golub and Meyer 1986).
+Normalizing iw = u / sum(u) subtracts the iw-weighted mean, multiple
+included: d log iw = (u_i + u_j) M (e_i - e_j), M = (I - 1 iw^T)
+diag(1/pi) G.
 
-* stationary_derivative: dpi/dt for any chain, x = (I - P)# Pdot pi with
-  the group inverse (I - P)# = (I - P + pi e^T)^-1 - pi e^T (Golub and
-  Meyer 1986), the unique sum-zero solution of (I - P) x = Pdot pi,
-* log_iw_jacobian: d log iw / dt for every pair direction at a general C.
+* stationary_derivative: dpi/dt = G Pdot pi for any chain,
+* log_iw_jacobian: d log iw / dt for every pair direction at a general C,
+* delta_method_covariance: with the per-pair binomial variance n_ij / 4 of
+  the win counts at even strength, M L M^T, L the Laplacian of the pair
+  weights (n_ij / 4)(u_i + u_j)^2.
 
-Composing the Jacobian with the per-pair binomial variance of the win counts
-(n_ij p (1-p) = n_ij / 4 at even strength) gives the asymptotic covariance of
-the centered log influence weights. Closed forms exist for the balanced
-round robin and for the circular structure.
+That is the covariance of log iw with iw normalized to sum 1: its rows
+weighted by iw vanish, its plain column sums need not. At uniform weights,
+as in every balanced design, it equals the covariance of the centered log
+weights; closed forms exist for the balanced round robin and the ring.
 
 Pair directions use 0-based indices and columns are ordered lexicographically
 over i < j.
@@ -44,7 +52,7 @@ def stationary_derivative(P, pi, Pdot) -> np.ndarray:
     P = np.asarray(P, dtype=float)
     Pdot = np.asarray(Pdot, dtype=float)
     pi = np.asarray(pi, dtype=float)
-    n = P.shape[0]
+    n = P.shape[0] if P.ndim else 0
     if P.shape != (n, n) or Pdot.shape != (n, n) or pi.shape != (n,):
         raise DimensionError(
             f"incompatible shapes P{P.shape}, Pdot{Pdot.shape}, pi{pi.shape}")
@@ -73,26 +81,15 @@ def _group_inverse(P: np.ndarray, pi: np.ndarray) -> np.ndarray:
 
 
 def _log_iw_parts(C, tol: float):
-    """Factors (R, B, G, u) of d log iw / dt: along pair (i, j) the
-    derivative is R z with z = B (e_i - e_j) + G (u_j e_i - u_i e_j).
-
-    G is the group inverse of I - P and u = pi / a the unnormalized
-    influence weights. Pair (i, j) moves column i of C by -e_j and column j
-    by +e_i, so Pdot pi = u_i (P e_i - e_j) + u_j (e_i - P e_j) and pi moves
-    by x = H e_i - H e_j + u_j G e_i - u_i G e_j, with H = G P diag(u).
-    u = pi / a also moves with a (a_i by -1, a_j by +1): d u = z / a with
-    z = x + u_i e_i - u_j e_j, hence B = H + diag(u). Then d log u = z / pi,
-    less the shift of the normalizer sum(u), (1/a)^T z / sum(u):
-    R = diag(1/pi) - 1 (1/a)^T / sum(u).
-    """
-    a = C.column_sums()
+    """Factors (M, u) of d log iw / dt, (u_i + u_j) M (e_i - e_j) along
+    pair (i, j), as derived in the module docstring."""
     P = transition_matrix(C, 1.0)
     pi = stationary_vector(P, tol=tol).vector
-    G = _group_inverse(P, pi)
-    u = pi / a
-    B = G @ (P * u) + np.diag(u)
-    R = np.diag(1.0 / pi) - np.outer(np.ones_like(u), 1.0 / a) / u.sum()
-    return R, B, G, u
+    M = _group_inverse(P, pi)
+    M /= pi[:, None]
+    u = pi / C.column_sums()
+    M -= (u / u.sum()) @ M
+    return M, u
 
 
 def log_iw_jacobian(C, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -104,37 +101,31 @@ def log_iw_jacobian(C, tol: float = DEFAULT_TOL) -> np.ndarray:
     plain column sums vanish too. Requires an undamped-usable C (positive
     column sums, irreducible).
     """
-    R, B, G, u = _log_iw_parts(as_count_matrix(C), tol)
+    M, u = _log_iw_parts(as_count_matrix(C), tol)
     i, j = np.triu_indices(u.size, k=1)
-    # two pair-sized buffers; mode="clip" lets take write to T without a copy
-    D, T = B[:, i], np.take(B, j, axis=1)
-    D -= T
-    D += np.multiply(np.take(G, i, axis=1, out=T, mode="clip"), u[j], out=T)
-    D -= np.multiply(np.take(G, j, axis=1, out=T, mode="clip"), u[i], out=T)
-    return np.matmul(R, D, out=T)
+    # two pair-sized buffers: the differences and one taken copy
+    J = M[:, i]
+    J -= np.take(M, j, axis=1)
+    J *= u[i] + u[j]
+    return J
 
 
 def delta_method_covariance(C, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """First-order covariance of centered log influence weights for an
-    arbitrary structure: J diag(n_ij / 4) J^T with n_ij = c_ij + c_ji the
-    games actually played by each pair (zero-game pairs contribute nothing).
-
-    The sum over pairs is formed in closed form from n x n arrays, never
-    from the n x n(n-1)/2 Jacobian: with W = (C + C^T)/4 off the diagonal
-    and the factors of _log_iw_parts, it is R (B L1 B^T + G L2 G^T + X +
-    X^T) R^T, X = B L3 G^T, where L1 = diag(W 1) - W,
-    L2 = diag(W u^2) - W o u u^T and L3 = diag(W u) - diag(u) W.
+    """First-order covariance of log influence weights normalized to sum
+    1 (iw^T S = 0), for an arbitrary structure: J diag(n_ij / 4) J^T with
+    n_ij = c_ij + c_ji the games each pair played. It is formed from n x n
+    arrays as M L M^T, L the Laplacian of the pair weights
+    (n_ij / 4)(u_i + u_j)^2, never from the n x n(n-1)/2 Jacobian.
     """
     C = as_count_matrix(C)
-    R, B, G, u = _log_iw_parts(C, tol)
-    W = (C.counts + C.counts.T) / 4.0
-    np.fill_diagonal(W, 0.0)
-    Wu = W * u
-    L1 = np.diag(W.sum(axis=1)) - W
-    L2 = np.diag(Wu @ u) - u[:, None] * Wu
-    L3 = np.diag(Wu.sum(axis=1)) - u[:, None] * W
-    X = B @ L3 @ G.T
-    return R @ (B @ L1 @ B.T + G @ L2 @ G.T + X + X.T) @ R.T
+    M, u = _log_iw_parts(C, tol)
+    # L in place: -(n_ij / 4)(u_i + u_j)^2 off the diagonal, row sums on it
+    L = np.add(C.counts, C.counts.T)
+    L *= np.square(np.add.outer(u, u))
+    L *= -0.25
+    np.fill_diagonal(L, 0.0)
+    np.fill_diagonal(L, -L.sum(axis=1))
+    return M @ L @ M.T
 
 
 def round_robin_covariance(n: int, k: int) -> np.ndarray:

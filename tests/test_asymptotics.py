@@ -133,6 +133,9 @@ class TestStationaryDerivative:
         with pytest.raises(DimensionError, match="P is empty"):
             stationary_derivative(np.zeros((0, 0)), np.zeros(0),
                                   np.zeros((0, 0)))
+        # a 0-d P used to fail reading P.shape[0] with an IndexError
+        with pytest.raises(DimensionError, match="incompatible shapes"):
+            stationary_derivative(1.0, 1.0, 0.0)
 
 
 def _general_pdot(P: np.ndarray, a: np.ndarray, i: int, j: int) -> np.ndarray:
@@ -234,6 +237,47 @@ class TestDeltaCovariance:
         J = log_iw_jacobian(C)
         assert_allclose(delta_method_covariance(C), (3 / 2) * J @ J.T,
                         atol=1e-12)
+        # beyond balanced designs: J diag(n_ij / 4) J^T, and iw^T S = 0
+        rng = np.random.default_rng(17)
+        for n in (3, 4, 6, 9, 14, 23):
+            C = _random_design(rng, n)
+            S = delta_method_covariance(C)
+            J = log_iw_jacobian(C)
+            i, j = np.triu_indices(n, k=1)
+            expected = (J * ((C[i, j] + C[j, i]) / 4.0)) @ J.T
+            scale = np.max(np.abs(expected))
+            assert_allclose(S, expected, rtol=0, atol=1e-12 * scale)
+            iw = influence_weight(C).scores
+            assert_allclose(iw @ S, np.zeros(n), atol=1e-12 * scale)
+
+    def test_peak_memory_is_a_few_square_arrays(self):
+        # the factor M, the Laplacian L and the two products of M L M^T,
+        # with room for the counts and the group inverse's temporaries
+        n = 500
+        tracemalloc.start()
+        try:
+            delta_method_covariance(circular(n, 1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 * 8 * n * n
+
+
+def _random_design(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Expected win table N o p of a sparse design: a ring backbone plus
+    random pairs, 1 to 8 games a pair, Bradley-Terry strengths
+    exp(N(0, 1.5^2)) and some nonzero diagonal entries. Irreducible."""
+    games = np.triu(rng.integers(1, 9, (n, n)).astype(float), 1)
+    idx = np.arange(n)
+    ring = np.zeros((n, n), dtype=bool)
+    ring[idx, (idx + 1) % n] = True
+    played = ring | np.triu(rng.uniform(size=(n, n)) < 0.3, 1)
+    N = np.where(played | played.T, games + games.T, 0.0)
+    d = np.exp(rng.normal(0.0, 1.5, n))
+    C = N * (d[:, None] / (d[:, None] + d))
+    C[idx, idx] = np.where(rng.uniform(size=n) < 0.5, rng.uniform(0, 2, n),
+                           0.0)
+    return C
 
 
 class TestClosedForms:
