@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -146,8 +145,16 @@ def run() -> None:
     sys.exit(main(sys.argv[1:]))
 
 
+# bytes hashed per read, so a digest never holds a copy of the whole file
+_DIGEST_CHUNK = 1 << 16
+
+
 def _digest(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    h = hashlib.sha256()
+    with open(path, "rb") as f:
+        while chunk := f.read(_DIGEST_CHUNK):
+            h.update(chunk)
+    return h.hexdigest()
 
 
 def cmd_rank(args) -> tuple[RunReport, int]:

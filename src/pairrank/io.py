@@ -9,6 +9,14 @@ Two input layouts are accepted:
   match the header). Entry (i, j) counts wins of row label i over column
   label j.
 
+parse_input reads a plain matrix file in blocks of rows, each block's
+numbers converted by one np.loadtxt call; its C reader rounds through the
+same routine as float(), so every entry has the same bits. It declines
+every other file (see parse_input for the rules), and the csv walk parses
+that file from the start; the walk is the only source of parse errors.
+Either path holds the n x n array plus one block of text (the walk: one
+row), never the whole file.
+
 matrix_to_csv writes floats with repr(), the shortest string that parses
 back to the same binary64 value, so a matrix -> csv -> matrix round trip is
 bit-exact.
@@ -18,6 +26,7 @@ from __future__ import annotations
 
 import csv
 import io as _io
+import warnings
 from collections.abc import Iterator
 
 from .counts import CountMatrix
@@ -32,12 +41,30 @@ def parse_input(path, fmt: str = "auto") -> CountMatrix:
     """Parse a CSV file into a count matrix. fmt is one of auto, edges,
     matrix; auto sniffs the header row.
 
-    The file is read as a stream: a matrix is filled one row at a time, so
-    memory is the n x n array plus one row of text. Cells are stripped of
-    surrounding whitespace and blank rows are skipped; line numbers in
-    errors count CSV records, blank ones included. A matrix file with the
-    wrong number of data rows reports that ahead of any error inside a
-    row."""
+    With fmt auto or matrix, a plain matrix file takes the block path: the
+    header on the first line, no quote character, no line longer than
+    csv.field_size_limit(), each row label (stripped) equal to the next
+    header label, n data rows (blank rows are skipped), and every entry a
+    number np.loadtxt reads that is nonnegative and finite. Data rows go
+    to np.loadtxt in blocks of about _BLOCK_CHARS characters. The block
+    path raises, warns and prints nothing: on any other file it declines,
+    and the csv walk parses the file from the start, so errors, messages
+    and their order are the walk's.
+
+    The file is read as a stream: memory is the n x n array plus one block
+    of text (the walk: one row). Cells are stripped of surrounding
+    whitespace and blank rows are skipped; line numbers in errors count
+    CSV records, blank ones included. A matrix file with the wrong number
+    of data rows reports that ahead of any error inside a row."""
+    if fmt in ("auto", "matrix"):
+        C = _parse_plain_matrix(path)
+        if C is not None:
+            return C
+    return _parse_csv(path, fmt)
+
+
+def _parse_csv(path, fmt: str) -> CountMatrix:
+    """The csv walk: every layout, and the source of every parse error."""
     with open(path, encoding="utf-8-sig") as f:
         rows = _read_rows(f)
         try:
@@ -48,6 +75,72 @@ def parse_input(path, fmt: str = "auto") -> CountMatrix:
             for _ in rows:
                 pass
             raise
+
+
+# characters of data-row text converted per np.loadtxt call
+_BLOCK_CHARS = 1 << 20
+
+
+def _parse_plain_matrix(path) -> CountMatrix | None:
+    """A plain matrix file read in blocks of rows (see parse_input), or
+    None where the file is not plain and the csv walk must decide."""
+    limit = csv.field_size_limit()
+    try:
+        with open(path, encoding="utf-8-sig") as f:
+            header = f.readline()
+            cells = [c.strip() for c in header.split(",")]
+            labels = cells[1:]
+            n = len(labels)
+            # a quote further on sits in a row label, which then matches no
+            # header label, or in a cell np.loadtxt rejects
+            if ('"' in header or len(header) > limit or cells[0] or n == 0
+                    or "" in labels or len(set(labels)) != n):
+                return None
+            C = np.empty((n, n))
+            r = 0  # data rows read
+            block: list[str] = []  # their text after the label, not in C
+            size = 0
+            for line in f:
+                if len(line) > limit:
+                    return None
+                label, _, rest = line.partition(",")
+                if r == n or label.strip() != labels[r]:
+                    if line.replace(",", "").strip():
+                        return None
+                    continue  # a blank row, which the walk skips too
+                block.append(rest)
+                size += len(rest)
+                r += 1
+                if size >= _BLOCK_CHARS:
+                    if not _fill_rows(C, r, block):
+                        return None
+                    block, size = [], 0
+            if r != n or not _fill_rows(C, r, block):
+                return None
+    except (OSError, UnicodeDecodeError, MemoryError):
+        return None
+    return CountMatrix(C, tuple(labels))
+
+
+def _fill_rows(C: np.ndarray, stop: int, block: list[str]) -> bool:
+    """Write the numbers of block, the text after each row label, into the
+    rows of C that end before row stop. False, with nothing raised or
+    shown, where np.loadtxt rejects or warns about the text, or a value is
+    negative, NaN or infinite."""
+    if not block:
+        return True
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            values = np.loadtxt(block, delimiter=",", comments=None,
+                                quotechar=None, dtype=float, ndmin=2)
+        except ValueError:
+            return False
+    if (caught or values.shape != (len(block), C.shape[1])
+            or not (values.min() >= 0 and values.max() < np.inf)):
+        return False  # NaN fails both comparisons
+    C[stop - len(block):stop] = values
+    return True
 
 
 def _parse_rows(rows: Iterator[tuple[int, list[str]]],

@@ -4,6 +4,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -287,6 +288,20 @@ def test_byte_order_mark_is_skipped_but_hashed(tmp_path, capsys):
     obj = json.loads(capsys.readouterr().out)
     assert sorted(e["label"] for e in obj["scores"]) == ["a", "b", "c"]
     assert obj["metadata"]["input_sha256"] == hashlib.sha256(raw).hexdigest()
+
+
+def test_digest_reads_in_chunks(tmp_path):
+    raw = np.random.default_rng(0).bytes(16 * cli._DIGEST_CHUNK + 5)
+    p = tmp_path / "big.bin"
+    p.write_bytes(raw)
+    tracemalloc.start()
+    try:
+        digest = cli._digest(str(p))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert digest == hashlib.sha256(raw).hexdigest()
+    assert peak < 4 * cli._DIGEST_CHUNK  # the whole file is 16 chunks
 
 
 class TestCheckQs:

@@ -2,7 +2,9 @@ import codecs
 import csv
 import io
 import json
+import tracemalloc
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -429,3 +431,176 @@ class TestReport:
         rep = RunReport(command="rank", scores=scores)
         assert "label,score,stderr" in rep.to_csv()
         assert "(se 0.5)" in rep.to_table()
+
+
+def _outcome(parse, path, fmt):
+    """What parsing path gives: the labels and count bytes, or the error's
+    type and message."""
+    try:
+        C = parse(path, fmt)
+    except Exception as exc:  # any exception must match the walk's
+        return type(exc), str(exc)
+    return C.labels, C.counts.tobytes()
+
+
+# cell and line tokens that float(), the csv reader or np.loadtxt treat
+# differently from a plain number
+ODD_CELLS = ("1_0", "\u0661", "\uff11\uff12", "nan", "NaN", "-0.0", "0x10",
+             "", " ", "\t", '"1"', '1"', "inf", "-Infinity", "-1", "1e400",
+             "1e-400", "+4", ".5", "5.", "1e5", "1e", "1d5", " 2 ", "\t3\t",
+             "\xa02\u3000", "1\x1c", "\x1c1", "\x85", "1\x00", "\x00",
+             "\ufeff1", "1,2", "1 2", "x")
+ODD_LINES = ("", " ", " , ", ",", "\t,\t", "\x00", "\ufeff")
+
+
+def _mutated_matrix(rng) -> bytes:
+    """A small matrix file with up to three random mutations."""
+    limit = csv.field_size_limit()
+    n = int(rng.integers(1, 6))
+    labels = [f"t{i}" for i in range(n)]
+    rows = [[""] + labels]
+    for i in range(n):
+        values = rng.uniform(0, 50, n) ** rng.choice([1, 3])
+        cells = [repr(float(v)) if rng.random() < 0.7 else str(int(v))
+                 for v in values]
+        rows.append([labels[i]] + cells)
+    if rng.random() < 0.1:
+        # the same new label in the header and in its row
+        i = int(rng.integers(0, n))
+        rows[0][i + 1] = rows[i + 1][0] = str(rng.choice(
+            [f'"t{i}"', f" t{i} ", f"t{i}\x00", "x" * (limit + 1)]))
+    for _ in range(int(rng.integers(0, 4))):
+        kind = int(rng.integers(0, 13))
+        r = int(rng.integers(0, len(rows)))
+        c = int(rng.integers(0, len(rows[r])))
+        if kind <= 3:
+            rows[r][c] = str(rng.choice(ODD_CELLS))
+        elif kind == 4:
+            lines = ODD_LINES + (" " * (limit + 1),)
+            rows.insert(r + int(rng.integers(0, 2)),
+                        [str(rng.choice(lines))])
+        elif kind == 5 and len(rows) > 1:
+            del rows[r]
+        elif kind == 6:
+            rows.insert(r, list(rows[r]))
+        elif kind == 7:
+            rows[r].append(str(rng.choice(["", "1", " "])))
+        elif kind == 8 and len(rows[r]) > 1:
+            del rows[r][c]
+        elif kind == 9:
+            rows[r][c] = f" {rows[r][c]} "
+        elif kind == 10:
+            rows[r][c] = str(rng.choice(["0", "1"])) * (limit + 1)
+        elif kind == 11:
+            rows[r][0] = str(rng.choice(
+                ["t0", "T1", "t9", '"t1"', "\ufefft0"]))
+        else:
+            rows.append(list(rows[-1]))
+    end = str(rng.choice(["\n", "\r\n", "\r"]))
+    text = end.join(",".join(row) for row in rows)
+    if rng.random() < 0.8:
+        text += end
+    raw = text.encode()
+    kind = rng.random()
+    if kind < 0.05:
+        raw = codecs.BOM_UTF8 + raw
+    elif kind < 0.1:
+        at = int(rng.integers(0, len(raw) + 1))
+        raw = raw[:at] + rng.choice([b"\xff", b"\xef\xbb\xbf"]) + raw[at:]
+    return raw
+
+
+class TestBlockPath:
+    """Plain matrix files are read in blocks through np.loadtxt; any file
+    the block path declines is read by the csv walk, so both must agree."""
+
+    @pytest.mark.parametrize("raw", [
+        b"", b"\n", b" , \n\n", b",\n", b",a\n", codecs.BOM_UTF8,
+        b",a\na,1", b",a\r\na,1\r\n", b"\n,a\na,1\n", b",a\na,1\n,\n"])
+    @pytest.mark.parametrize("fmt", ["auto", "matrix"])
+    def test_agrees_with_the_walk_on_edge_files(self, tmp_path, raw, fmt):
+        p = tmp_path / "m.csv"
+        p.write_bytes(raw)
+        assert _outcome(parse_input, p, fmt) == _outcome(
+            pairrank.io._parse_csv, p, fmt)
+
+    def test_agrees_with_the_walk_on_mutated_files(self, tmp_path):
+        rng = np.random.default_rng(20261019)
+        p = tmp_path / "m.csv"
+        plain = 0
+        files = 2000
+        for _ in range(files):
+            p.write_bytes(_mutated_matrix(rng))
+            fmt = str(rng.choice(["auto", "matrix"]))
+            assert _outcome(parse_input, p, fmt) == _outcome(
+                pairrank.io._parse_csv, p, fmt), p.read_bytes()
+            plain += pairrank.io._parse_plain_matrix(p) is not None
+        # both paths are exercised
+        assert files // 10 < plain < files * 9 // 10
+
+    @pytest.mark.parametrize("layout", [
+        lambda text: text,
+        lambda text: text.replace("\n", "\r\n"),
+        # blank rows, which the walk skips, between rows and at the end
+        lambda text: text.replace("\np2,", "\n\n , \np2,") + ",,\n\n",
+    ])
+    def test_plain_file_takes_the_block_path(self, tmp_path, monkeypatch,
+                                             layout):
+        rng = np.random.default_rng(3)
+        C = CountMatrix(rng.uniform(0, 9, size=(50, 50)) ** 3)
+        p = tmp_path / "m.csv"
+        p.write_bytes(layout(matrix_to_csv(C)).encode())
+
+        def walk(*args):
+            raise AssertionError("the csv walk was called")
+
+        monkeypatch.setattr(pairrank.io, "_parse_csv", walk)
+        back = parse_input(p)
+        assert back.labels == C.labels
+        assert back.counts.tobytes() == C.counts.tobytes()
+
+    def test_blocks_cover_every_row(self, tmp_path, monkeypatch):
+        # blocks of a few rows each, ending on and off a block boundary
+        monkeypatch.setattr(pairrank.io, "_BLOCK_CHARS", 30)
+        for n in (6, 7):
+            C = CountMatrix(np.arange(n * n, dtype=float).reshape(n, n))
+            p = tmp_path / "m.csv"
+            p.write_text(matrix_to_csv(C))
+            assert pairrank.io._parse_plain_matrix(p).counts.tobytes() == \
+                C.counts.tobytes()
+
+    @pytest.mark.parametrize("text", [
+        ",a\na\n", ",a\na,\n", ",a\na,\n\n", ",a,b\na,,\nb,1,0\n",
+        ",a,b\na\nb,1,0\n", ",a,b\na,0,1\nb\n", ",a\n\na,\n",
+    ])
+    def test_declined_file_shows_no_warning(self, tmp_path, capsys, text):
+        from pairrank.cli import main
+
+        p = tmp_path / "m.csv"
+        p.write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert pairrank.io._parse_plain_matrix(p) is None
+            with pytest.raises(ParseError):
+                parse_input(p)
+        assert caught == []
+        assert main(["rank", str(p)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: line ") and err.count("\n") == 1
+
+    def test_peak_memory_is_the_matrix_and_one_block(self, tmp_path):
+        # reading the whole text first peaks at about 5.6 x 8 n^2 bytes
+        n = 600
+        rng = np.random.default_rng(7)
+        C = CountMatrix(rng.uniform(0, 10, size=(n, n)))
+        p = tmp_path / "m.csv"
+        p.write_text(matrix_to_csv(C))
+        tracemalloc.start()
+        try:
+            back = parse_input(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.counts.tobytes() == C.counts.tobytes()
+        assert peak < 3 * 8 * n * n
