@@ -16,14 +16,17 @@ max_i |W_i - sum_j n_ij p_ij| / sum_j n_ij, checked before every step.
 A fit holds four n x n float arrays: the counts without their diagonal,
 the games n_ij, the win probabilities p_ij and one work buffer, which takes
 the expected wins n_ij p_ij and then, in place, F + e e^T / n for the solve.
-The log-likelihood is summed from the nonzero counts a block of rows at a
-time. The deviance is built in the probability buffer, and the counts are
-dropped before the covariance's inverse.
+The log-likelihood comes from the probability pass: the pass that fills
+p_ij at a line-search trial sums l from the same exp(-|mu_i - mu_j|), and
+an accepted trial leaves p_ij for the next step. The deviance is built in
+the probability buffer, and the counts are dropped before the covariance's
+inverse.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -36,7 +39,6 @@ DEFAULT_FIT_TOL = 1e-10
 DEFAULT_FIT_MAX_ITER = 100
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 40
-_BLOCK = 1 << 14  # entries of counts per log-likelihood block
 
 
 @dataclass(frozen=True)
@@ -74,25 +76,26 @@ class FitReport:
     residual: float
 
 
-def _logistic(x, out=None, work=None):
-    """1 / (1 + exp(-x)) elementwise, through e = exp(-|x|), which never
-    overflows: 1 / (1 + e) where x >= 0 and e / (1 + e) elsewhere. out may
-    be x itself, and work, if given, is scratch of x's shape; with both, an
-    n x n call allocates only its boolean mask."""
-    x = np.asarray(x, dtype=float)
+def _win_probabilities(mu: np.ndarray, out=None, work=None, counts=None):
+    """P(i beats j) = logistic(x_ij), x_ij = mu_i - mu_j, into out, through
+    e = exp(-|x|), which never overflows: 1 / (1 + e) where x >= 0 and
+    e / (1 + e) elsewhere. work, if given, is scratch of out's shape; with
+    both, an n x n call allocates only its boolean mask. Given counts, it
+    returns (p, l) with the log-likelihood l = sum c_ij log p_ij, each
+    log p_ij = min(x_ij, 0) - log1p(e_ij) taken from the same e."""
+    x = np.subtract.outer(mu, mu, out=out)
     nonneg = x >= 0
-    e = np.abs(x, out=out)
+    if counts is not None:
+        ll = np.vdot(counts, np.minimum(x, 0.0, out=work))
+    e = np.abs(x, out=x)
     np.negative(e, out=e)
     np.exp(e, out=e)
+    if counts is not None:
+        ll -= np.vdot(counts, np.log1p(e, out=work))
     denominator = np.add(e, 1.0, out=work)
     np.copyto(e, 1.0, where=nonneg)
-    return np.divide(e, denominator, out=e)
-
-
-def _win_probabilities(mu: np.ndarray, out: np.ndarray,
-                       work: np.ndarray) -> np.ndarray:
-    """P(i beats j) = logistic(mu_i - mu_j) into out; work is scratch."""
-    return _logistic(np.subtract.outer(mu, mu, out=out), out=out, work=work)
+    p = np.divide(e, denominator, out=e)
+    return p if counts is None else (p, float(ll))
 
 
 def _off_diagonal(C: CountMatrix) -> np.ndarray:
@@ -118,21 +121,6 @@ def _gauged_fisher(expected: np.ndarray, p: np.ndarray) -> np.ndarray:
     np.fill_diagonal(expected, diagonal)
     expected += 1.0 / len(p)
     return expected
-
-
-def _loglik(counts: np.ndarray, mu: np.ndarray) -> float:
-    """l(mu) = -sum_{i != j} c_ij log(1 + exp(mu_j - mu_i)), gathered from
-    the nonzero counts a block of rows at a time: no list of all of them is
-    kept, and a sparse table costs little more than its nonzeros."""
-    n = len(mu)
-    height = max(1, _BLOCK // n)
-    total = 0.0
-    for start in range(0, n, height):
-        block = counts[start:start + height]
-        rows, cols = np.nonzero(block)
-        total += block[rows, cols] @ np.logaddexp(
-            0.0, mu[cols] - mu[rows + start])
-    return -float(total)
 
 
 def _deviance(counts: np.ndarray, games: np.ndarray, mu: np.ndarray,
@@ -198,6 +186,10 @@ def fit_bt(C, tol: float = DEFAULT_FIT_TOL,
     """
     C = as_count_matrix(C)
     _check_tol(tol)
+    if (isinstance(max_iter, bool) or not isinstance(max_iter, Integral)
+            or max_iter < 0):
+        raise DomainError(
+            f"max_iter must be a non-negative integer, got {max_iter!r}")
     if C.n < 2:
         raise DomainError("need at least two players to fit")
     n = C.n
@@ -206,16 +198,17 @@ def fit_bt(C, tol: float = DEFAULT_FIT_TOL,
     games = counts + counts.T
     wins = counts.sum(axis=1)
     played = games.sum(axis=1)
-    # l sums one term per nonzero count, so rounding alone moves it by up
-    # to about this much times |l|; a trial that loses no more is no loss
+    # l adds one term per nonzero count (a zero count adds an exact 0), so
+    # rounding alone moves it by up to about this much times |l|; a trial
+    # that loses no more is no loss
     noise = 16 * np.finfo(float).eps * np.count_nonzero(counts)
     p, work = np.empty((n, n)), np.empty((n, n))
 
     mu = np.zeros(n)
-    ll = _loglik(counts, mu)
+    ll = _win_probabilities(mu, p, work, counts)[1]
     for step in range(max_iter + 1):
-        expected = np.multiply(games, _win_probabilities(mu, p, work),
-                               out=work)
+        # p holds the win probabilities at mu
+        expected = np.multiply(games, p, out=work)
         score = wins - expected.sum(axis=1)
         residual = float(np.max(np.abs(score) / played))
         if residual <= tol:
@@ -237,7 +230,7 @@ def fit_bt(C, tol: float = DEFAULT_FIT_TOL,
         t = 1.0
         for _ in range(_MAX_HALVINGS):
             trial = mu + t * delta
-            ll_trial = _loglik(counts, trial)
+            ll_trial = _win_probabilities(trial, p, work, counts)[1]
             if ll_trial >= ll + t * ascent - noise * abs(ll):
                 break
             t *= 0.5

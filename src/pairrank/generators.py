@@ -24,7 +24,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .bradley_terry import AbilityVector, _logistic
+from .bradley_terry import AbilityVector, _win_probabilities
 from .counts import CountMatrix, default_labels
 from .errors import DegenerateSampleError, DomainError
 from .linalg import _closed_group, stationary_vector
@@ -163,7 +163,7 @@ def _pairs(config: SimulationConfig, structure: str = "round-robin"
     structure; in a round robin every pair plays. The index runs over the
     complete lexicographic list, so keying is structure-independent."""
     mu = config.abilities.mu
-    probs = _logistic(np.subtract.outer(mu, mu))
+    probs = _win_probabilities(mu)
     plays = structure_matrix(structure, config.n).counts
     return [(index, i, j, float(probs[i, j]))
             for index, (i, j) in enumerate(combinations(range(config.n), 2))

@@ -14,6 +14,8 @@ numbers converted by one np.loadtxt call; its C reader rounds through the
 same routine as float(), so every entry has the same bits. It declines
 every other file (see parse_input for the rules), and the csv walk parses
 that file from the start; the walk is the only source of parse errors.
+Both paths read one number grammar: the walk rejects the spellings that
+float() alone reads (non-ASCII digits, '_' between digits).
 Either path holds the n x n array plus one block of text (the walk: one
 row), never the whole file.
 
@@ -172,7 +174,7 @@ def parse_articles(path, labels: tuple[str, ...]) -> np.ndarray:
         if line_no == rows[0][0] and raw.lower() == "articles":
             continue
         try:
-            value = float(raw)
+            value = _number(raw)
         except ValueError:
             raise ParseError(f"articles value {raw!r} is not a number",
                              line=line_no) from None
@@ -302,9 +304,10 @@ def _matrix_row(cells: list[str], r: int, labels: list[str],
             f"{labels[r]!r} (row order must follow the header)",
             line=data_line)
     try:
-        values = np.fromiter(map(float, cells[1:]), float, n)
-        if values.min() >= 0 and values.max() < np.inf:  # NaN fails both
-            return values
+        if _plain("".join(cells[1:])):
+            values = np.fromiter(map(float, cells[1:]), float, n)
+            if values.min() >= 0 and values.max() < np.inf:  # NaN fails both
+                return values
     except ValueError:
         pass
     for c, raw in enumerate(cells[1:]):
@@ -316,10 +319,24 @@ def _matrix_row(cells: list[str], r: int, labels: list[str],
     raise AssertionError("a row that failed the checks has no bad cell")
 
 
+def _plain(text: str) -> bool:
+    """Whether text holds only what np.loadtxt reads in a number: float()
+    also reads '_' between digits and non-ASCII digits and spaces."""
+    return text.isascii() and "_" not in text
+
+
+def _number(raw: str) -> float:
+    """float(raw) for the spellings np.loadtxt also reads; ValueError for
+    the rest, so both parse paths accept one number grammar."""
+    if not _plain(raw):
+        raise ValueError(f"not a plain number: {raw!r}")
+    return float(raw)
+
+
 def _cell(what: str, raw: str, line: int) -> float:
     """A count or entry cell as a finite float."""
     try:
-        value = float(raw)
+        value = _number(raw)
     except ValueError:
         raise ParseError(f"{what} {raw!r} is not a number",
                          line=line) from None

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pairrank.bradley_terry import (AbilityVector, _loglik, bt_covariance,
-                                    bt_deviance, fit_bt, predict_prob)
+from pairrank.bradley_terry import (AbilityVector, _win_probabilities,
+                                    bt_covariance, bt_deviance, fit_bt,
+                                    predict_prob)
 from pairrank.counts import CountMatrix
 from pairrank.errors import (ConnectivityError, ConvergenceError,
                              DimensionError, DomainError, SeparationError)
@@ -32,6 +33,21 @@ def sparse_lognormal(seed, sizes, sigmas, densities):
     C *= rng.random((n, n)) < rng.uniform(*densities)
     np.fill_diagonal(C, 0.0)
     return C
+
+
+def near_separated(seed):
+    """Lognormal games on a random subset of the pairs, won in about the
+    proportion that abilities spread over tens of logits give, so that
+    most games are all but certain."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(10, 120))
+    spread, density = rng.uniform(10.0, 100.0), rng.uniform(0.05, 1.0)
+    mu = rng.uniform(0.0, spread, n)
+    games = np.triu(rng.lognormal(3.0, 1.0, (n, n))
+                    * (rng.random((n, n)) < density), 1)
+    games += games.T
+    p = 1.0 / (1.0 + np.exp(-np.subtract.outer(mu, mu)))
+    return games * p * rng.lognormal(0.0, 0.3, (n, n))
 
 
 def peak_bytes(call):
@@ -155,6 +171,17 @@ class TestFit:
         assert exc.value.iterations == 1
         assert exc.value.residual > 1e-10
 
+    @pytest.mark.parametrize("max_iter", [-1, -5, 2.5, 3.0, "3", None, True])
+    def test_max_iter_must_be_a_count(self, max_iter):
+        with pytest.raises(DomainError, match="max_iter must be"):
+            fit_bt(WORKED, max_iter=max_iter)
+
+    def test_zero_and_numpy_max_iter(self):
+        with pytest.raises(ConvergenceError) as exc:
+            fit_bt(WORKED, max_iter=0)
+        assert exc.value.iterations == 0
+        assert fit_bt(WORKED, max_iter=np.int64(20)).converged
+
     def test_winless_player_error(self):
         # player b beats nobody
         C = np.array([[0, 2, 2], [0, 0, 0], [1, 3, 0]], float)
@@ -166,7 +193,11 @@ class TestFit:
 class TestPinnedFit:
     # sha256 of mu and of the covariance bytes, the deviance and residual
     # in hex and the step count, as the fit gave them before it was moved
-    # into fixed buffers; the two sparse tables halve Newton steps 14 times
+    # into fixed buffers; the two sparse tables halve Newton steps 14 times.
+    # The near-separated table (53 players) halves 6 times in 20 steps; at
+    # its fit 93% of the count lies at win probabilities above 0.99 and |l|
+    # is 3% of the total, so its Armijo test has the least room for
+    # rounding in l
     PINNED = {
         "dense-noisy-300": (
             lambda: dense_noisy(300, 1701),
@@ -188,6 +219,11 @@ class TestPinnedFit:
             "ec2a86b449664d6531bd8d1545185782afb919fceddad763f1833b2f7e2a0807",
             "a0ff09359063c31b545f9c017d3038217fa29b9190dc0c36d2b76e8ca5b00a69",
             "0x1.65b47edd62cd8p+10", 11, "0x1.82d1017405be2p-36"),
+        "near-separated-118": (
+            lambda: near_separated(118),
+            "1b4bc8bcc7246e240e31af25ac74089e70b55489a7c279194e7a2696f4e250fe",
+            "f1c67a732c7d80372e55cb126a5d88cd944f1dac51f32768aaa235d8ab4756df",
+            "0x1.e0c3bea668db6p-1", 20, "0x1.48ba1f9b6f2bap-38"),
     }
 
     @pytest.mark.parametrize("name", sorted(PINNED))
@@ -206,15 +242,27 @@ class TestPinnedFit:
         assert bt_deviance(C, fit.abilities) == fit.deviance
 
 
-@pytest.mark.parametrize("n, density", [(5, 1.0), (150, 0.05), (300, 1.0)])
-def test_blocked_loglik_matches_one_sum(n, density):
-    # the row blocks only regroup the sum over the nonzero counts
+@pytest.mark.parametrize("n, density, sigma", [
+    (5, 1.0, 2.0), (150, 0.05, 2.0), (300, 1.0, 2.0), (40, 0.5, 400.0)])
+def test_probability_pass_loglik_matches_one_sum(n, density, sigma):
+    # the pass sums l over the whole table and leaves the logistic in out
     rng = np.random.default_rng(n)
     counts = random_counts(rng, n) * (rng.random((n, n)) < density)
-    mu = rng.normal(0.0, 2.0, n)
+    mu = rng.normal(0.0, sigma, n)
     rows, cols = np.nonzero(counts)
     expected = -(counts[rows, cols] @ np.logaddexp(0.0, mu[cols] - mu[rows]))
-    assert _loglik(counts, mu) == pytest.approx(expected, rel=1e-13, abs=0)
+    out, work = np.empty((n, n)), np.empty((n, n))
+    p, ll = _win_probabilities(mu, out, work, counts)
+    assert p is out
+    assert np.isfinite(ll)
+    assert ll == pytest.approx(expected, rel=1e-13, abs=0)
+    x = np.subtract.outer(mu, mu)
+    e = np.exp(-np.abs(x))
+    assert p.tobytes() == (np.where(x >= 0, 1.0, e) / (1.0 + e)).tobytes()
+    assert p.tobytes() == _win_probabilities(mu).tobytes()
+    if sigma > 100:
+        # exp(-|x|) underflows to 0 on some played pairs
+        assert np.any(np.abs(x[rows, cols]) > 750)
 
 
 class TestPeakMemory:

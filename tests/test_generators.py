@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pairrank.bradley_terry import AbilityVector, _logistic
+from pairrank.bradley_terry import AbilityVector, _win_probabilities
 from pairrank.errors import DegenerateSampleError, DomainError
 from pairrank import generators
 from pairrank.generators import (MonteCarloResult, SimulationConfig, circular,
@@ -33,7 +33,7 @@ def _reference_draw(cfg, replication, retry=0):
     (seed, replication << 32 | retry << 16 | pair) for each pair, and wins
     of i over j Binomial(games, logistic(mu_i - mu_j))."""
     n, games = cfg.n, cfg.games_per_pair
-    probs = _logistic(np.subtract.outer(cfg.abilities.mu, cfg.abilities.mu))
+    probs = _win_probabilities(cfg.abilities.mu)
     C = np.zeros((n, n))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     for index, (i, j) in enumerate(pairs):
@@ -305,7 +305,7 @@ class TestDrawKernel:
     def test_probabilities_zero_and_one(self, games):
         mu = np.array([-400.0, 400.0, 40.0, -40.0])
         cfg = _config(4, games=games, seed=3, mu=mu)
-        p = _logistic(np.subtract.outer(mu, mu))
+        p = _win_probabilities(mu)
         assert p[0, 1] == 0.0 and p[1, 2] == p[2, 3] == 1.0
         for replication in range(3):
             C = simulate_tournament(cfg, replication).counts

@@ -301,6 +301,54 @@ class TestParseArticles:
         assert str(exc.value) == message
 
 
+# float() reads these as 10, 1 and 12; np.loadtxt reads none of them
+FLOAT_ONLY = ("1_0", "\u0661", "\uff11\uff12")
+
+
+class TestNumberGrammar:
+    """Both parse paths read the numbers np.loadtxt reads, and no more."""
+
+    @pytest.mark.parametrize("raw", FLOAT_ONLY)
+    def test_matrix_entry(self, tmp_path, raw):
+        assert _matrix_error(tmp_path, f",a,b\na,0,1\nb,{raw},0\n") == \
+            f"line 3: entry {raw!r} is not a number"
+        # a quoted label sends the file to the walk from the header on
+        assert _matrix_error(tmp_path, f',"a",b\na,0,1\nb, {raw} ,0\n') == \
+            f"line 3: entry {raw!r} is not a number"
+
+    @pytest.mark.parametrize("raw", FLOAT_ONLY)
+    def test_edge_count(self, tmp_path, raw):
+        p = tmp_path / "e.csv"
+        p.write_text(f"winner,loser,count\nx,y,1\ny,x,{raw}\n")
+        with pytest.raises(ParseError) as exc:
+            parse_input(p)
+        assert str(exc.value) == f"line 3: count {raw!r} is not a number"
+
+    @pytest.mark.parametrize("raw", FLOAT_ONLY)
+    def test_articles_value(self, tmp_path, raw):
+        p = tmp_path / "a.csv"
+        p.write_text(f"label,articles\na,1\nb,{raw}\n")
+        with pytest.raises(ParseError) as exc:
+            parse_articles(p, ("a", "b"))
+        assert str(exc.value) == \
+            f"line 3: articles value {raw!r} is not a number"
+
+    def test_spellings_both_paths_read(self, tmp_path):
+        cells = ["1e3", "+1", ".5", "-0.0", " 2 "]
+        p = tmp_path / "e.csv"
+        p.write_text("winner,loser,count\n" + "".join(
+            f"x{k},y{k},{raw}\n" for k, raw in enumerate(cells)))
+        C = parse_input(p)
+        assert [C.counts[2 * k, 2 * k + 1] for k in range(5)] == \
+            [1000.0, 1.0, 0.5, 0.0, 2.0]
+        p = tmp_path / "m.csv"
+        p.write_text(',"a",b\na,1e3,+1\nb,.5,-0.0\n')
+        assert parse_input(p).counts.tolist() == [[1000.0, 1.0], [0.5, 0.0]]
+        p = tmp_path / "a.csv"
+        p.write_text("a,1e3\nb,+.5\n")
+        assert parse_articles(p, ("a", "b")).tolist() == [1000.0, 0.5]
+
+
 class TestUnreadableText:
     # (reader, file text with the bad cell as {}, line of that cell)
     FILES = {
