@@ -125,13 +125,33 @@ def _gauged_fisher(expected: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 def _deviance(counts: np.ndarray, games: np.ndarray, mu: np.ndarray,
               p: np.ndarray, work: np.ndarray) -> float:
-    """The deviance (see bt_deviance), built in p; work is scratch."""
+    """The deviance (see bt_deviance), built in p; work is scratch. Where
+    a fitted n_ij p_ij underflows to 0 while c_ij > 0, the term is
+    c_ij (log c_ij - log n_ij - log p_ij), with log p_ij = min(x_ij, 0) -
+    log1p(exp(-|x_ij|)) for x_ij = mu_i - mu_j."""
     won = counts > 0
     terms = np.multiply(games, _win_probabilities(mu, p, work), out=p)
-    np.divide(counts, terms, out=terms, where=won)
+    i, j = np.nonzero(won & (terms == 0))
+    with np.errstate(divide="ignore"):
+        np.divide(counts, terms, out=terms, where=won)
     np.log(terms, out=terms, where=won)
     np.multiply(counts, terms, out=terms, where=won)
+    if len(i):
+        x = mu[i] - mu[j]
+        log_p = np.minimum(x, 0.0) - np.log1p(np.exp(-np.abs(x)))
+        c = counts[i, j]
+        terms[i, j] = c * (np.log(c) - np.log(games[i, j]) - log_p)
     return float(2.0 * terms[won].sum())
+
+
+def _score(wins: np.ndarray, games: np.ndarray, played: np.ndarray,
+           p: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, float]:
+    """The score wins - sum_j n_ij p_ij at win probabilities p and the
+    relative score residual max_i |score_i| / played_i; out receives the
+    expected wins n_ij p_ij."""
+    expected = np.multiply(games, p, out=out)
+    score = wins - expected.sum(axis=1)
+    return score, float(np.max(np.abs(score) / played))
 
 
 def _covariance(games: np.ndarray, mu: np.ndarray, p: np.ndarray,
@@ -177,8 +197,8 @@ def fit_bt(C, tol: float = DEFAULT_FIT_TOL,
     """Fit sum-zero abilities by damped Newton steps from mu = 0.
 
     Stops once the relative score residual is at most tol; raises the
-    convergence error when max_iter steps do not get there or a line
-    search finds no ascent. Requires that no group of players went
+    convergence error when max_iter steps do not get there, a Newton
+    system is singular or a line search finds no ascent. Requires that no group of players went
     unbeaten against the rest (otherwise the MLE does not exist): a
     connected comparison graph, a win and a loss for every player, and a
     strongly connected win graph. Self-comparisons on the diagonal are
@@ -207,10 +227,8 @@ def fit_bt(C, tol: float = DEFAULT_FIT_TOL,
     mu = np.zeros(n)
     ll = _win_probabilities(mu, p, work, counts)[1]
     for step in range(max_iter + 1):
-        # p holds the win probabilities at mu
-        expected = np.multiply(games, p, out=work)
-        score = wins - expected.sum(axis=1)
-        residual = float(np.max(np.abs(score) / played))
+        # p holds the win probabilities at mu; work takes the expected wins
+        score, residual = _score(wins, games, played, p, work)
         if residual <= tol:
             abilities = AbilityVector(mu - mu.mean(), C.labels)
             deviance = _deviance(counts, games, abilities.mu, p, work)
@@ -225,7 +243,13 @@ def fit_bt(C, tol: float = DEFAULT_FIT_TOL,
             )
         if step == max_iter:
             break
-        delta = np.linalg.solve(_gauged_fisher(expected, p), score)
+        try:
+            delta = np.linalg.solve(_gauged_fisher(work, p), score)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(
+                f"Newton step {step + 1} has a singular system (score "
+                f"residual {residual:.3g})", residual=residual,
+                iterations=step) from exc
         ascent = _ARMIJO * float(score @ delta)
         t = 1.0
         for _ in range(_MAX_HALVINGS):

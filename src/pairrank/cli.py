@@ -12,10 +12,10 @@ Subcommands:
   closed form.
 
 Exit codes: 0 success, 2 input/parse/domain error, 3 a solver's result
-missed its residual bound (--tol) or the Bradley-Terry line search found no
-ascent, 4 a requested check failed (non-quasi-symmetric input or a --check
-discrepancy, relative to the closed form, beyond tolerance). Reports go to
-stdout, errors to stderr.
+missed its residual bound (--tol) or a Bradley-Terry Newton step found no
+ascent or a singular system, 4 a requested check failed
+(non-quasi-symmetric input or a --check discrepancy, relative to the closed
+form, beyond tolerance). Reports go to stdout, errors to stderr.
 """
 
 from __future__ import annotations

@@ -81,7 +81,7 @@ class ConsistencyError(RankingError):
 
 class ConvergenceError(RankingError):
     """A solver's result missed its residual bound, its step budget ran
-    out, or its line search found no ascent."""
+    out, or a Newton step found no ascent or a singular system."""
 
     def __init__(self, message: str, residual: float | None = None,
                  iterations: int | None = None):

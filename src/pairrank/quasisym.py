@@ -10,7 +10,7 @@ and a symmetric S. Equivalent characterizations, all checked here:
 
 Under quasi-symmetry the eigenvector and Bradley-Terry rankings coincide:
 influence weights are proportional to d, and the fitted log-abilities equal
-centered log d with zero deviance.
+centered log d with zero deviance; each route's own equation holds at d.
 """
 
 from __future__ import annotations
@@ -20,11 +20,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bradley_terry import _require_connected, fit_bt
-from .counts import CountMatrix, as_count_matrix
+from .bradley_terry import (_off_diagonal, _require_connected, _score,
+                            _win_probabilities)
+from .counts import as_count_matrix
 from .errors import ConsistencyError, DomainError, NotQuasiSymmetricError
 from .linalg import DEFAULT_TOL, _check_tol, _levels, stationary_vector
-from .rankings import influence_weight, transition_matrix
+from .rankings import transition_matrix
 
 DEFAULT_QS_TOL = 1e-8
 
@@ -221,10 +222,12 @@ def verify_equivalence(C, tol: float = 1e-10,
     """Confirm the scaling identity behind the quasi-symmetry equivalence.
 
     Decomposes C = diag(d) S (or takes dec, a decomposition of C already
-    made), then checks that d is a fixed point of A^-1 C (returns that
-    residual, max-norm relative to max d). Also confirms the two ranking
-    routes coincide: influence weights proportional to d (within 1e-8) and
-    fitted log-abilities equal to centered log d (within 1e-6). Any failed
+    made), then checks within tol each ranking route's own equation at d:
+    the fixed point A^-1 C d = d, so that P (d a) = d a for the undamped
+    chain P = C A^-1 (returns this residual, max-norm relative to max d),
+    and the Bradley-Terry score equations at centered log d, by fit_bt's
+    relative score residual. On the connected design that a decomposition
+    implies each has one solution, so neither route is solved. Any failed
     check raises the consistency error.
     """
     C = as_count_matrix(C)
@@ -239,21 +242,17 @@ def verify_equivalence(C, tol: float = 1e-10,
     if residual > tol:
         raise ConsistencyError(
             f"fixed-point residual {residual:.3g} exceeds tol {tol:.3g}")
+    if C.n < 2:
+        raise DomainError("need at least two players to fit")
 
-    iw = influence_weight(C).scores
-    d_norm = d / d.sum()
-    iw_gap = float(np.max(np.abs(iw - d_norm)))
-    if iw_gap > 1e-8:
-        raise ConsistencyError(
-            f"influence weights deviate from normalized d by {iw_gap:.3g}")
-
-    mu = fit_bt(C).abilities.mu
+    counts = _off_diagonal(C)
+    games = counts + counts.T
     log_d = np.log(d)
-    log_d -= log_d.mean()
-    mu_gap = float(np.max(np.abs(mu - log_d)))
-    if mu_gap > 1e-6:
+    p = _win_probabilities(log_d - log_d.mean())
+    bt = _score(counts.sum(axis=1), games, games.sum(axis=1), p, counts)[1]
+    if bt > tol:
         raise ConsistencyError(
-            f"fitted abilities deviate from centered log d by {mu_gap:.3g}")
+            f"Bradley-Terry score residual {bt:.3g} exceeds tol {tol:.3g}")
     return residual
 
 

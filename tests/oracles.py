@@ -161,6 +161,52 @@ def quasi_symmetric_ring(n: int,
     return d[:, None] * S, d
 
 
+def lognormal_quasi_symmetric(rng: np.random.Generator, sigma: float
+                              ) -> tuple[np.ndarray, np.ndarray]:
+    """Counts C = diag(d) S for 5 to 79 players with log d ~ N(0, sigma^2),
+    and d. S is symmetric, uniform in [1, 10] on a path through the players
+    plus a random share of the other pairs, and zero elsewhere."""
+    n = int(rng.integers(5, 80))
+    d = np.exp(rng.normal(0.0, sigma, n))
+    played = np.triu(rng.random((n, n)) < rng.uniform(0.05, 1.0), 1)
+    played[np.arange(n - 1), np.arange(1, n)] = True
+    S = np.zeros((n, n))
+    S[played] = rng.uniform(1.0, 10.0, np.count_nonzero(played))
+    return d[:, None] * (S + S.T), d
+
+
+def two_block_quasi_symmetric(eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Counts C = diag(d) S on 40 players, and d (d[0] = 1): S uniform in
+    [1, 10] within each half, and the halves joined by the one pair
+    (0, 20) at strength eps. The chain is nearly decomposable, so a
+    stationary solve's error grows like 1/eps."""
+    rng = np.random.default_rng(0)
+    d = rng.uniform(0.5, 2.0, 40)
+    d[0] = 1.0
+    S = np.triu(rng.uniform(1.0, 10.0, (40, 40)), 1)
+    S[:20, 20:] = 0.0
+    S[0, 20] = eps
+    return d[:, None] * (S + S.T), d
+
+
+def lognormal_table(seed, sizes: tuple[int, int],
+                    densities: tuple[float, float], sigma) -> np.ndarray:
+    """Lognormal(0, sigma) counts on a random share of the off-diagonal
+    pairs. Drawn from default_rng(seed) in this order: n in sizes, the
+    share in densities, sigma (when given as a range), the mask of playing
+    pairs, then the counts."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(*sizes))
+    density = rng.uniform(*densities)
+    if np.ndim(sigma):
+        sigma = rng.uniform(*sigma)
+    played = rng.random((n, n)) < density
+    np.fill_diagonal(played, False)
+    C = np.zeros((n, n))
+    C[played] = rng.lognormal(0.0, sigma, (n, n))[played]
+    return C
+
+
 def triplets(C, tol: float) -> tuple[float, list[tuple]]:
     """Triplet test by plain loops over Python floats: (max relative gap,
     every violation as (i, j, k, lhs, rhs, gap)). One-sided pairs come

@@ -81,20 +81,30 @@ def test_01_theorem_equivalence():
     start = time.perf_counter()
     worst_residual = 0.0
     worst_deviance = 0.0
+    worst_iw = 0.0
+    worst_mu = 0.0
     for idx in range(100):
         n = 3 + idx % 18
         C = random_quasi_symmetric(n, seed=1000 + idx)
-        # verify_equivalence raises unless iw matches d within 1e-8 and the
-        # fitted abilities match centered log d within 1e-6.
+        # verify_equivalence raises unless d solves both routes' equations;
+        # the routes' own solutions are compared with d here
         residual = verify_equivalence(C, tol=1e-10)
         worst_residual = max(worst_residual, residual)
+        d = decompose_qs(C).d
+        iw = influence_weight(C).scores
+        worst_iw = max(worst_iw, float(np.max(np.abs(iw - d / d.sum()))))
         fit = fit_bt(C)
+        log_d = np.log(d)
+        worst_mu = max(worst_mu, float(np.max(np.abs(
+            fit.abilities.mu - (log_d - log_d.mean())))))
         dev = bt_deviance(C, fit.abilities)
         worst_deviance = max(worst_deviance, dev)
     elapsed = time.perf_counter() - start
-    ok = worst_residual < 1e-10 and worst_deviance < 1e-6 and elapsed < 10.0
+    ok = (worst_residual < 1e-10 and worst_iw <= 1e-8 and worst_mu <= 1e-6
+          and worst_deviance < 1e-6 and elapsed < 10.0)
     _verdict(1, "theorem-equivalence", ok,
              f"100 matrices n in 3..20, max residual {worst_residual:.2e}, "
+             f"max iw gap {worst_iw:.2e}, max ability gap {worst_mu:.2e}, "
              f"max deviance {worst_deviance:.2e}, {elapsed:.2f}s")
 
 

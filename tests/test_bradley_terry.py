@@ -12,7 +12,8 @@ from pairrank.counts import CountMatrix
 from pairrank.errors import (ConnectivityError, ConvergenceError,
                              DimensionError, DomainError, SeparationError)
 
-from oracles import bt_mle, quasi_symmetric_ring, random_counts
+from oracles import bt_mle, lognormal_table, quasi_symmetric_ring, \
+    random_counts
 
 WORKED = np.array([[0, 1, 1], [2, 0, 2], [4, 4, 0]], float)
 
@@ -182,6 +183,17 @@ class TestFit:
         assert exc.value.iterations == 0
         assert fit_bt(WORKED, max_iter=np.int64(20)).converged
 
+    @pytest.mark.parametrize("seed", [45, 822, 1122, 1644, 1889])
+    def test_singular_newton_step_error(self, seed):
+        # counts spread over tens of decades: the information of a player
+        # underflows and the Newton system becomes singular in floating
+        # point before the fit converges
+        C = lognormal_table([7, seed], (5, 60), (0.1, 0.5), (4.0, 7.0))
+        with pytest.raises(ConvergenceError, match="singular system") as exc:
+            fit_bt(C)
+        assert exc.value.residual > 1e-10
+        assert exc.value.iterations >= 1
+
     def test_winless_player_error(self):
         # player b beats nobody
         C = np.array([[0, 2, 2], [0, 0, 0], [1, 3, 0]], float)
@@ -350,6 +362,18 @@ class TestDeviance:
         # only pairs (0,1) and (1,2) played
         expected = 2 * (1 * np.log(1 / 2) + 3 * np.log(3 / 2))
         assert val == pytest.approx(expected, abs=1e-12)
+
+    def test_underflowed_fitted_count_gives_finite_deviance(self):
+        # a pair whose fitted n_ij p_ij underflows to 0 although c_ij > 0
+        C = lognormal_table([9, 108], (5, 40), (0.2, 1.0), 12.0)
+        fit = fit_bt(C)
+        mu, games, won = fit.abilities.mu, C + C.T, C > 0
+        assert np.any(won & (games * _win_probabilities(mu) == 0))
+        log_p = -np.logaddexp(0.0, -np.subtract.outer(mu, mu))
+        expected = 2 * np.sum(C[won] * (np.log(C[won]) - np.log(games[won])
+                                        - log_p[won]))
+        assert fit.deviance == pytest.approx(expected, rel=1e-6)
+        assert bt_deviance(C, fit.abilities) == fit.deviance
 
     def test_saturated_fit_has_zero_deviance(self):
         rng = np.random.default_rng(40)

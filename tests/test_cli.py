@@ -17,7 +17,7 @@ from pairrank.counts import CountMatrix, default_labels
 from pairrank.io import matrix_to_csv
 from pairrank.report import load_schema
 
-from oracles import pagerank_eig, quasi_symmetric_ring
+from oracles import lognormal_table, pagerank_eig, quasi_symmetric_ring
 
 MATRIX = """,a,b,c
 a,0,1,1
@@ -344,6 +344,13 @@ class TestCheckQs:
         assert "equivalence_residual" not in obj["diagnostics"]
         assert obj["scores"] == []
 
+    def test_one_player_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "one.csv"
+        p.write_text(",a\na,3\n")
+        assert main(["check-qs", str(p)]) == 2
+        assert capsys.readouterr().err == \
+            "error: need at least two players to fit\n"
+
     def test_schema_validation(self, matrix_file, tmp_path, capsys):
         import jsonschema
 
@@ -558,6 +565,35 @@ def test_integer_argument_never_ends_in_a_traceback(capsys, structure,
     assert code in (0, 2)
     if code == 2:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def _strict_json(text: str):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_extreme_tables_exit_with_a_documented_code(tmp_path, capsys):
+    # lognormal counts over tens of decades, and the tables where the
+    # Newton system turned singular and a fitted count underflowed to 0
+    tables = [lognormal_table([41, k], (2, 30), (0.1, 1.0), (4.0, 12.0))
+              for k in range(100)]
+    tables += [lognormal_table([7, 45], (5, 60), (0.1, 0.5), (4.0, 7.0)),
+               lognormal_table([9, 108], (5, 40), (0.2, 1.0), 12.0)]
+    path = tmp_path / "extreme.csv"
+    codes = set()
+    for C in tables:
+        path.write_text(matrix_to_csv(CountMatrix(C, default_labels(len(C)))))
+        for argv in (["rank", "--method", "bt"], ["rank", "--method", "iw"],
+                     ["rank", "--method", "pagerank"], ["check-qs"]):
+            code = main([*argv, str(path), "--format", "json"])
+            out = capsys.readouterr().out
+            assert code in (0, 2, 3, 4), (argv, C)
+            if out:
+                _strict_json(out)
+            codes.add(code)
+    assert codes == {0, 2, 3, 4}
 
 
 def _dispatch_choices(command: str, option: str) -> list:

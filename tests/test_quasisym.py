@@ -1,12 +1,17 @@
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pairrank.counts import CountMatrix
+from pairrank import bradley_terry, cli, rankings
+from pairrank.cli import main
+from pairrank.counts import CountMatrix, default_labels
 from pairrank.errors import (ConnectivityError, DomainError,
                              NotQuasiSymmetricError)
 from pairrank.generators import random_quasi_symmetric
 from pairrank import quasisym
+from pairrank.io import matrix_to_csv
 from pairrank.quasisym import (MAX_LISTED_VIOLATIONS, check_triplets,
                                decompose_qs, is_reversible, verify_equivalence)
 from pairrank.rankings import influence_weight, transition_matrix
@@ -224,6 +229,45 @@ class TestVerifyEquivalence:
 
         monkeypatch.setattr(quasisym, "decompose_qs", fail)
         assert verify_equivalence(C, dec=dec) <= 1e-10
+
+    @pytest.fixture()
+    def no_solves(self, monkeypatch):
+        """influence_weight and fit_bt fail wherever check-qs could reach
+        them: each route is checked by its own equation at d."""
+        def fail(*args, **kwargs):
+            raise AssertionError("a ranking route was solved")
+
+        for module in (rankings, bradley_terry, quasisym, cli):
+            for name in ("influence_weight", "fit_bt"):
+                monkeypatch.setattr(module, name, fail, raising=False)
+
+    @staticmethod
+    def _passes(C, d, tmp_path, capsys):
+        assert verify_equivalence(C) <= 1e-10
+        p = tmp_path / "qs.csv"
+        p.write_text(matrix_to_csv(CountMatrix(C, default_labels(len(C)))))
+        assert main(["check-qs", str(p), "--format", "json"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["diagnostics"]["equivalence_residual"] <= 1e-10
+        scores = {e["label"]: e["score"] for e in obj["scores"]}
+        assert_allclose([scores[label] for label in default_labels(len(C))],
+                        d / d[0], rtol=1e-9)
+
+    def test_exact_tables_at_extreme_merit(self, no_solves, tmp_path,
+                                           capsys):
+        # d spread over tens of decades: a fit from zero stops short of
+        # centered log d for players whose wins are a tiny share of their
+        # games, and an iw solve loses digits
+        rng = np.random.default_rng(23)
+        for _ in range(60):
+            C, d = oracles.lognormal_quasi_symmetric(rng, 5.0)
+            self._passes(C, d, tmp_path, capsys)
+
+    @pytest.mark.parametrize("eps", [1e-9, 1e-12])
+    def test_two_blocks_joined_weakly(self, eps, no_solves, tmp_path,
+                                      capsys):
+        self._passes(*oracles.two_block_quasi_symmetric(eps), tmp_path,
+                     capsys)
 
 
 class TestIsReversible:
