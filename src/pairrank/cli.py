@@ -86,8 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rank.add_argument("--articles", default=None,
                         help="CSV of per-player sizes (label,articles); "
                              "required for --method ipp")
-    p_rank.add_argument("--input-format", choices=("auto", "edges", "matrix"),
-                        default="auto")
     add_format(p_rank)
     p_rank.set_defaults(handler=cmd_rank)
 
@@ -95,10 +93,10 @@ def build_parser() -> argparse.ArgumentParser:
                           help="quasi-symmetry and reversibility checks")
     p_qs.add_argument("input", help="CSV file (edges or matrix layout)")
     p_qs.add_argument("--tol", type=float, default=1e-8,
-                      help="relative tolerance for the triplet test and "
-                           "decomposition")
-    p_qs.add_argument("--input-format", choices=("auto", "edges", "matrix"),
-                      default="auto")
+                      help="bound on the triplet test's and the "
+                           "decomposition's relative gaps and on the "
+                           "reversibility check's detailed-balance gap; the "
+                           "equivalence residuals keep their own 1e-10")
     add_format(p_qs)
     p_qs.set_defaults(handler=cmd_check_qs)
 
@@ -158,7 +156,7 @@ def _digest(path) -> str:
 
 
 def cmd_rank(args) -> tuple[RunReport, int]:
-    C = parse_input(args.input, args.input_format)
+    C = parse_input(args.input)
     diagnostics: dict = {}
     metadata: dict = {"input_sha256": _digest(args.input), "tol": args.tol}
     alpha = args.alpha
@@ -200,7 +198,7 @@ def cmd_rank(args) -> tuple[RunReport, int]:
 
 
 def cmd_check_qs(args) -> tuple[RunReport, int]:
-    C = parse_input(args.input, args.input_format)
+    C = parse_input(args.input)
     metadata = {"input_sha256": _digest(args.input), "tol": args.tol}
     diagnostics: dict = {}
 

@@ -1,6 +1,6 @@
 """CSV input parsing and matrix serialization.
 
-Two input layouts are accepted:
+Two input layouts are accepted, and the header row decides which:
 
 * edges: header ``winner,loser,count``, one row per observed (or aggregated)
   result; repeated pairs accumulate. Labels appear in first-appearance order.
@@ -13,11 +13,12 @@ parse_input reads a plain matrix file in blocks of rows, each block's
 numbers converted by one np.loadtxt call; its C reader rounds through the
 same routine as float(), so every entry has the same bits. It declines
 every other file (see parse_input for the rules), and the csv walk parses
-that file from the start; the walk is the only source of parse errors.
-Both paths read one number grammar: the walk rejects the spellings that
-float() alone reads (non-ASCII digits, '_' between digits).
-Either path holds the n x n array plus one block of text (the walk: one
-row), never the whole file.
+that file from the start, a matrix row's numbers through the same reader.
+Only a row that reader declines is walked cell by cell, and that walk is
+the only source of parse errors. One number grammar holds everywhere: the
+cell walk rejects the spellings float() alone reads (non-ASCII digits, '_'
+between digits). Either path holds the n x n array plus one block of text
+(the walk: one row), never the whole file.
 
 matrix_to_csv writes floats with repr(), the shortest string that parses
 back to the same binary64 value, so a matrix -> csv -> matrix round trip is
@@ -39,38 +40,35 @@ import numpy as np
 EDGE_HEADER = ("winner", "loser", "count")
 
 
-def parse_input(path, fmt: str = "auto") -> CountMatrix:
-    """Parse a CSV file into a count matrix. fmt is one of auto, edges,
-    matrix; auto sniffs the header row.
+def parse_input(path) -> CountMatrix:
+    """Parse a CSV file into a count matrix, in the layout its header row
+    names.
 
-    With fmt auto or matrix, a plain matrix file takes the block path: the
-    header on the first line, no quote character, no line longer than
-    csv.field_size_limit(), each row label (stripped) equal to the next
-    header label, n data rows (blank rows are skipped), and every entry a
-    number np.loadtxt reads that is nonnegative and finite. Data rows go
-    to np.loadtxt in blocks of about _BLOCK_CHARS characters. The block
-    path raises, warns and prints nothing: on any other file it declines,
-    and the csv walk parses the file from the start, so errors, messages
-    and their order are the walk's.
+    A plain matrix file takes the block path: the header on the first
+    line, no quote character, no line longer than csv.field_size_limit(),
+    each row label (stripped) equal to the next header label, n data rows
+    (blank rows are skipped), and every entry a number np.loadtxt reads
+    that is nonnegative and finite. Data rows go to np.loadtxt in blocks of
+    about _BLOCK_CHARS characters. The block path raises, warns and prints
+    nothing: on any other file it declines, and the csv walk parses the
+    file from the start, so errors, messages and their order are the
+    walk's.
 
     The file is read as a stream: memory is the n x n array plus one block
     of text (the walk: one row). Cells are stripped of surrounding
     whitespace and blank rows are skipped; line numbers in errors count
     CSV records, blank ones included. A matrix file with the wrong number
     of data rows reports that ahead of any error inside a row."""
-    if fmt in ("auto", "matrix"):
-        C = _parse_plain_matrix(path)
-        if C is not None:
-            return C
-    return _parse_csv(path, fmt)
+    C = _parse_plain_matrix(path)
+    return C if C is not None else _parse_csv(path)
 
 
-def _parse_csv(path, fmt: str) -> CountMatrix:
+def _parse_csv(path) -> CountMatrix:
     """The csv walk: every layout, and the source of every parse error."""
     with open(path, encoding="utf-8-sig") as f:
         rows = _read_rows(f)
         try:
-            return _parse_rows(rows, fmt)
+            return _parse_rows(rows)
         except RankingError:
             # a decoding or CSV error further on still comes first, as when
             # the whole file was read before parsing
@@ -145,18 +143,19 @@ def _fill_rows(C: np.ndarray, stop: int, block: list[str]) -> bool:
     return True
 
 
-def _parse_rows(rows: Iterator[tuple[int, list[str]]],
-                fmt: str) -> CountMatrix:
+def _parse_rows(rows: Iterator[tuple[int, list[str]]]) -> CountMatrix:
     first = next(rows, None)
     if first is None:
         raise ParseError("input file is empty")
-    if fmt == "auto":
-        fmt = _sniff(first[1])
-    if fmt == "edges":
-        return _parse_edges(first, rows)
-    if fmt == "matrix":
+    line_no, header = first
+    if tuple(c.lower() for c in header) == EDGE_HEADER:
+        return _parse_edges(rows)
+    if header[0] == "":
         return _parse_matrix(first, rows)
-    raise DomainError(f"unknown input format {fmt!r}")
+    raise ParseError(
+        "cannot determine input format: expected an edges header "
+        "'winner,loser,count' or a matrix header with an empty corner cell",
+        line=line_no)
 
 
 def parse_articles(path, labels: tuple[str, ...]) -> np.ndarray:
@@ -210,25 +209,7 @@ def _read_rows(f) -> Iterator[tuple[int, list[str]]]:
         raise ParseError(str(exc), line=line_no + 1) from None
 
 
-def _sniff(header: list[str]) -> str:
-    lowered = tuple(c.lower() for c in header)
-    if lowered[:3] == EDGE_HEADER and len(header) == 3:
-        return "edges"
-    if header and header[0] == "":
-        return "matrix"
-    raise ParseError(
-        "cannot determine input format: expected an edges header "
-        "'winner,loser,count' or a matrix header with an empty corner cell",
-        line=1)
-
-
-def _parse_edges(first: tuple[int, list[str]],
-                 rows: Iterator[tuple[int, list[str]]]) -> CountMatrix:
-    line_no, header = first
-    if tuple(c.lower() for c in header) != EDGE_HEADER:
-        raise ParseError(
-            f"expected header 'winner,loser,count', got {','.join(header)}",
-            line=line_no)
+def _parse_edges(rows: Iterator[tuple[int, list[str]]]) -> CountMatrix:
     index: dict[str, int] = {}
     entries: dict[tuple[int, int], float] = {}
     for line_no, cells in rows:
@@ -258,10 +239,6 @@ def _parse_edges(first: tuple[int, list[str]],
 def _parse_matrix(first: tuple[int, list[str]],
                   rows: Iterator[tuple[int, list[str]]]) -> CountMatrix:
     line_no, header = first
-    if not header or header[0] != "":
-        raise ParseError(
-            "matrix header must start with an empty corner cell",
-            line=line_no)
     # a header of the corner cell alone is a blank row, so n >= 1
     labels = header[1:]
     n = len(labels)
@@ -277,7 +254,7 @@ def _parse_matrix(first: tuple[int, list[str]],
     for data_line, cells in rows:
         if held is None and count < n:
             try:
-                C[count] = _matrix_row(cells, count, labels, data_line)
+                _matrix_row(C, count, cells, labels, data_line)
             except RankingError as exc:
                 held = exc
         count += 1
@@ -290,10 +267,10 @@ def _parse_matrix(first: tuple[int, list[str]],
     return CountMatrix(C, tuple(labels))
 
 
-def _matrix_row(cells: list[str], r: int, labels: list[str],
-                data_line: int) -> np.ndarray:
-    """Row r of a matrix file as floats. A row that fails the vectorised
-    checks has a bad cell; a walk over its cells reports the first one."""
+def _matrix_row(C: np.ndarray, r: int, cells: list[str],
+                labels: list[str], data_line: int) -> None:
+    """Write row r of a matrix file into C. A row _fill_rows declines has a
+    bad cell; a walk over its cells reports the first one."""
     n = len(labels)
     if len(cells) != n + 1:
         raise ParseError(
@@ -303,13 +280,8 @@ def _matrix_row(cells: list[str], r: int, labels: list[str],
             f"row label {cells[0]!r} does not match header label "
             f"{labels[r]!r} (row order must follow the header)",
             line=data_line)
-    try:
-        if _plain("".join(cells[1:])):
-            values = np.fromiter(map(float, cells[1:]), float, n)
-            if values.min() >= 0 and values.max() < np.inf:  # NaN fails both
-                return values
-    except ValueError:
-        pass
+    if _fill_rows(C, r + 1, [",".join(cells[1:])]):
+        return
     for c, raw in enumerate(cells[1:]):
         value = _cell("entry", raw, data_line)
         if value < 0:
@@ -319,16 +291,11 @@ def _matrix_row(cells: list[str], r: int, labels: list[str],
     raise AssertionError("a row that failed the checks has no bad cell")
 
 
-def _plain(text: str) -> bool:
-    """Whether text holds only what np.loadtxt reads in a number: float()
-    also reads '_' between digits and non-ASCII digits and spaces."""
-    return text.isascii() and "_" not in text
-
-
 def _number(raw: str) -> float:
     """float(raw) for the spellings np.loadtxt also reads; ValueError for
-    the rest, so both parse paths accept one number grammar."""
-    if not _plain(raw):
+    the rest (non-ASCII digits and spaces, '_' between digits), so every
+    path accepts one number grammar."""
+    if not raw.isascii() or "_" in raw:
         raise ValueError(f"not a plain number: {raw!r}")
     return float(raw)
 

@@ -187,10 +187,12 @@ def decompose_qs(C, tol: float = DEFAULT_QS_TOL) -> QSDecomposition:
     d is propagated by breadth-first levels from node 0 of the
     reciprocal-support graph (pairs with counts in both directions): d_v =
     d_u c_vu / c_uv, u the lowest-indexed neighbour one level up. Then the
-    verdict is max asymmetry of diag(d)^-1 C against tol. Disconnected
-    reciprocal support means d is not identified and raises the
-    connectivity error; asymmetry beyond tol raises the quasi-symmetry
-    error with the worst entry.
+    verdict is the largest relative asymmetry of M = diag(d)^-1 C,
+    |m_ij - m_ji| / max(m_ij, m_ji) over pairs not both zero (the triplet
+    test's gap), against tol; it does not move with the scale of C or the
+    gauge of d. Disconnected reciprocal support means d is not identified
+    and raises the connectivity error; asymmetry beyond tol raises the
+    quasi-symmetry error with the worst entry.
     """
     C = as_count_matrix(C)
     _check_tol(tol)
@@ -207,12 +209,15 @@ def decompose_qs(C, tol: float = DEFAULT_QS_TOL) -> QSDecomposition:
         d[new] = d[parent] * counts[new, parent] / counts[parent, new]
 
     M = counts / d[:, None]
-    asym = np.abs(M - M.T)
-    worst = float(asym.max())
+    gap = np.abs(M - M.T)
+    big = np.maximum(M, M.T)
+    np.divide(gap, big, out=gap, where=big > 0)  # both 0: gap stays 0
+    worst = float(gap.max())
     if worst > tol:
-        i, j = np.unravel_index(int(np.argmax(asym)), asym.shape)
+        i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)
         raise NotQuasiSymmetricError(worst, (int(i), int(j)))
-    S = 0.5 * (M + M.T)
+    S = np.add(M, M.T, out=big)  # big is spent; S takes its buffer
+    S *= 0.5
     residual = float(np.max(np.abs(counts - d[:, None] * S)))
     return QSDecomposition(d=d, S=S, residual=residual, labels=C.labels)
 

@@ -2,9 +2,11 @@ import argparse
 import csv
 import hashlib
 import json
+import re
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -344,6 +346,24 @@ class TestCheckQs:
         assert "equivalence_residual" not in obj["diagnostics"]
         assert obj["scores"] == []
 
+    def test_scaled_ring_is_not_quasi_symmetric(self, tmp_path, capsys):
+        # no triplet to fail and a cycle ratio of 2^6: the decomposition
+        # rejects it, though its entries are all below any absolute tol
+        n = 6
+        i = np.arange(n)
+        C = np.zeros((n, n))
+        C[i, (i + 1) % n] = 2e-10
+        C[(i + 1) % n, i] = 1e-10
+        p = tmp_path / "ring.csv"
+        p.write_text(matrix_to_csv(CountMatrix(C, default_labels(n))))
+        assert main(["check-qs", str(p), "--format", "json"]) == 4
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["diagnostics"]["quasi_symmetric"] is False
+        assert obj["diagnostics"]["decomposition_error"].startswith(
+            "matrix is not quasi-symmetric: worst asymmetry 0.984375")
+        assert "equivalence_error" not in obj["diagnostics"]
+        assert obj["scores"] == []
+
     def test_one_player_exits_2(self, tmp_path, capsys):
         p = tmp_path / "one.csv"
         p.write_text(",a\na,3\n")
@@ -596,11 +616,36 @@ def test_extreme_tables_exit_with_a_documented_code(tmp_path, capsys):
     assert codes == {0, 2, 3, 4}
 
 
+def _subcommands() -> dict:
+    return next(action for action in build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction)).choices
+
+
 def _dispatch_choices(command: str, option: str) -> list:
-    sub = next(action for action in build_parser()._actions
-               if isinstance(action, argparse._SubParsersAction))
-    return next(action.choices for action in sub.choices[command]._actions
+    return next(action.choices for action in _subcommands()[command]._actions
                 if option in action.option_strings)
+
+
+def test_readme_names_every_long_option():
+    # the README names each subcommand's long options, and no others
+    options = {option for parser in _subcommands().values()
+               for action in parser._actions
+               for option in action.option_strings
+               if option.startswith("--")} - {"--help"}
+    readme = (Path(__file__).parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    named = set(re.findall(r"--[a-z][a-z-]*", readme))
+    assert named - {"--no-build-isolation"} == options
+
+
+@pytest.mark.parametrize("command", ["rank", "check-qs"])
+def test_input_format_is_a_usage_error(matrix_file, capsys, command):
+    # the header row decides the layout; there is no option to force one
+    with pytest.raises(SystemExit) as exc:
+        main([command, matrix_file, "--input-format", "matrix"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --input-format matrix" in \
+        capsys.readouterr().err
 
 
 # the library function each --method choice must reach, with the method

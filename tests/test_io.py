@@ -34,6 +34,10 @@ c,4,4,0
 
 EXPECTED = np.array([[0, 1, 1], [2, 0, 2], [4, 4, 0]], float)
 
+SNIFF_ERROR = ("line {}: cannot determine input format: expected an edges "
+               "header 'winner,loser,count' or a matrix header with an "
+               "empty corner cell")
+
 
 def test_star_import_binds_no_submodule():
     # pairrank.io would otherwise shadow the standard library's io
@@ -74,57 +78,57 @@ class TestParseEdges:
     def test_basic(self, tmp_path):
         p = tmp_path / "e.csv"
         p.write_text(EDGES)
-        C = parse_input(p, "edges")
+        C = parse_input(p)
         assert C.labels == ("a", "b", "c")
         assert_allclose(C.counts, EXPECTED)
 
     def test_auto_detection(self, tmp_path):
         p = tmp_path / "e.csv"
         p.write_text(EDGES)
-        assert_allclose(parse_input(p, "auto").counts, EXPECTED)
+        assert_allclose(parse_input(p).counts, EXPECTED)
 
     def test_repeated_rows_accumulate(self, tmp_path):
         p = tmp_path / "e.csv"
         p.write_text("winner,loser,count\nx,y,2\nx,y,3\ny,x,1\n")
-        C = parse_input(p, "edges")
+        C = parse_input(p)
         assert_allclose(C.counts, [[0, 5], [1, 0]])
 
     def test_labels_in_first_appearance_order(self, tmp_path):
         p = tmp_path / "e.csv"
         p.write_text("winner,loser,count\nz,m,1\nm,a,2\na,z,3\n")
-        assert parse_input(p, "edges").labels == ("z", "m", "a")
+        assert parse_input(p).labels == ("z", "m", "a")
 
     def test_bad_count_reports_line(self, tmp_path):
         p = tmp_path / "e.csv"
         p.write_text("winner,loser,count\nx,y,2\nx,y,oops\n")
         with pytest.raises(ParseError) as exc:
-            parse_input(p, "edges")
+            parse_input(p)
         assert exc.value.line == 3
 
     def test_negative_count_is_domain_error(self, tmp_path):
         p = tmp_path / "e.csv"
         p.write_text("winner,loser,count\nx,y,-2\ny,x,1\n")
         with pytest.raises(DomainError) as exc:
-            parse_input(p, "edges")
+            parse_input(p)
         assert "line 2" in str(exc.value)
 
     def test_wrong_field_count(self, tmp_path):
         p = tmp_path / "e.csv"
         p.write_text("winner,loser,count\nx,y\n")
         with pytest.raises(ParseError) as exc:
-            parse_input(p, "edges")
+            parse_input(p)
         assert exc.value.line == 2
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "e.csv"
         p.write_text("")
         with pytest.raises(ParseError):
-            parse_input(p, "edges")
+            parse_input(p)
 
+    # fmt named the layout parse_input was told to use; the header decides
+    # it now, and the column keeps each case's id
     @pytest.mark.parametrize("text, fmt, kind, message", [
-        (EDGES, "xml", DomainError, "unknown input format 'xml'"),
-        ("a,b,c\nx,y,1\n", "edges", ParseError,
-         "line 1: expected header 'winner,loser,count', got a,b,c"),
+        ("a,b,c\nx,y,1\n", "edges", ParseError, SNIFF_ERROR.format(1)),
         ("winner,loser,count\nx,y,1\n,y,1\n", "edges", ParseError,
          "line 3: empty label"),
         ("winner,loser,count\nx,,1\n", "edges", ParseError,
@@ -142,7 +146,7 @@ class TestParseEdges:
         p = tmp_path / "e.csv"
         p.write_text(text)
         with pytest.raises(kind) as exc:
-            parse_input(p, fmt)
+            parse_input(p)
         assert str(exc.value) == message
 
 
@@ -150,53 +154,53 @@ class TestParseMatrix:
     def test_basic(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text(MATRIX)
-        C = parse_input(p, "matrix")
+        C = parse_input(p)
         assert C.labels == ("a", "b", "c")
         assert_allclose(C.counts, EXPECTED)
 
     def test_auto_detection(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text(MATRIX)
-        assert_allclose(parse_input(p, "auto").counts, EXPECTED)
+        assert_allclose(parse_input(p).counts, EXPECTED)
 
     def test_row_label_mismatch(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text(",a,b\nb,0,1\na,2,0\n")
         with pytest.raises(ParseError) as exc:
-            parse_input(p, "matrix")
+            parse_input(p)
         assert exc.value.line == 2
 
     def test_missing_rows(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text(",a,b\na,0,1\n")
         with pytest.raises(ParseError):
-            parse_input(p, "matrix")
+            parse_input(p)
 
     def test_non_numeric_entry(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text(",a,b\na,0,1\nb,x,0\n")
         with pytest.raises(ParseError) as exc:
-            parse_input(p, "matrix")
+            parse_input(p)
         assert exc.value.line == 3
 
     def test_negative_entry_is_domain_error(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text(",a,b\na,0,-1\nb,2,0\n")
         with pytest.raises(DomainError):
-            parse_input(p, "matrix")
+            parse_input(p)
 
     def test_unrecognizable_header(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text("foo,bar\n1,2\n")
         with pytest.raises(ParseError):
-            parse_input(p, "auto")
+            parse_input(p)
 
 
 def _matrix_error(tmp_path, text: str, kind=ParseError) -> str:
     p = tmp_path / "m.csv"
     p.write_text(text)
     with pytest.raises(kind) as exc:
-        parse_input(p, "matrix")
+        parse_input(p)
     return str(exc.value)
 
 
@@ -206,14 +210,14 @@ class TestMatrixParserBehaviour:
     def test_whitespace_padded_cells(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text(" , a ,b \n a , 0 , 1 \nb,  2,0  \n")
-        C = parse_input(p, "auto")
+        C = parse_input(p)
         assert C.labels == ("a", "b")
         assert np.array_equal(C.counts, [[0, 1], [2, 0]])
 
     def test_blank_lines_between_rows(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text(",a,b\n\na,0,1\n , \n\nb,2,0\n\n")
-        C = parse_input(p, "matrix")
+        C = parse_input(p)
         assert np.array_equal(C.counts, [[0, 1], [2, 0]])
 
     def test_blank_lines_count_in_line_numbers(self, tmp_path):
@@ -262,8 +266,7 @@ class TestMatrixParserBehaviour:
         assert msg == "line 3: expected 3 fields, got 4"
 
     @pytest.mark.parametrize("text, message", [
-        ("a,b\na,0,1\n",
-         "line 1: matrix header must start with an empty corner cell"),
+        ("a,b\na,0,1\n", SNIFF_ERROR.format(1)),
         (",a,a\na,0,1\na,1,0\n", "line 1: duplicate labels in matrix header"),
         # an empty label is rejected as in an edge list
         (",a,\na,0,1\n,2,0\n", "line 1: empty label"),
@@ -272,8 +275,8 @@ class TestMatrixParserBehaviour:
         # a header of the corner cell alone is a blank row, so no header
         # ever reaches the parser without a label
         (",\n , \n", "input file is empty"),
-        (",\na,0\n",
-         "line 2: matrix header must start with an empty corner cell"),
+        # the first non-blank row is the header, and errors name its line
+        (",\na,0\n", SNIFF_ERROR.format(2)),
     ])
     def test_header_errors(self, tmp_path, text, message):
         assert _matrix_error(tmp_path, text) == message
@@ -417,7 +420,7 @@ class TestRoundTrip:
                         ("a", "b", "c", "d", "e"))
         p = tmp_path / "m.csv"
         p.write_text(matrix_to_csv(C))
-        back = parse_input(p, "matrix")
+        back = parse_input(p)
         assert back.labels == C.labels
         assert np.array_equal(back.counts, C.counts)  # no tolerance
 
@@ -425,7 +428,7 @@ class TestRoundTrip:
         C = CountMatrix([[0, 2], [1, 0]], ('x, "the" team', "y"))
         p = tmp_path / "m.csv"
         p.write_text(matrix_to_csv(C))
-        back = parse_input(p, "matrix")
+        back = parse_input(p)
         assert back.labels == C.labels
         assert np.array_equal(back.counts, C.counts)
 
@@ -481,11 +484,11 @@ class TestReport:
         assert "(se 0.5)" in rep.to_table()
 
 
-def _outcome(parse, path, fmt):
+def _outcome(parse, path):
     """What parsing path gives: the labels and count bytes, or the error's
     type and message."""
     try:
-        C = parse(path, fmt)
+        C = parse(path)
     except Exception as exc:  # any exception must match the walk's
         return type(exc), str(exc)
     return C.labels, C.counts.tobytes()
@@ -565,12 +568,13 @@ class TestBlockPath:
     @pytest.mark.parametrize("raw", [
         b"", b"\n", b" , \n\n", b",\n", b",a\n", codecs.BOM_UTF8,
         b",a\na,1", b",a\r\na,1\r\n", b"\n,a\na,1\n", b",a\na,1\n,\n"])
+    # fmt named the layout parse_input was told to use; the header decides
+    # it now, and the parameter keeps each case's id
     @pytest.mark.parametrize("fmt", ["auto", "matrix"])
     def test_agrees_with_the_walk_on_edge_files(self, tmp_path, raw, fmt):
         p = tmp_path / "m.csv"
         p.write_bytes(raw)
-        assert _outcome(parse_input, p, fmt) == _outcome(
-            pairrank.io._parse_csv, p, fmt)
+        assert _outcome(parse_input, p) == _outcome(pairrank.io._parse_csv, p)
 
     def test_agrees_with_the_walk_on_mutated_files(self, tmp_path):
         rng = np.random.default_rng(20261019)
@@ -579,9 +583,12 @@ class TestBlockPath:
         files = 2000
         for _ in range(files):
             p.write_bytes(_mutated_matrix(rng))
-            fmt = str(rng.choice(["auto", "matrix"]))
-            assert _outcome(parse_input, p, fmt) == _outcome(
-                pairrank.io._parse_csv, p, fmt), p.read_bytes()
+            rng.choice(["auto", "matrix"])  # once a layout; keeps the files
+            outcome = _outcome(parse_input, p)
+            assert outcome == _outcome(pairrank.io._parse_csv, p), \
+                p.read_bytes()
+            # a failed check in the walk would give both paths one outcome
+            assert outcome[0] is not AssertionError, p.read_bytes()
             plain += pairrank.io._parse_plain_matrix(p) is not None
         # both paths are exercised
         assert files // 10 < plain < files * 9 // 10

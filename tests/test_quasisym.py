@@ -183,6 +183,24 @@ class TestDecompose:
             decompose_qs(C)
         assert exc.value.residual > 0.1
 
+    @pytest.mark.parametrize("scale", [1e-10, 1.0, 1e10])
+    def test_verdict_does_not_move_with_scale(self, scale):
+        # a 6-ring with c_{i,i+1} = 2 and c_{i+1,i} = 1 has no triplet to
+        # fail, and its cycle ratio 2^6 is not 1: only the decomposition
+        # can reject it, whatever the unit of the counts
+        n = 6
+        i = np.arange(n)
+        C = np.zeros((n, n))
+        C[i, (i + 1) % n] = 2.0 * scale
+        C[(i + 1) % n, i] = 1.0 * scale
+        assert check_triplets(C).is_quasi_symmetric
+        with pytest.raises(NotQuasiSymmetricError) as exc:
+            decompose_qs(C)
+        assert exc.value.residual == 63 / 64
+        C = random_quasi_symmetric(6, seed=5).counts
+        assert_allclose(decompose_qs(C * scale).d, decompose_qs(C).d,
+                        rtol=1e-14)
+
     def test_disconnected_reciprocal_support(self):
         C = np.zeros((4, 4))
         C[0, 1] = C[1, 0] = 2.0
@@ -257,11 +275,14 @@ class TestVerifyEquivalence:
                                            capsys):
         # d spread over tens of decades: a fit from zero stops short of
         # centered log d for players whose wins are a tiny share of their
-        # games, and an iw solve loses digits
-        rng = np.random.default_rng(23)
-        for _ in range(60):
-            C, d = oracles.lognormal_quasi_symmetric(rng, 5.0)
-            self._passes(C, d, tmp_path, capsys)
+        # games, and an iw solve loses digits; at sigma 8 the entries of
+        # diag(d)^-1 C span so many decades that only a relative
+        # decomposition verdict holds for every table
+        for seed, sigma in ((23, 5.0), (0, 8.0)):
+            rng = np.random.default_rng(seed)
+            for _ in range(60):
+                C, d = oracles.lognormal_quasi_symmetric(rng, sigma)
+                self._passes(C, d, tmp_path, capsys)
 
     @pytest.mark.parametrize("eps", [1e-9, 1e-12])
     def test_two_blocks_joined_weakly(self, eps, no_solves, tmp_path,
