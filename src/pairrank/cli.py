@@ -21,29 +21,24 @@ form, beyond tolerance). Reports go to stdout, errors to stderr.
 from __future__ import annotations
 
 import argparse
-import hashlib
+import os
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import asymptotics, rankings
-from .asymptotics import delta_method_covariance
-from .bradley_terry import AbilityVector, bt_covariance, fit_bt
-from .counts import default_labels
 from .errors import (ConnectivityError, ConsistencyError, ConvergenceError,
                      DomainError, NotQuasiSymmetricError, RankingError)
-from .generators import (SimulationConfig, _check_players,
-                         monte_carlo_covariance, structure_matrix)
-from .io import parse_articles, parse_input
-from .linalg import _check_tol
-from .quasisym import check_triplets, decompose_qs, is_reversible, \
-    verify_equivalence
-from .rankings import influence_per_publication
-from .report import MatrixBlock, RunReport, sort_scores
 
-# Each choice names the library function it runs, looked up on its module at
-# call time so that a rebinding there (bench/spans.py wraps each in a span)
-# reaches the CLI. ipp (needs --articles) and bt (a fit) branch on their own.
+if TYPE_CHECKING:
+    from .report import RunReport
+
+# A handler imports what it runs when it is called, so a call loads only its
+# own subcommand's modules, and each name is read from its defining module at
+# call time: a rebinding there (bench/spans.py wraps each public function in
+# a span, tests patch them) reaches the CLI. Each choice below names the
+# library function it runs. ipp (needs --articles) and bt (a fit) branch on
+# their own.
 _EIGEN_METHODS = {"pagerank": "pagerank", "iw": "influence_weight",
                   "total": "total_influence"}
 _DESIGNS = {"round-robin": "round_robin_covariance",
@@ -140,7 +135,15 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    sys.exit(main(sys.argv[1:]))
+    code = main(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        sys.exit(code)  # a closed pipe is reported at the usual teardown
+    # the report is out: skip the interpreter's teardown, which costs about
+    # 25 ms a call and does nothing this process needs
+    os._exit(code)
 
 
 # bytes hashed per read, so a digest never holds a copy of the whole file
@@ -148,6 +151,8 @@ _DIGEST_CHUNK = 1 << 16
 
 
 def _digest(path) -> str:
+    import hashlib
+
     h = hashlib.sha256()
     with open(path, "rb") as f:
         while chunk := f.read(_DIGEST_CHUNK):
@@ -156,6 +161,10 @@ def _digest(path) -> str:
 
 
 def cmd_rank(args) -> tuple[RunReport, int]:
+    from . import rankings
+    from .io import parse_articles, parse_input
+    from .report import RunReport, sort_scores
+
     C = parse_input(args.input)
     diagnostics: dict = {}
     metadata: dict = {"input_sha256": _digest(args.input), "tol": args.tol}
@@ -163,6 +172,8 @@ def cmd_rank(args) -> tuple[RunReport, int]:
     if args.method == "bt":
         if alpha is not None:
             diagnostics["note"] = "alpha is ignored for bradley_terry"
+        from .bradley_terry import fit_bt
+
         fit = fit_bt(C, tol=args.tol)
         stderrs = np.sqrt(np.clip(np.diag(fit.covariance), 0.0, None))
         scores = sort_scores(C.labels, fit.abilities.mu, stderrs)
@@ -177,8 +188,8 @@ def cmd_rank(args) -> tuple[RunReport, int]:
                 raise DomainError(
                     "--method ipp requires --articles (per-player sizes)")
             articles = parse_articles(args.articles, C.labels)
-            vector = influence_per_publication(C, articles, alpha,
-                                               tol=args.tol)
+            vector = rankings.influence_per_publication(C, articles, alpha,
+                                                        tol=args.tol)
             metadata["articles_sha256"] = _digest(args.articles)
         else:
             score = getattr(rankings, _EIGEN_METHODS[args.method])
@@ -198,6 +209,11 @@ def cmd_rank(args) -> tuple[RunReport, int]:
 
 
 def cmd_check_qs(args) -> tuple[RunReport, int]:
+    from .io import parse_input
+    from .quasisym import (check_triplets, decompose_qs, is_reversible,
+                           verify_equivalence)
+    from .report import RunReport, sort_scores
+
     C = parse_input(args.input)
     metadata = {"input_sha256": _digest(args.input), "tol": args.tol}
     diagnostics: dict = {}
@@ -240,14 +256,24 @@ def _design(args) -> dict:
 
 def _closed_form(args) -> np.ndarray:
     """Closed-form covariance of the design's centered log weights."""
+    from . import asymptotics
+
     return getattr(asymptotics, _DESIGNS[args.structure])(args.n, args.k)
 
 
 def cmd_asymptotics(args) -> tuple[RunReport, int]:
+    from .counts import default_labels
+    from .report import MatrixBlock, RunReport
+
     target = _closed_form(args)
     diagnostics = {**_design(args), "covariance_source": "closed-form"}
     code = 0
     if args.check:
+        from .asymptotics import delta_method_covariance
+        from .bradley_terry import bt_covariance
+        from .generators import structure_matrix
+        from .linalg import _check_tol
+
         _check_tol(args.tol)
         C = structure_matrix(args.structure, args.n, args.k)
         scale = float(np.max(np.abs(target)))
@@ -263,6 +289,12 @@ def cmd_asymptotics(args) -> tuple[RunReport, int]:
 
 
 def cmd_simulate(args) -> tuple[RunReport, int]:
+    from .bradley_terry import AbilityVector
+    from .counts import default_labels
+    from .generators import (SimulationConfig, _check_players,
+                             monte_carlo_covariance)
+    from .report import MatrixBlock, RunReport
+
     _check_players(args.n)  # before the n-sized labels and abilities
     labels = default_labels(args.n)
     abilities = AbilityVector(np.zeros(len(labels)), labels)

@@ -2,6 +2,7 @@ import argparse
 import csv
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import pairrank.cli as cli
-from pairrank import asymptotics, rankings
+from pairrank import asymptotics, bradley_terry, rankings
 from pairrank.cli import build_parser, main
 from pairrank.counts import CountMatrix, default_labels
 from pairrank.io import matrix_to_csv
@@ -378,7 +379,6 @@ class TestCheckQs:
         jsonschema.validate(json.loads(capsys.readouterr().out), load_schema())
 
     def test_decomposes_once(self, matrix_file, monkeypatch, capsys):
-        import pairrank.cli as cli
         import pairrank.quasisym as quasisym
 
         calls = []
@@ -388,7 +388,6 @@ class TestCheckQs:
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "decompose_qs", counting)
         monkeypatch.setattr(quasisym, "decompose_qs", counting)
         assert main(["check-qs", matrix_file]) == 0
         assert len(calls) == 1
@@ -654,8 +653,9 @@ METHOD_TARGETS = {
     "pagerank": (rankings, "pagerank", "pagerank"),
     "iw": (rankings, "influence_weight", "influence_weight"),
     "total": (rankings, "total_influence", "total_influence"),
-    "ipp": (cli, "influence_per_publication", "influence_per_publication"),
-    "bt": (cli, "fit_bt", "bradley_terry"),
+    "ipp": (rankings, "influence_per_publication",
+            "influence_per_publication"),
+    "bt": (bradley_terry, "fit_bt", "bradley_terry"),
 }
 DESIGN_TARGETS = {"round-robin": "round_robin_covariance",
                   "circular": "circular_covariance"}
@@ -819,3 +819,103 @@ class TestEntryPoint:
             [sys.executable, "-m", "pairrank", "rank"],
             capture_output=True, text=True)
         assert proc.returncode == 2
+
+
+def _env(unbuffered: bool) -> dict:
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+class TestTeardownSkip:
+    """`pairrank` ends its process without the interpreter's teardown once
+    the report is flushed; what reaches the caller must not change."""
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize("case, code", [("rank", 0), ("check-qs", 4),
+                                            ("missing", 2)])
+    def test_module_run_gives_main_bytes(self, case, code, unbuffered,
+                                         tmp_path, capsys):
+        if case == "rank":
+            # a report larger than the 8 KiB stdout buffer
+            path, _, _ = _ring_edges(tmp_path, 300)
+            argv = ["rank", path, "--format", "json"]
+        elif case == "check-qs":
+            path = tmp_path / "noisy.csv"
+            path.write_text(matrix_to_csv(_noisy_qs(6)))
+            argv = ["check-qs", str(path), "--tol", "1e-4", "--format",
+                    "json"]
+        else:
+            argv = ["rank", str(tmp_path / "absent.csv")]
+        assert main(argv) == code
+        expected = capsys.readouterr()
+        out = tmp_path / "out.txt"
+        with open(out, "wb") as f:
+            proc = subprocess.run([sys.executable, "-m", "pairrank", *argv],
+                                  stdout=f, stderr=subprocess.PIPE,
+                                  env=_env(unbuffered))
+        assert proc.returncode == code
+        assert out.read_bytes() == expected.out.encode("utf-8")
+        assert proc.stderr == expected.err.encode("utf-8")
+
+    @pytest.mark.parametrize("unbuffered, code", [(False, 120), (True, 1)])
+    def test_closed_stdout_pipe(self, unbuffered, code, matrix_file):
+        # buffered, the report waits for the final flush, which fails as the
+        # interpreter ends (exit 120); unbuffered, main's write raises
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pairrank", "rank", matrix_file,
+                 "--format", "json"],
+                stdout=write, stderr=subprocess.PIPE, text=True,
+                env=_env(unbuffered))
+        finally:
+            os.close(write)
+        assert proc.returncode == code
+        if unbuffered:
+            lines = proc.stderr.splitlines()
+            assert lines[0] == "Traceback (most recent call last):"
+            assert "    sys.stdout.write(report.render(args.format))" in lines
+            assert lines[-1] == "BrokenPipeError: [Errno 32] Broken pipe"
+        else:
+            assert proc.stderr == (
+                "Exception ignored in: <_io.TextIOWrapper name='<stdout>' "
+                "mode='w' encoding='utf-8'>\n"
+                "BrokenPipeError: [Errno 32] Broken pipe\n")
+
+
+def _loaded(code: str, *args: str) -> set[str]:
+    """The pairrank submodules a fresh interpreter holds after running
+    code, with args as its sys.argv[1:]."""
+    probe = (f"import sys\n{code}\n"
+             "print(*(m for m in sys.modules if m.startswith('pairrank.')),"
+             " file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", probe, *args],
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                          text=True, check=True)
+    return set(proc.stderr.split())
+
+
+_CALL = "import pairrank.cli\nassert pairrank.cli.main(sys.argv[1:]) == 0"
+
+
+class TestWhatACallLoads:
+    """A call loads only the modules its subcommand runs, so a stray eager
+    import fails here rather than slowing every call."""
+
+    def test_package_import_loads_no_submodule(self):
+        assert _loaded("import pairrank") == set()
+
+    def test_rank_iw(self, matrix_file):
+        loaded = _loaded(_CALL, "rank", matrix_file, "--method", "iw")
+        assert "pairrank.rankings" in loaded
+        assert not loaded & {"pairrank.generators", "pairrank.quasisym",
+                             "pairrank.asymptotics", "pairrank.bradley_terry"}
+
+    def test_simulate(self):
+        loaded = _loaded(_CALL, "simulate", "--structure", "circular", "--n",
+                         "4", "--k", "2", "--reps", "20")
+        assert "pairrank.generators" in loaded
+        assert not loaded & {"pairrank.io", "pairrank.quasisym"}

@@ -1,5 +1,6 @@
 import codecs
 import csv
+import importlib
 import io
 import json
 import tracemalloc
@@ -47,6 +48,20 @@ def test_star_import_binds_no_submodule():
     assert namespace["parse_input"] is pairrank.parse_input
     assert [name for name in pairrank.__all__
             if isinstance(getattr(pairrank, name), types.ModuleType)] == []
+
+
+def test_lazy_exports_resolve_to_their_submodules():
+    # each public name is imported on first access from the submodule its
+    # table entry names, which must be the one that defines it
+    for name in pairrank.__all__:
+        module = importlib.import_module(
+            f"pairrank.{pairrank._SOURCE[name]}")
+        value = getattr(pairrank, name)
+        assert value is getattr(module, name)
+        assert value.__module__ == module.__name__
+    assert set(pairrank.__all__) <= set(dir(pairrank))
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        pairrank.no_such_name
 
 
 def test_public_api_is_pinned():
