@@ -9,16 +9,18 @@ Two input layouts are accepted, and the header row decides which:
   match the header). Entry (i, j) counts wins of row label i over column
   label j.
 
-parse_input reads a plain matrix file in blocks of rows, each block's
-numbers converted by one np.loadtxt call; its C reader rounds through the
-same routine as float(), so every entry has the same bits. It declines
-every other file (see parse_input for the rules), and the csv walk parses
-that file from the start, a matrix row's numbers through the same reader.
-Only a row that reader declines is walked cell by cell, and that walk is
-the only source of parse errors. One number grammar holds everywhere: the
-cell walk rejects the spellings float() alone reads (non-ASCII digits, '_'
-between digits). Either path holds the n x n array plus one block of text
-(the walk: one row), never the whole file.
+Each file is read once, as a stream of CSV records (_read_rows). A line
+with no quote character and no more characters than the csv field limit is
+split at its commas, as the csv module splits it; only the other records
+go through csv.reader.
+A matrix file's data rows are converted in blocks by one np.loadtxt call
+each; its C reader rounds through the same routine as float(), so every
+entry has the same bits. Only a block np.loadtxt declines, or one that ends
+at a row it cannot take (a label out of order, or cells csv.reader split),
+is walked row by row, and that walk reports the first bad row. One number
+grammar holds everywhere: the cell walk rejects the spellings float()
+alone reads (non-ASCII digits, '_' between digits). Parsing holds the
+n x n array plus one block of text, never the whole file.
 
 matrix_to_csv writes floats with repr(), the shortest string that parses
 back to the same binary64 value, so a matrix -> csv -> matrix round trip is
@@ -31,6 +33,7 @@ import csv
 import io as _io
 import warnings
 from collections.abc import Iterator
+from itertools import chain
 
 from .counts import CountMatrix
 from .errors import DomainError, ParseError, RankingError
@@ -39,32 +42,19 @@ import numpy as np
 
 EDGE_HEADER = ("winner", "loser", "count")
 
+Row = tuple[int, str, "str | list[str]"]  # a record, see _read_rows
+
 
 def parse_input(path) -> CountMatrix:
     """Parse a CSV file into a count matrix, in the layout its header row
     names.
 
-    A plain matrix file takes the block path: the header on the first
-    line, no quote character, no line longer than csv.field_size_limit(),
-    each row label (stripped) equal to the next header label, n data rows
-    (blank rows are skipped), and every entry a number np.loadtxt reads
-    that is nonnegative and finite. Data rows go to np.loadtxt in blocks of
-    about _BLOCK_CHARS characters. The block path raises, warns and prints
-    nothing: on any other file it declines, and the csv walk parses the
-    file from the start, so errors, messages and their order are the
-    walk's.
-
-    The file is read as a stream: memory is the n x n array plus one block
-    of text (the walk: one row). Cells are stripped of surrounding
-    whitespace and blank rows are skipped; line numbers in errors count
-    CSV records, blank ones included. A matrix file with the wrong number
-    of data rows reports that ahead of any error inside a row."""
-    C = _parse_plain_matrix(path)
-    return C if C is not None else _parse_csv(path)
-
-
-def _parse_csv(path) -> CountMatrix:
-    """The csv walk: every layout, and the source of every parse error."""
+    The file is read once, as a stream: memory is the n x n array plus one
+    block of about _BLOCK_CHARS characters of matrix rows. Cells are
+    stripped of surrounding whitespace and blank rows are skipped; line
+    numbers in errors count CSV records, blank ones included. A decoding
+    or CSV error anywhere in the file is reported first, then a matrix
+    file's wrong number of data rows, then the first bad row."""
     with open(path, encoding="utf-8-sig") as f:
         rows = _read_rows(f)
         try:
@@ -77,81 +67,54 @@ def _parse_csv(path) -> CountMatrix:
             raise
 
 
-# characters of data-row text converted per np.loadtxt call
-_BLOCK_CHARS = 1 << 20
-
-
-def _parse_plain_matrix(path) -> CountMatrix | None:
-    """A plain matrix file read in blocks of rows (see parse_input), or
-    None where the file is not plain and the csv walk must decide."""
+def _read_rows(f) -> Iterator[Row]:
+    """(line number, stripped first cell, rest) of each CSV record of an
+    open text file that has a non-blank cell. A line with no quote and no
+    more characters than csv.field_size_limit() is split at its first
+    comma, as the csv module would split it; rest is the text after that
+    comma ([] where it has none). Any other record is read by a csv.reader
+    started at its line, which takes in the further lines of a quoted
+    cell; rest is the list of its other stripped cells. Text that is not
+    UTF-8, and a record csv.reader rejects, raise ParseError."""
     limit = csv.field_size_limit()
+    line_no = 0
     try:
-        with open(path, encoding="utf-8-sig") as f:
-            header = f.readline()
-            cells = [c.strip() for c in header.split(",")]
-            labels = cells[1:]
-            n = len(labels)
-            # a quote further on sits in a row label, which then matches no
-            # header label, or in a cell np.loadtxt rejects
-            if ('"' in header or len(header) > limit or cells[0] or n == 0
-                    or "" in labels or len(set(labels)) != n):
-                return None
-            C = np.empty((n, n))
-            r = 0  # data rows read
-            block: list[str] = []  # their text after the label, not in C
-            size = 0
-            for line in f:
-                if len(line) > limit:
-                    return None
-                label, _, rest = line.partition(",")
-                if r == n or label.strip() != labels[r]:
-                    if line.replace(",", "").strip():
-                        return None
-                    continue  # a blank row, which the walk skips too
-                block.append(rest)
-                size += len(rest)
-                r += 1
-                if size >= _BLOCK_CHARS:
-                    if not _fill_rows(C, r, block):
-                        return None
-                    block, size = [], 0
-            if r != n or not _fill_rows(C, r, block):
-                return None
-    except (OSError, UnicodeDecodeError, MemoryError):
-        return None
-    return CountMatrix(C, tuple(labels))
+        # one line starts each record, so this counts records
+        for line_no, line in enumerate(f, start=1):
+            if '"' not in line and len(line) <= limit:
+                first, comma, rest = line.partition(",")
+                first = first.strip()
+                if first or rest.replace(",", "").strip():
+                    yield line_no, first, rest if comma else []
+            else:
+                first, *rest = map(str.strip,
+                                   next(csv.reader(chain((line,), f))))
+                if first or any(rest):
+                    yield line_no, first, rest
+    except UnicodeDecodeError as exc:
+        # the text layer decodes in blocks, so the line is not known
+        raise ParseError(f"file is not valid UTF-8: {exc.reason}") from None
+    except csv.Error as exc:
+        raise ParseError(str(exc), line=line_no) from None
 
 
-def _fill_rows(C: np.ndarray, stop: int, block: list[str]) -> bool:
-    """Write the numbers of block, the text after each row label, into the
-    rows of C that end before row stop. False, with nothing raised or
-    shown, where np.loadtxt rejects or warns about the text, or a value is
-    negative, NaN or infinite."""
-    if not block:
-        return True
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            values = np.loadtxt(block, delimiter=",", comments=None,
-                                quotechar=None, dtype=float, ndmin=2)
-        except ValueError:
-            return False
-    if (caught or values.shape != (len(block), C.shape[1])
-            or not (values.min() >= 0 and values.max() < np.inf)):
-        return False  # NaN fails both comparisons
-    C[stop - len(block):stop] = values
-    return True
+def _cells(first: str, rest: str | list[str]) -> list[str]:
+    """The stripped cells of a record from _read_rows."""
+    if isinstance(rest, str):
+        rest = [c.strip() for c in rest.split(",")]
+    return [first, *rest]
 
 
-def _parse_rows(rows: Iterator[tuple[int, list[str]]]) -> CountMatrix:
+def _parse_rows(rows: Iterator[Row]) -> CountMatrix:
     first = next(rows, None)
     if first is None:
         raise ParseError("input file is empty")
-    line_no, header = first
+    line_no, corner, rest = first
+    header = _cells(corner, rest)
     if tuple(c.lower() for c in header) == EDGE_HEADER:
         return _parse_edges(rows)
-    if header[0] == "":
-        return _parse_matrix(first, rows)
+    if corner == "":
+        return _parse_matrix(line_no, header[1:], rows)
     raise ParseError(
         "cannot determine input format: expected an edges header "
         "'winner,loser,count' or a matrix header with an empty corner cell",
@@ -163,7 +126,8 @@ def parse_articles(path, labels: tuple[str, ...]) -> np.ndarray:
     header row whose second cell is 'articles'), in the order of labels.
     Every label must appear exactly once, and no other."""
     with open(path, encoding="utf-8-sig") as f:
-        rows = list(_read_rows(f))
+        rows = [(line_no, _cells(first, rest))
+                for line_no, first, rest in _read_rows(f)]
     values: dict[str, float] = {}
     for line_no, cells in rows:
         if len(cells) != 2:
@@ -191,28 +155,11 @@ def parse_articles(path, labels: tuple[str, ...]) -> np.ndarray:
     return np.array([values[lab] for lab in labels])
 
 
-def _read_rows(f) -> Iterator[tuple[int, list[str]]]:
-    """(line number, stripped cells) of each CSV record of an open text
-    file that has a non-blank cell. Text that is not UTF-8, and a record
-    the csv module rejects (a cell over csv.field_size_limit()), raise
-    ParseError."""
-    line_no = 0
-    try:
-        for line_no, row in enumerate(csv.reader(f), start=1):
-            cells = list(map(str.strip, row))
-            if any(cells):
-                yield line_no, cells
-    except UnicodeDecodeError as exc:
-        # the text layer decodes in blocks, so the line is not known
-        raise ParseError(f"file is not valid UTF-8: {exc.reason}") from None
-    except csv.Error as exc:
-        raise ParseError(str(exc), line=line_no + 1) from None
-
-
-def _parse_edges(rows: Iterator[tuple[int, list[str]]]) -> CountMatrix:
+def _parse_edges(rows: Iterator[Row]) -> CountMatrix:
     index: dict[str, int] = {}
     entries: dict[tuple[int, int], float] = {}
-    for line_no, cells in rows:
+    for line_no, first, rest in rows:
+        cells = _cells(first, rest)
         if len(cells) != 3:
             raise ParseError(
                 f"expected 3 fields, got {len(cells)}", line=line_no)
@@ -236,27 +183,37 @@ def _parse_edges(rows: Iterator[tuple[int, list[str]]]) -> CountMatrix:
     return CountMatrix(C, labels)
 
 
-def _parse_matrix(first: tuple[int, list[str]],
-                  rows: Iterator[tuple[int, list[str]]]) -> CountMatrix:
-    line_no, header = first
+# characters of data-row text converted per np.loadtxt call
+_BLOCK_CHARS = 1 << 20
+
+
+def _parse_matrix(line_no: int, labels: list[str],
+                  rows: Iterator[Row]) -> CountMatrix:
     # a header of the corner cell alone is a blank row, so n >= 1
-    labels = header[1:]
     n = len(labels)
     if "" in labels:
         raise ParseError("empty label", line=line_no)
     if len(set(labels)) != n:
         raise ParseError("duplicate labels in matrix header", line=line_no)
-    C = np.zeros((n, n))
+    C = np.empty((n, n))
     # the first bad row is held until the row count is known, which is
     # reported first
     held: RankingError | None = None
     count = 0
-    for data_line, cells in rows:
+    block: list[Row] = []  # data rows not yet in C
+    size = 0
+    for row in rows:
         if held is None and count < n:
-            try:
-                _matrix_row(C, count, cells, labels, data_line)
-            except RankingError as exc:
-                held = exc
+            block.append(row)
+            _, label, rest = row
+            size += len(rest)
+            plain = isinstance(rest, str) and label == labels[count]
+            if not plain or size >= _BLOCK_CHARS:
+                try:
+                    _fill_block(C, count + 1, block, labels, plain)
+                except RankingError as exc:
+                    held = exc
+                block, size = [], 0
         count += 1
     if count != n:
         raise ParseError(
@@ -264,31 +221,60 @@ def _parse_matrix(first: tuple[int, list[str]],
             line=line_no)
     if held is not None:
         raise held
+    _fill_block(C, n, block, labels, plain=True)
     return CountMatrix(C, tuple(labels))
 
 
-def _matrix_row(C: np.ndarray, r: int, cells: list[str],
-                labels: list[str], data_line: int) -> None:
-    """Write row r of a matrix file into C. A row _fill_rows declines has a
-    bad cell; a walk over its cells reports the first one."""
-    n = len(labels)
-    if len(cells) != n + 1:
-        raise ParseError(
-            f"expected {n + 1} fields, got {len(cells)}", line=data_line)
-    if cells[0] != labels[r]:
-        raise ParseError(
-            f"row label {cells[0]!r} does not match header label "
-            f"{labels[r]!r} (row order must follow the header)",
-            line=data_line)
-    if _fill_rows(C, r + 1, [",".join(cells[1:])]):
+def _fill_block(C: np.ndarray, stop: int, block: list[Row],
+                labels: list[str], plain: bool) -> None:
+    """Write block, the data rows of C that end before row stop, into C,
+    or raise the error of its first bad row. A plain block (every rest a
+    string, every label in header order) goes to np.loadtxt at once; any
+    other block, and a plain one _fill_rows declines, is walked row by
+    row, and a row _fill_rows declines cell by cell."""
+    if plain and _fill_rows(C, stop, [rest for _, _, rest in block]):
         return
-    for c, raw in enumerate(cells[1:]):
-        value = _cell("entry", raw, data_line)
-        if value < 0:
-            raise DomainError(
-                f"line {data_line}: negative count {value:g} at "
-                f"({labels[r]!r}, {labels[c]!r})")
-    raise AssertionError("a row that failed the checks has no bad cell")
+    n = len(labels)
+    for r, (line, label, rest) in enumerate(block, start=stop - len(block)):
+        cells = _cells(label, rest)
+        if len(cells) != n + 1:
+            raise ParseError(
+                f"expected {n + 1} fields, got {len(cells)}", line=line)
+        if label != labels[r]:
+            raise ParseError(
+                f"row label {label!r} does not match header label "
+                f"{labels[r]!r} (row order must follow the header)",
+                line=line)
+        if _fill_rows(C, r + 1, [",".join(cells[1:])]):
+            continue
+        for c, raw in enumerate(cells[1:]):
+            value = _cell("entry", raw, line)
+            if value < 0:
+                raise DomainError(
+                    f"line {line}: negative count {value:g} at "
+                    f"({labels[r]!r}, {labels[c]!r})")
+        raise AssertionError("a row that failed the checks has no bad cell")
+
+
+def _fill_rows(C: np.ndarray, stop: int, block: list[str]) -> bool:
+    """Write the numbers of block, the text after each row label, into the
+    rows of C that end before row stop. False, with nothing raised or
+    shown, where np.loadtxt rejects or warns about the text, or a value is
+    negative, NaN or infinite."""
+    if not block:
+        return True
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            values = np.loadtxt(block, delimiter=",", comments=None,
+                                quotechar=None, dtype=float, ndmin=2)
+        except ValueError:
+            return False
+    if (caught or values.shape != (len(block), C.shape[1])
+            or not (values.min() >= 0 and values.max() < np.inf)):
+        return False  # NaN fails both comparisons
+    C[stop - len(block):stop] = values
+    return True
 
 
 def _number(raw: str) -> float:
@@ -313,7 +299,17 @@ def _cell(what: str, raw: str, line: int) -> float:
 
 
 def matrix_to_csv(C: CountMatrix) -> str:
-    """Serialize to the matrix layout with bit-exact float round-tripping."""
+    """Serialize to the matrix layout with bit-exact float round-tripping.
+
+    parse_input reads the output back to the same labels and bits. A label
+    it would not read back (empty, with surrounding whitespace, or holding
+    a carriage return) raises DomainError."""
+    for label in C.labels:
+        if not label or label != label.strip() or "\r" in label:
+            raise DomainError(
+                f"label {label!r} would not read back from CSV: a label "
+                f"must be non-empty, without surrounding whitespace or "
+                f"carriage returns")
     buf = _io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow([""] + list(C.labels))

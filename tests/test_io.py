@@ -1,5 +1,7 @@
+import builtins
 import codecs
 import csv
+import hashlib
 import importlib
 import io
 import json
@@ -447,6 +449,19 @@ class TestRoundTrip:
         assert back.labels == C.labels
         assert np.array_equal(back.counts, C.counts)
 
+    # each label would read back as another label, or not at all
+    @pytest.mark.parametrize("labels, bad", [
+        ((" a",), " a"), (("",), ""), (("a", "a "), "a "),
+        (("a\rb",), "a\rb"),
+    ])
+    def test_label_that_would_not_read_back(self, labels, bad):
+        C = CountMatrix(np.zeros((len(labels),) * 2), labels)
+        with pytest.raises(DomainError) as exc:
+            matrix_to_csv(C)
+        assert str(exc.value) == (
+            f"label {bad!r} would not read back from CSV: a label must be "
+            f"non-empty, without surrounding whitespace or carriage returns")
+
 
 class TestReport:
     def _report(self):
@@ -500,13 +515,15 @@ class TestReport:
 
 
 def _outcome(parse, path):
-    """What parsing path gives: the labels and count bytes, or the error's
-    type and message."""
+    """What parsing path gives: the labels and count bytes (for an articles
+    file, () and the values' bytes), or the error's type and message."""
     try:
         C = parse(path)
-    except Exception as exc:  # any exception must match the walk's
+    except Exception as exc:  # any exception is part of the outcome
         return type(exc), str(exc)
-    return C.labels, C.counts.tobytes()
+    if isinstance(C, CountMatrix):
+        return C.labels, C.counts.tobytes()
+    return (), C.tobytes()
 
 
 # cell and line tokens that float(), the csv reader or np.loadtxt treat
@@ -576,42 +593,196 @@ def _mutated_matrix(rng) -> bytes:
     return raw
 
 
-class TestBlockPath:
-    """Plain matrix files are read in blocks through np.loadtxt; any file
-    the block path declines is read by the csv walk, so both must agree."""
+ARTICLE_LABELS = ("a", "b", "c")
 
-    @pytest.mark.parametrize("raw", [
-        b"", b"\n", b" , \n\n", b",\n", b",a\n", codecs.BOM_UTF8,
-        b",a\na,1", b",a\r\na,1\r\n", b"\n,a\na,1\n", b",a\na,1\n,\n"])
+
+def _mixed_file(rng) -> tuple[str, bytes]:
+    """A small edge, matrix or articles file (the layout is returned) with
+    up to four cells quoted, split over lines, padded or over-long."""
+    limit = csv.field_size_limit()
+    layout = str(rng.choice(["edges", "matrix", "articles"]))
+    if layout == "edges":
+        rows = [["winner", "loser", "count"]] + [
+            [str(rng.choice(["a", "b", "c"])) for _ in range(2)]
+            + [str(int(rng.integers(0, 9)))]
+            for _ in range(int(rng.integers(1, 5)))]
+    elif layout == "matrix":
+        labels = list(ARTICLE_LABELS[:int(rng.integers(1, 4))])
+        rows = [[""] + labels] + [
+            [lab] + [str(int(v)) for v in rng.integers(0, 9, len(labels))]
+            for lab in labels]
+    else:
+        rows = [[lab, str(int(rng.integers(1, 9)))] for lab in ARTICLE_LABELS]
+        if rng.random() < 0.5:
+            rows.insert(0, ["label", "articles"])
+    for _ in range(int(rng.integers(0, 5))):
+        r = int(rng.integers(0, len(rows)))
+        c = int(rng.integers(0, len(rows[r])))
+        cell = rows[r][c]
+        k = int(rng.integers(0, len(cell) + 1))
+        if rng.random() < 0.04:
+            cell = "1" * (limit + 1)
+        rows[r][c] = str(rng.choice([
+            f'"{cell}"',
+            f'"{cell[:k]}\n{cell[k:]}"',  # a quoted cell over two lines
+            f'"{cell[:k]}\r\n{cell[k:]}"',
+            f'"{cell},1"',
+            f'"{cell}""x"',
+            f'{cell[:k]}"{cell[k:]}',  # a quote inside an unquoted cell
+            f'"{cell}',  # an open quote takes in the rest of the file
+            f' "{cell}" ',
+            f'"{cell}" x',
+            f" {cell}\t",
+            '""',
+            cell,
+            str(rng.choice(ODD_CELLS)),
+        ]))
+        if rng.random() < 0.1:
+            rows.insert(r, [str(rng.choice(ODD_LINES + ('""', ',""')))])
+    end = str(rng.choice(["\n", "\r\n", "\r"]))
+    raw = (end.join(",".join(row) for row in rows) + end).encode()
+    if rng.random() < 0.05:
+        # a line longer than the field limit, each of its cells within it
+        raw += (",".join(["a", "0" * (limit // 2)] * 2) + end).encode()
+    if rng.random() < 0.05:
+        at = int(rng.integers(0, len(raw) + 1))
+        raw = raw[:at] + b"\xff" + raw[at:]
+    return layout, raw
+
+
+def _digest(outcomes) -> str:
+    """sha256 over the reprs of outcomes, with each error's type by name
+    and each array's bytes little-endian."""
+    h = hashlib.sha256()
+    for value, detail in outcomes:
+        if isinstance(value, type):
+            value = value.__name__
+        elif isinstance(detail, bytes):
+            detail = np.frombuffer(detail).astype("<f8").tobytes()
+        h.update(repr((value, detail)).encode() + b"\n")
+    return h.hexdigest()
+
+
+# digests of the outcomes parse_input and parse_articles gave at commit
+# aadb861, the last with a second matrix reader, where every outcome came
+# from the csv walk (_parse_csv)
+MUTATED_DIGEST = ("26061d9f37b20dce704384bca56b4873"
+                  "c5f9d8c35f617efc7473c75561448f86")
+MIXED_DIGEST = ("f2428b66d69d2749a8aa3fd35df19871"
+                "7beab627479457917342d3d87c8ccbc3")
+
+
+def _outcomes(monkeypatch, path, files) -> tuple[list, int]:
+    """The outcome of each (parse, raw bytes) of files, written to path in
+    turn, and how many of the files had a record read by csv.reader."""
+    calls = []
+    reader = csv.reader
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return reader(*args, **kwargs)
+
+    monkeypatch.setattr(csv, "reader", counted)
+    outcomes, read_by_csv = [], 0
+    for parse, raw in files:
+        path.write_bytes(raw)
+        before = len(calls)
+        outcomes.append(_outcome(parse, path))
+        read_by_csv += len(calls) > before
+    return outcomes, read_by_csv
+
+
+class TestBlockPath:
+    """Matrix rows go to np.loadtxt in blocks, and only a block it declines
+    is walked row by row; csv.reader reads only records that hold a quote
+    or an over-long line. Outcomes must be those of the csv walk, which
+    read every file before the two matrix readers became one."""
+
+    SHORT_FILES = {
+        b"": (ParseError, "input file is empty"),
+        b"\n": (ParseError, "input file is empty"),
+        b" , \n\n": (ParseError, "input file is empty"),
+        b",\n": (ParseError, "input file is empty"),
+        b",a\n": (ParseError,
+                  "line 1: expected 1 data rows for 1 labels, got 0"),
+        codecs.BOM_UTF8: (ParseError, "input file is empty"),
+        b",a\na,1": (("a",), np.ones(1).tobytes()),
+        b",a\r\na,1\r\n": (("a",), np.ones(1).tobytes()),
+        b"\n,a\na,1\n": (("a",), np.ones(1).tobytes()),
+        b",a\na,1\n,\n": (("a",), np.ones(1).tobytes()),
+    }
+
+    @pytest.mark.parametrize("raw", list(SHORT_FILES))
     # fmt named the layout parse_input was told to use; the header decides
     # it now, and the parameter keeps each case's id
     @pytest.mark.parametrize("fmt", ["auto", "matrix"])
     def test_agrees_with_the_walk_on_edge_files(self, tmp_path, raw, fmt):
         p = tmp_path / "m.csv"
         p.write_bytes(raw)
-        assert _outcome(parse_input, p) == _outcome(pairrank.io._parse_csv, p)
+        assert _outcome(parse_input, p) == self.SHORT_FILES[raw]
 
-    def test_agrees_with_the_walk_on_mutated_files(self, tmp_path):
+    def test_agrees_with_the_walk_on_mutated_files(self, tmp_path,
+                                                   monkeypatch):
         rng = np.random.default_rng(20261019)
-        p = tmp_path / "m.csv"
-        plain = 0
         files = 2000
-        for _ in range(files):
-            p.write_bytes(_mutated_matrix(rng))
-            rng.choice(["auto", "matrix"])  # once a layout; keeps the files
-            outcome = _outcome(parse_input, p)
-            assert outcome == _outcome(pairrank.io._parse_csv, p), \
-                p.read_bytes()
-            # a failed check in the walk would give both paths one outcome
-            assert outcome[0] is not AssertionError, p.read_bytes()
-            plain += pairrank.io._parse_plain_matrix(p) is not None
-        # both paths are exercised
-        assert files // 10 < plain < files * 9 // 10
+
+        def mutated():
+            for _ in range(files):
+                raw = _mutated_matrix(rng)
+                rng.choice(["auto", "matrix"])  # once a layout; keeps files
+                yield parse_input, raw
+
+        outcomes, read_by_csv = _outcomes(monkeypatch, tmp_path / "m.csv",
+                                          mutated())
+        # a failed check in the walk is no outcome of a file's
+        assert AssertionError not in [kind for kind, _ in outcomes]
+        assert _digest(outcomes) == MUTATED_DIGEST
+        # both ways of reading a record are exercised
+        assert files // 10 < read_by_csv < files * 9 // 10
+
+    def test_mixed_files_match_the_walk(self, tmp_path, monkeypatch):
+        # edge, matrix and articles files with quoted, multi-line and
+        # over-long cells, CR and CRLF line ends and a stray byte
+        rng = np.random.default_rng(20261020)
+        files = 1000
+
+        def mixed():
+            for _ in range(files):
+                layout, raw = _mixed_file(rng)
+                if layout == "articles":
+                    yield lambda p: parse_articles(p, ARTICLE_LABELS), raw
+                else:
+                    yield parse_input, raw
+
+        outcomes, read_by_csv = _outcomes(monkeypatch, tmp_path / "f.csv",
+                                          mixed())
+        assert _digest(outcomes) == MIXED_DIGEST
+        assert files // 10 < read_by_csv < files * 9 // 10
+
+    @pytest.mark.parametrize("cell", ["1", "1_0"])
+    @pytest.mark.parametrize("label", ["p1", '"p1"'])
+    def test_opens_the_file_once(self, tmp_path, monkeypatch, label, cell):
+        n = 300
+        text = matrix_to_csv(CountMatrix(np.ones((n, n)))).replace(
+            ",p1,", f",{label},", 1)
+        p = tmp_path / "m.csv"
+        p.write_text(text[:-len("1.0\n")] + cell + "\n")
+        opened = []
+        real_open = builtins.open
+
+        def counted(file, *args, **kwargs):
+            opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counted)
+        outcome = _outcome(parse_input, p)
+        assert (outcome[0] is ParseError) == (cell == "1_0")
+        assert opened == [p]
 
     @pytest.mark.parametrize("layout", [
         lambda text: text,
         lambda text: text.replace("\n", "\r\n"),
-        # blank rows, which the walk skips, between rows and at the end
+        # blank rows, which are skipped, between rows and at the end
         lambda text: text.replace("\np2,", "\n\n , \np2,") + ",,\n\n",
     ])
     def test_plain_file_takes_the_block_path(self, tmp_path, monkeypatch,
@@ -621,10 +792,10 @@ class TestBlockPath:
         p = tmp_path / "m.csv"
         p.write_bytes(layout(matrix_to_csv(C)).encode())
 
-        def walk(*args):
-            raise AssertionError("the csv walk was called")
+        def reader(*args):
+            raise AssertionError("csv.reader was called")
 
-        monkeypatch.setattr(pairrank.io, "_parse_csv", walk)
+        monkeypatch.setattr(csv, "reader", reader)
         back = parse_input(p)
         assert back.labels == C.labels
         assert back.counts.tobytes() == C.counts.tobytes()
@@ -636,8 +807,7 @@ class TestBlockPath:
             C = CountMatrix(np.arange(n * n, dtype=float).reshape(n, n))
             p = tmp_path / "m.csv"
             p.write_text(matrix_to_csv(C))
-            assert pairrank.io._parse_plain_matrix(p).counts.tobytes() == \
-                C.counts.tobytes()
+            assert parse_input(p).counts.tobytes() == C.counts.tobytes()
 
     @pytest.mark.parametrize("text", [
         ",a\na\n", ",a\na,\n", ",a\na,\n\n", ",a,b\na,,\nb,1,0\n",
@@ -650,7 +820,6 @@ class TestBlockPath:
         p.write_text(text)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert pairrank.io._parse_plain_matrix(p) is None
             with pytest.raises(ParseError):
                 parse_input(p)
         assert caught == []
