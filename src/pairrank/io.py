@@ -302,9 +302,16 @@ def matrix_to_csv(C: CountMatrix) -> str:
     """Serialize to the matrix layout with bit-exact float round-tripping.
 
     parse_input reads the output back to the same labels and bits. A label
-    it would not read back (empty, with surrounding whitespace, or holding
-    a carriage return) raises DomainError."""
+    it would not read back (empty, with surrounding whitespace, holding a
+    carriage return, or longer than csv.field_size_limit()) raises
+    DomainError."""
+    limit = csv.field_size_limit()
     for label in C.labels:
+        if len(label) > limit:
+            raise DomainError(
+                f"a label of {len(label)} characters would not read back "
+                f"from CSV: a label must be at most the csv module's field "
+                f"limit of {limit} characters")
         if not label or label != label.strip() or "\r" in label:
             raise DomainError(
                 f"label {label!r} would not read back from CSV: a label "

@@ -3,10 +3,17 @@
 A count matrix is quasi-symmetric when C = diag(d) S for a positive vector d
 and a symmetric S. Equivalent characterizations, all checked here:
 
-* every triplet satisfies c_ij c_jk c_ki = c_ji c_kj c_ik;
+* every cycle balances, c_ij c_jk ... c_mi = c_ji c_kj ... c_im; the
+  triplet test checks the triangles, which decide it only where they
+  generate the cycle space, as on a complete support (a 6-ring whose
+  every edge has ratio 2 has no triangle and passes with gap 0);
 * d is a fixed point of the column-normalized scaling, A^-1 C d = d;
 * the undamped chain C A^-1 is reversible (its probability flow is
   symmetric).
+
+decompose_qs is the verdict on any support: its check over every pair
+closes each fundamental cycle of its breadth-first tree, and it rejects
+that 6-ring, as is_reversible does.
 
 Under quasi-symmetry the eigenvector and Bradley-Terry rankings coincide:
 influence weights are proportional to d, and the fitted log-abilities equal
@@ -46,6 +53,9 @@ class TripletViolation(NamedTuple):
 class TripletReport:
     """Outcome of the triplet test.
 
+    is_quasi_symmetric says that every triangle balances. That decides
+    quasi-symmetry only where triangles generate the cycle space, as on a
+    complete support; decompose_qs decides it on any support.
     violation_count is exact. violations lists the first
     MAX_LISTED_VIOLATIONS failures in a fixed order: one-sided pairs
     first, then triplets (i, j, k), i < j < k, lexicographically;

@@ -2,7 +2,9 @@
 
 Reports carry no timestamps; identical inputs render identical bytes.
 Table and csv round numbers to 12 significant digits, json keeps full
-precision (shortest round-tripping float strings).
+precision (shortest round-tripping float strings). Table and json carry
+every field; csv carries only the scores and the matrices, so a report
+with neither, such as a failed check-qs, renders as one blank line.
 """
 
 from __future__ import annotations
@@ -79,35 +81,38 @@ class RunReport:
         ]
         if self.matrices:
             obj["matrices"] = {
-                name: {
-                    "labels": list(block.labels),
-                    "rows": [[float(v) for v in row] for row in block.values],
-                }
+                name: {"labels": list(block.labels),
+                       "rows": block.values.tolist()}
                 for name, block in self.matrices.items()
             }
-        obj["diagnostics"] = _plain(self.diagnostics)
-        obj["metadata"] = _plain(self.metadata)
-        return json.dumps(obj, indent=2) + "\n"
+        obj["diagnostics"] = self.diagnostics
+        obj["metadata"] = self.metadata
+        return json.dumps(obj, indent=2, default=_numpy_scalar) + "\n"
 
     def to_csv(self) -> str:
-        lines: list[str] = []
+        # imported here so that a table or json report loads no csv module
+        import csv
+        import io
+
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
         if self.scores:
             has_err = any(e.stderr is not None for e in self.scores)
-            lines.append("label,score,stderr" if has_err else "label,score")
+            writer.writerow(["label", "score", "stderr"] if has_err
+                            else ["label", "score"])
             for e in self.scores:
-                row = f"{_csv_label(e.label)},{_g12(e.score)}"
+                row = [e.label, _g12(e.score)]
                 if has_err:
-                    row += f",{_g12(e.stderr) if e.stderr is not None else ''}"
-                lines.append(row)
+                    row.append("" if e.stderr is None else _g12(e.stderr))
+                writer.writerow(row)
         for name, block in self.matrices.items():
-            if lines:
-                lines.append("")
-            lines.append(f"# {name}")
-            lines.append("," + ",".join(_csv_label(l) for l in block.labels))
+            if buf.tell():
+                buf.write("\n")
+            buf.write(f"# {name}\n")
+            writer.writerow(["", *block.labels])
             for label, row in zip(block.labels, block.values):
-                lines.append(_csv_label(label) + "," +
-                             ",".join(_g12(v) for v in row))
-        return "\n".join(lines) + "\n"
+                writer.writerow([label, *map(_g12, row)])
+        return buf.getvalue() or "\n"
 
     def to_table(self) -> str:
         lines = [f"command: {self.command}"]
@@ -152,23 +157,14 @@ def _scalar(value) -> str:
     return str(value)
 
 
-def _csv_label(label: str) -> str:
-    if any(ch in label for ch in ",\"\n"):
-        return '"' + label.replace('"', '""') + '"'
-    return label
-
-
-def _plain(d: dict) -> dict:
-    out = {}
-    for key, value in d.items():
-        if isinstance(value, (np.floating,)):
-            value = float(value)
-        elif isinstance(value, (np.integer,)):
-            value = int(value)
-        elif isinstance(value, np.bool_):
-            value = bool(value)
-        out[key] = value
-    return out
+def _numpy_scalar(value):
+    """json.dumps's hook for the numpy scalars a report may hold."""
+    if isinstance(value, np.floating):
+        return float(value)  # longdouble.item() is a longdouble again
+    if isinstance(value, (np.integer, np.bool_)):
+        return value.item()
+    raise TypeError(
+        f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def sort_scores(labels, values, stderrs=None) -> tuple[ScoreEntry, ...]:

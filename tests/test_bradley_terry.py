@@ -194,6 +194,11 @@ class TestFit:
         assert exc.value.residual > 1e-10
         assert exc.value.iterations >= 1
 
+    def test_one_player_error(self):
+        with pytest.raises(DomainError) as exc:
+            fit_bt(CountMatrix([[3.0]], ("a",)))
+        assert str(exc.value) == "need at least two players to fit"
+
     def test_winless_player_error(self):
         # player b beats nobody
         C = np.array([[0, 2, 2], [0, 0, 0], [1, 3, 0]], float)

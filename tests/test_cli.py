@@ -637,6 +637,19 @@ def test_readme_names_every_long_option():
     assert named - {"--no-build-isolation"} == options
 
 
+def test_readme_check_qs_example_is_the_output(tmp_path, capsys):
+    # the README's check-qs example runs on the quick-start matrix; each
+    # line it shows, up to its "...", is the command's output
+    readme = (Path(__file__).parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    shown = re.search(r"\$ pairrank check-qs worked\.csv\n(.*?\n)\.\.\.\n",
+                      readme, re.DOTALL).group(1)
+    path = tmp_path / "worked.csv"
+    path.write_text(MATRIX)
+    assert main(["check-qs", str(path)]) == 0
+    assert capsys.readouterr().out.startswith(shown)
+
+
 @pytest.mark.parametrize("command", ["rank", "check-qs"])
 def test_input_format_is_a_usage_error(matrix_file, capsys, command):
     # the header row decides the layout; there is no option to force one
@@ -803,6 +816,96 @@ class TestReportLayout:
             DIAG_ASYMPTOTICS[:4] + ["replications", "rejections",
                                     "max_abs_z", "target_source"],
             ["seed"])
+
+
+# MATRIX under labels the csv module must quote, and a copy that is not
+# quasi-symmetric
+QUOTED = ',"a,b","c""d",e\n"a,b",0,1,1\n"c""d",2,0,2\ne,4,4,0\n'
+QUOTED_NOISY = QUOTED.replace('"a,b",0,1,1', '"a,b",0,2,1')
+# a 3 x 3 matrix block: its header row and three rows of {} for the numbers
+BLOCK3 = ",p1,p2,p3\np1,{},{},{}\np2,{},{},{}\np3,{},{},{}\n"
+
+
+def _g12(value: float) -> str:
+    return f"{value:.12g}"
+
+
+def _csv_numbers(obj: dict) -> list[str]:
+    """A json report's numbers at 12 significant digits, in the order its
+    csv twin prints them: each score and its stderr, then each matrix
+    row by row."""
+    cells = [_g12(e[key]) for e in obj["scores"]
+             for key in ("score", "stderr") if key in e]
+    for block in obj.get("matrices", {}).values():
+        cells += [_g12(v) for row in block["rows"] for v in row]
+    return cells
+
+
+def _csv_sections(obj: dict) -> dict:
+    """The rows a csv report of the json report obj holds: the score table
+    under None, then each matrix block under its name."""
+    sections = {}
+    scores = obj["scores"]
+    if scores:
+        keys = ["label", "score"]
+        if any("stderr" in e for e in scores):
+            keys.append("stderr")
+        sections[None] = [keys] + [
+            [e["label"]] + [_g12(e[k]) if k in e else "" for k in keys[1:]]
+            for e in scores]
+    for name, block in obj.get("matrices", {}).items():
+        sections[name] = [["", *block["labels"]]] + [
+            [label, *map(_g12, row)]
+            for label, row in zip(block["labels"], block["rows"])]
+    return sections
+
+
+def _read_back(text: str) -> dict:
+    """A csv report's rows as csv.reader reads them, by section: the score
+    table under None, then each "# name" block under its name."""
+    sections, name = {}, None
+    for row in csv.reader(text.splitlines(keepends=True)):
+        if len(row) == 1 and row[0].startswith("# "):
+            name = row[0][2:]
+        elif row:
+            sections.setdefault(name, []).append(row)
+    return sections
+
+
+class TestCsvPayload:
+    """Every byte of a csv report: the quoting of labels, the "# name" line
+    over each matrix block and the blank lines between sections. Each
+    report also reads back through csv.reader to the labels of its json
+    twin and to that twin's numbers at 12 significant digits."""
+
+    @pytest.mark.parametrize("argv, code, layout", [
+        (["rank", "QUOTED", "--method", "pagerank"], 0,
+         'label,score\ne,{}\n"c""d",{}\n"a,b",{}\n'),
+        (["rank", "QUOTED", "--method", "bt"], 0,
+         'label,score,stderr\ne,{},{}\n"c""d",{},{}\n"a,b",{},{}\n'),
+        (["check-qs", "QUOTED"], 0,
+         'label,score\ne,{}\n"c""d",{}\n"a,b",{}\n'),
+        # a failed check carries no scores: csv has nothing to print
+        (["check-qs", "QUOTED_NOISY"], 4, "\n"),
+        (["asymptotics", "--structure", "round-robin", "--n", "3", "--k",
+          "1", "--check"], 0, "# covariance\n" + BLOCK3),
+        (["simulate", "--structure", "circular", "--n", "3", "--k", "2",
+          "--reps", "50", "--seed", "3"], 0,
+         "# empirical\n" + BLOCK3 + "\n# target\n" + BLOCK3
+         + "\n# zscores\n" + BLOCK3),
+    ], ids=["pagerank", "bt", "check-qs", "check-qs-fails", "asymptotics",
+            "simulate"])
+    def test_payload(self, tmp_path, capsys, argv, code, layout):
+        files = {"QUOTED": QUOTED, "QUOTED_NOISY": QUOTED_NOISY}
+        for name, text in files.items():
+            (tmp_path / f"{name}.csv").write_text(text)
+        argv = [str(tmp_path / f"{a}.csv") if a in files else a for a in argv]
+        assert main([*argv, "--format", "json"]) == code
+        obj = json.loads(capsys.readouterr().out)
+        assert main([*argv, "--format", "csv"]) == code
+        text, err = capsys.readouterr()
+        assert (text, err) == (layout.format(*_csv_numbers(obj)), "")
+        assert _read_back(text) == _csv_sections(obj)
 
 
 class TestEntryPoint:

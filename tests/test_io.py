@@ -462,6 +462,30 @@ class TestRoundTrip:
             f"label {bad!r} would not read back from CSV: a label must be "
             f"non-empty, without surrounding whitespace or carriage returns")
 
+    # the field limit counts a label's own characters, not its quoted form
+    @pytest.mark.parametrize("head", ["x", 'a,"b'], ids=["plain", "quoted"])
+    def test_label_at_the_field_limit(self, tmp_path, head):
+        limit = csv.field_size_limit()
+        label = head + "x" * (limit - len(head))
+        p = tmp_path / "m.csv"
+        C = CountMatrix([[0, 2], [1, 0]], (label, "y"))
+        p.write_text(matrix_to_csv(C))
+        assert parse_input(p).labels == (label, "y")
+
+        C = CountMatrix([[0, 2], [1, 0]], (label + "x", "y"))
+        with pytest.raises(DomainError) as exc:
+            matrix_to_csv(C)
+        assert str(exc.value) == (
+            f"a label of {limit + 1} characters would not read back from "
+            f"CSV: a label must be at most the csv module's field limit of "
+            f"{limit} characters")
+        with open(p, "w", newline="") as f:  # what it would have written
+            writer = csv.writer(f, lineterminator="\n")
+            writer.writerows([["", *C.labels], [C.labels[0], 0.0, 2.0],
+                              ["y", 1.0, 0.0]])
+        with pytest.raises(ParseError, match="field larger than field limit"):
+            parse_input(p)
+
 
 class TestReport:
     def _report(self):
@@ -512,6 +536,30 @@ class TestReport:
         rep = RunReport(command="rank", scores=scores)
         assert "label,score,stderr" in rep.to_csv()
         assert "(se 0.5)" in rep.to_table()
+
+    def test_json_takes_numpy_scalars(self):
+        # each becomes the Python scalar of its value: a float32 keeps its
+        # own digits, not the decimal it was made from
+        rep = RunReport(
+            command="rank", scores=sort_scores(("a", "b"), (0.75, 0.25)),
+            diagnostics={"f32": np.float32(0.1), "i64": np.int64(7),
+                         "flag": np.bool_(True), "f64": np.float64(1 / 3),
+                         "ld": np.longdouble(0.25)},
+            metadata={"tol": np.float32(1e-8)})
+        assert rep.to_json() == (
+            '{\n  "command": "rank",\n  "scores": [\n    {\n'
+            '      "label": "a",\n      "score": 0.75\n    },\n    {\n'
+            '      "label": "b",\n      "score": 0.25\n    }\n  ],\n'
+            '  "diagnostics": {\n    "f32": 0.10000000149011612,\n'
+            '    "i64": 7,\n    "flag": true,\n'
+            '    "f64": 0.3333333333333333,\n    "ld": 0.25\n  },\n'
+            '  "metadata": {\n    "tol": 9.99999993922529e-09\n  }\n}\n')
+
+    def test_json_rejects_other_types(self):
+        rep = RunReport(command="rank", diagnostics={"s": {1}})
+        with pytest.raises(TypeError) as exc:
+            rep.to_json()
+        assert str(exc.value) == "Object of type set is not JSON serializable"
 
 
 def _outcome(parse, path):

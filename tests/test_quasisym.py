@@ -7,8 +7,8 @@ from numpy.testing import assert_allclose
 from pairrank import bradley_terry, cli, rankings
 from pairrank.cli import main
 from pairrank.counts import CountMatrix, default_labels
-from pairrank.errors import (ConnectivityError, DomainError,
-                             NotQuasiSymmetricError)
+from pairrank.errors import (ConnectivityError, ConsistencyError,
+                             DomainError, NotQuasiSymmetricError)
 from pairrank.generators import random_quasi_symmetric
 from pairrank import quasisym
 from pairrank.io import matrix_to_csv
@@ -186,8 +186,8 @@ class TestDecompose:
     @pytest.mark.parametrize("scale", [1e-10, 1.0, 1e10])
     def test_verdict_does_not_move_with_scale(self, scale):
         # a 6-ring with c_{i,i+1} = 2 and c_{i+1,i} = 1 has no triplet to
-        # fail, and its cycle ratio 2^6 is not 1: only the decomposition
-        # can reject it, whatever the unit of the counts
+        # fail, and its cycle ratio 2^6 is not 1: the decomposition and the
+        # reversibility check reject it, whatever the unit of the counts
         n = 6
         i = np.arange(n)
         C = np.zeros((n, n))
@@ -197,6 +197,7 @@ class TestDecompose:
         with pytest.raises(NotQuasiSymmetricError) as exc:
             decompose_qs(C)
         assert exc.value.residual == 63 / 64
+        assert not is_reversible(C).reversible
         C = random_quasi_symmetric(6, seed=5).counts
         assert_allclose(decompose_qs(C * scale).d, decompose_qs(C).d,
                         rtol=1e-14)
@@ -231,6 +232,21 @@ class TestVerifyEquivalence:
         C[0, 1] = 2.0
         with pytest.raises(NotQuasiSymmetricError):
             verify_equivalence(C)
+
+    def test_bradley_terry_equation_is_checked(self):
+        # d from a noisy table's own influence weights meets the fixed point
+        # to rounding, but not the Bradley-Terry score equations, which the
+        # table's MLE alone solves
+        rng = np.random.default_rng(3)
+        C = rng.uniform(1, 10, (5, 5))
+        np.fill_diagonal(C, 0.0)
+        w = influence_weight(C).scores
+        dec = quasisym.QSDecomposition(d=w / w[0], S=np.zeros((5, 5)),
+                                       residual=0.0, labels=default_labels(5))
+        with pytest.raises(ConsistencyError) as exc:
+            verify_equivalence(C, dec=dec)
+        assert str(exc.value) == (
+            "Bradley-Terry score residual 0.0119 exceeds tol 1e-10")
 
     @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1.0])
     def test_tol_must_be_positive(self, tol):

@@ -5,9 +5,10 @@ from numpy.testing import assert_allclose
 from pairrank.counts import CountMatrix
 from pairrank.errors import (DanglingNodeError, DimensionError, DomainError,
                              ReducibilityError)
-from pairrank.rankings import (influence_per_publication, influence_weight,
-                               iw_from_pagerank, pagerank, pagerank_from_iw,
-                               total_influence, transition_matrix)
+from pairrank.rankings import (RankingVector, influence_per_publication,
+                               influence_weight, iw_from_pagerank, pagerank,
+                               pagerank_from_iw, total_influence,
+                               transition_matrix)
 
 from oracles import (influence_eig, pagerank_eig, quasi_symmetric_ring,
                      random_counts)
@@ -222,3 +223,28 @@ class TestConversions:
         w = influence_weight(WORKED)
         with pytest.raises(DomainError):
             pagerank_from_iw(w, [1.0, -1.0, 2.0])
+
+
+class TestRankingVector:
+    def test_accepts(self):
+        rv = RankingVector([0.25, 0.75], ("a", "b"), "pagerank")
+        assert rv.as_dict() == {"a": 0.25, "b": 0.75}
+        assert not rv.scores.flags.writeable
+
+    @pytest.mark.parametrize("scores, method, kind, message", [
+        ([0.5, 0.25, 0.25], "pagerank", DimensionError,
+         "(3,) scores for 2 labels"),
+        ([[0.5, 0.5]], "pagerank", DimensionError,
+         "(1, 2) scores for 2 labels"),
+        ([np.nan, 1.0], "pagerank", DomainError,
+         "scores contain non-finite entries"),
+        ([1.5, -0.5], "pagerank", DomainError, "scores must be nonnegative"),
+        ([0.5, 0.5], "bradley_terry", DomainError,
+         "unknown method 'bradley_terry'"),
+        ([0.25, 0.5], "pagerank", DomainError,
+         "scores must sum to 1, got 0.75"),
+    ], ids=["length", "shape", "finite", "negative", "method", "sum"])
+    def test_rejects(self, scores, method, kind, message):
+        with pytest.raises(kind) as exc:
+            RankingVector(scores, ("a", "b"), method)
+        assert str(exc.value) == message
