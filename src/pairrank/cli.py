@@ -146,28 +146,14 @@ def run() -> None:
     os._exit(code)
 
 
-# bytes hashed per read, so a digest never holds a copy of the whole file
-_DIGEST_CHUNK = 1 << 16
-
-
-def _digest(path) -> str:
-    import hashlib
-
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        while chunk := f.read(_DIGEST_CHUNK):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def cmd_rank(args) -> tuple[RunReport, int]:
     from . import rankings
-    from .io import parse_articles, parse_input
+    from .io import load_articles, load_input
     from .report import RunReport, sort_scores
 
-    C = parse_input(args.input)
+    C, digest = load_input(args.input)
     diagnostics: dict = {}
-    metadata: dict = {"input_sha256": _digest(args.input), "tol": args.tol}
+    metadata: dict = {"input_sha256": digest, "tol": args.tol}
     alpha = args.alpha
     if args.method == "bt":
         if alpha is not None:
@@ -187,10 +173,10 @@ def cmd_rank(args) -> tuple[RunReport, int]:
             if args.articles is None:
                 raise DomainError(
                     "--method ipp requires --articles (per-player sizes)")
-            articles = parse_articles(args.articles, C.labels)
+            articles, metadata["articles_sha256"] = load_articles(
+                args.articles, C.labels)
             vector = rankings.influence_per_publication(C, articles, alpha,
                                                         tol=args.tol)
-            metadata["articles_sha256"] = _digest(args.articles)
         else:
             score = getattr(rankings, _EIGEN_METHODS[args.method])
             vector = score(C, alpha, tol=args.tol)
@@ -209,13 +195,13 @@ def cmd_rank(args) -> tuple[RunReport, int]:
 
 
 def cmd_check_qs(args) -> tuple[RunReport, int]:
-    from .io import parse_input
+    from .io import load_input
     from .quasisym import (check_triplets, decompose_qs, is_reversible,
                            verify_equivalence)
     from .report import RunReport, sort_scores
 
-    C = parse_input(args.input)
-    metadata = {"input_sha256": _digest(args.input), "tol": args.tol}
+    C, digest = load_input(args.input)
+    metadata = {"input_sha256": digest, "tol": args.tol}
     diagnostics: dict = {}
 
     def report(scores=(), code=4) -> tuple[RunReport, int]:

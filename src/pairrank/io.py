@@ -9,18 +9,24 @@ Two input layouts are accepted, and the header row decides which:
   match the header). Entry (i, j) counts wins of row label i over column
   label j.
 
-Each file is read once, as a stream of CSV records (_read_rows). A line
-with no quote character and no more characters than the csv field limit is
-split at its commas, as the csv module splits it; only the other records
-go through csv.reader.
+Text is read as a stream of CSV records (_read_rows). A line with no quote
+character and no more characters than the csv field limit is split at its
+commas, as the csv module splits it; only the other records go through
+csv.reader.
 A matrix file's data rows are converted in blocks by one np.loadtxt call
 each; its C reader rounds through the same routine as float(), so every
 entry has the same bits. Only a block np.loadtxt declines, or one that ends
 at a row it cannot take (a label out of order, or cells csv.reader split),
 is walked row by row, and that walk reports the first bad row. One number
 grammar holds everywhere: the cell walk rejects the spellings float()
-alone reads (non-ASCII digits, '_' between digits). Parsing holds the
-n x n array plus one block of text, never the whole file.
+alone reads (non-ASCII digits, '_' between digits).
+
+parse_input and parse_articles read their file once, as a stream: parsing
+holds the n x n array plus one block of text, never the whole file.
+load_input and load_articles, which the CLI calls, read the file once as
+bytes, hash those bytes for the report and parse them with the same reader.
+load_input keeps each successful parse in an on-disk cache (_CACHE_BYTES),
+so the same bytes read by the same parser are parsed once.
 
 matrix_to_csv writes floats with repr(), the shortest string that parses
 back to the same binary64 value, so a matrix -> csv -> matrix round trip is
@@ -30,7 +36,10 @@ bit-exact.
 from __future__ import annotations
 
 import csv
+import functools
 import io as _io
+import os
+import sys
 import warnings
 from collections.abc import Iterator
 from itertools import chain
@@ -56,15 +65,162 @@ def parse_input(path) -> CountMatrix:
     or CSV error anywhere in the file is reported first, then a matrix
     file's wrong number of data rows, then the first bad row."""
     with open(path, encoding="utf-8-sig") as f:
-        rows = _read_rows(f)
+        return _parse_text(f)
+
+
+def _parse_text(f) -> CountMatrix:
+    """The count matrix of an open text stream, as parse_input reads it."""
+    rows = _read_rows(f)
+    try:
+        return _parse_rows(rows)
+    except RankingError:
+        # a decoding or CSV error further on still comes first, as when
+        # the whole file was read before parsing
+        for _ in rows:
+            pass
+        raise
+
+
+def load_input(path) -> tuple[CountMatrix, str]:
+    """parse_input(path) and the sha256 of the file's bytes, from one read
+    of the file as bytes, so a pipe is hashed as it is parsed.
+
+    A parse of the same bytes by the same parser is taken from the cache
+    where it holds one, and a successful parse is stored there. The cache
+    never changes an outcome: a bad or unreadable entry is a miss, and
+    when the cache cannot be read or written the call runs without it."""
+    data, digest = _read(path)
+    entry = _cache_entry(digest)
+    if entry is not None:
+        C = _load_entry(entry)
+        if C is not None:
+            return C, digest
+    C = _parse_text(_text(data))
+    if entry is not None:
+        _store_entry(entry, C)
+    return C, digest
+
+
+def load_articles(path, labels: tuple[str, ...]) -> tuple[np.ndarray, str]:
+    """parse_articles(path, labels) and the sha256 of the file's bytes, from
+    one read of the file as bytes. Not cached: an articles file is small."""
+    data, digest = _read(path)
+    return _parse_articles(_text(data), labels), digest
+
+
+def _read(path) -> tuple[bytes, str]:
+    """The bytes of the file at path and their sha256."""
+    import hashlib
+
+    with open(path, "rb") as f:
+        data = f.read()
+    return data, hashlib.sha256(data).hexdigest()
+
+
+def _text(data: bytes) -> _io.TextIOWrapper:
+    """data as the text stream open(path, encoding="utf-8-sig") gives."""
+    return _io.TextIOWrapper(_io.BytesIO(data), encoding="utf-8-sig")
+
+
+# The parse cache. An entry is np.save of a parsed matrix's counts followed
+# by its labels as UTF-8 JSON, named <sha256 of the input bytes>-<parser
+# key>.npy, in $XDG_CACHE_HOME/pairrank or else ~/.cache/pairrank. After
+# each store, the least recently used entries beyond _CACHE_BYTES in total
+# (room for 32 tables of n=1000) are deleted; a hit refreshes its entry's
+# mtime. Deleting the directory clears the cache.
+_CACHE_BYTES = 256 << 20
+
+
+@functools.cache
+def _parser_key() -> str | None:
+    """sha256 of this module's and counts.py's source, numpy's version and
+    Python's, so an entry is read only by the parser that stored it; None,
+    for no cache, where a source file cannot be read."""
+    import hashlib
+
+    h = hashlib.sha256(f"{np.__version__}\n{sys.version}".encode())
+    try:
+        for source in (__file__,
+                       os.path.join(os.path.dirname(__file__), "counts.py")):
+            with open(source, "rb") as f:
+                h.update(hashlib.sha256(f.read()).digest())
+    except OSError:
+        return None
+    return h.hexdigest()
+
+
+def _cache_entry(digest: str) -> str | None:
+    """The cache entry path for input bytes of this sha256, or None where
+    there is no cache: neither XDG_CACHE_HOME nor HOME an absolute path,
+    or no parser key."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.join(os.environ.get("HOME", ""), ".cache")
+    key = _parser_key() if os.path.isabs(base) else None
+    if key is None:
+        return None
+    return os.path.join(base, "pairrank", f"{digest}-{key}.npy")
+
+
+def _load_entry(entry: str) -> CountMatrix | None:
+    """The count matrix entry holds, or None, for a miss, where it cannot be
+    read or does not hold a valid one: a float64 square array, one string
+    label per row, and what CountMatrix accepts."""
+    import json
+
+    try:
+        with open(entry, "rb") as f:
+            values = np.load(f, allow_pickle=False)
+            labels = json.loads(f.read().decode("utf-8"))
+        if not (values.dtype == np.float64 and type(labels) is list
+                and values.shape == (len(labels), len(labels))
+                and all(type(label) is str for label in labels)):
+            return None
+        C = CountMatrix(values, tuple(labels))
+    except Exception:  # any failure to read or validate is a miss
+        return None
+    try:
+        os.utime(entry)  # recently used
+    except OSError:
+        pass
+    return C
+
+
+def _store_entry(entry: str, C: CountMatrix) -> None:
+    """Write C's entry through a temporary file moved into place, then evict
+    beyond _CACHE_BYTES. An OSError leaves the store undone."""
+    import json
+    import tempfile
+
+    root = os.path.dirname(entry)
+    try:
+        os.makedirs(root, mode=0o700, exist_ok=True)
+        fd, temp = tempfile.mkstemp(suffix=".tmp", dir=root)
         try:
-            return _parse_rows(rows)
-        except RankingError:
-            # a decoding or CSV error further on still comes first, as when
-            # the whole file was read before parsing
-            for _ in rows:
-                pass
+            with os.fdopen(fd, "wb") as f:
+                np.save(f, C.counts, allow_pickle=False)
+                f.write(json.dumps(C.labels, ensure_ascii=False).encode())
+            os.replace(temp, entry)
+        except BaseException:
+            os.unlink(temp)
             raise
+        _evict(root)
+    except OSError:
+        pass
+
+
+def _evict(root: str) -> None:
+    """Delete the least recently used entries in root until the rest hold
+    at most _CACHE_BYTES."""
+    with os.scandir(root) as it:
+        entries = sorted((e.stat().st_mtime_ns, e.name, e.stat().st_size)
+                         for e in it if e.name.endswith(".npy"))
+    total = sum(size for _, _, size in entries)
+    for _, name, size in entries:
+        if total <= _CACHE_BYTES:
+            break
+        os.unlink(os.path.join(root, name))
+        total -= size
 
 
 def _read_rows(f) -> Iterator[Row]:
@@ -126,8 +282,14 @@ def parse_articles(path, labels: tuple[str, ...]) -> np.ndarray:
     header row whose second cell is 'articles'), in the order of labels.
     Every label must appear exactly once, and no other."""
     with open(path, encoding="utf-8-sig") as f:
-        rows = [(line_no, _cells(first, rest))
-                for line_no, first, rest in _read_rows(f)]
+        return _parse_articles(f, labels)
+
+
+def _parse_articles(f, labels: tuple[str, ...]) -> np.ndarray:
+    """The per-player sizes of an open text stream, as parse_articles reads
+    them."""
+    rows = [(line_no, _cells(first, rest))
+            for line_no, first, rest in _read_rows(f)]
     values: dict[str, float] = {}
     for line_no, cells in rows:
         if len(cells) != 2:

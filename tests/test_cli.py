@@ -1,4 +1,5 @@
 import argparse
+import builtins
 import csv
 import hashlib
 import json
@@ -6,14 +7,14 @@ import os
 import re
 import subprocess
 import sys
-import tracemalloc
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-import pairrank.cli as cli
+import pairrank.io
 from pairrank import asymptotics, bradley_terry, rankings
 from pairrank.cli import build_parser, main
 from pairrank.counts import CountMatrix, default_labels
@@ -293,18 +294,108 @@ def test_byte_order_mark_is_skipped_but_hashed(tmp_path, capsys):
     assert obj["metadata"]["input_sha256"] == hashlib.sha256(raw).hexdigest()
 
 
-def test_digest_reads_in_chunks(tmp_path):
-    raw = np.random.default_rng(0).bytes(16 * cli._DIGEST_CHUNK + 5)
-    p = tmp_path / "big.bin"
-    p.write_bytes(raw)
-    tracemalloc.start()
+ARTICLES = "label,articles\na,1\nb,1\nc,2\n"
+
+
+def _feed_fifo(path, raw: bytes) -> None:
+    with open(path, "wb") as f:  # waits for the reader to open the fifo
+        f.write(raw)
+
+
+@pytest.mark.parametrize("via", ["stdin", "fifo"])
+@pytest.mark.parametrize("target", ["input", "articles"])
+def test_piped_input_is_hashed_as_sent(matrix_file, tmp_path, target, via):
+    # a pipe can be read once: the digest must be of the bytes parsed
+    raw = (MATRIX if target == "input" else ARTICLES).encode()
+    source = "/dev/stdin"
+    if via == "fifo":
+        source = str(tmp_path / "pipe")
+        os.mkfifo(source)
+        feeder = threading.Thread(target=_feed_fifo, args=(source, raw),
+                                  daemon=True)
+        feeder.start()
+    argv = ["rank", source, "--format", "json"]
+    if target == "articles":
+        argv = ["rank", matrix_file, "--method", "ipp", "--articles", source,
+                "--format", "json"]
     try:
-        digest = cli._digest(str(p))
-        peak = tracemalloc.get_traced_memory()[1]
+        proc = subprocess.run([sys.executable, "-m", "pairrank", *argv],
+                              input=raw if via == "stdin" else None,
+                              capture_output=True, timeout=30)
     finally:
-        tracemalloc.stop()
-    assert digest == hashlib.sha256(raw).hexdigest()
-    assert peak < 4 * cli._DIGEST_CHUNK  # the whole file is 16 chunks
+        if via == "fifo":
+            feeder.join(timeout=5)
+            if feeder.is_alive():  # the child never opened the fifo
+                os.close(os.open(source, os.O_RDONLY | os.O_NONBLOCK))
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    metadata = json.loads(proc.stdout)["metadata"]
+    assert metadata[f"{target}_sha256"] == hashlib.sha256(raw).hexdigest()
+
+
+def test_ipp_opens_each_input_once(matrix_file, tmp_path, monkeypatch,
+                                   capsys):
+    art = tmp_path / "art.csv"
+    art.write_text(ARTICLES)
+    opened = []
+    real_open = builtins.open
+
+    def counted(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counted)
+    assert main(["rank", matrix_file, "--method", "ipp", "--articles",
+                 str(art), "--format", "json"]) == 0
+    metadata = json.loads(capsys.readouterr().out)["metadata"]
+    assert [f for f in opened if f in (matrix_file, str(art))] == [
+        matrix_file, str(art)]
+    assert metadata["articles_sha256"] == hashlib.sha256(
+        ARTICLES.encode()).hexdigest()
+
+
+def test_rank_child_stores_its_parse(matrix_file, tmp_path):
+    # the child inherits XDG_CACHE_HOME, which conftest.py points here
+    cache = Path(os.environ["XDG_CACHE_HOME"]) / "pairrank"
+    assert cache.parent.parent == tmp_path and not cache.exists()
+    proc = subprocess.run([sys.executable, "-m", "pairrank", "rank",
+                           matrix_file], capture_output=True)
+    assert proc.returncode == 0
+    digest = hashlib.sha256(MATRIX.encode()).hexdigest()
+    assert [p.name for p in cache.iterdir()] == [
+        f"{digest}-{pairrank.io._parser_key()}.npy"]
+    assert cache.stat().st_mode & 0o777 == 0o700
+
+
+@pytest.mark.parametrize("argv", [
+    ["rank", "M", "--method", "iw", "--format", "json"],
+    ["rank", "M", "--method", "bt", "--format", "table"],
+    ["rank", "E", "--method", "pagerank", "--format", "csv"],
+    ["rank", "M", "--method", "ipp", "--articles", "A", "--format", "json"],
+    ["check-qs", "E", "--format", "json"],
+    ["check-qs", "N", "--tol", "1e-4"],
+    ["rank", "B"],
+    ["rank", "absent.csv"],
+])
+def test_a_hit_a_miss_and_no_cache_print_the_same(argv, matrix_file,
+                                                  edges_file, tmp_path,
+                                                  monkeypatch, capsys):
+    files = {"M": matrix_file, "E": edges_file}
+    for name, text in (("A", ARTICLES), ("N", matrix_to_csv(_noisy_qs(6))),
+                       ("B", MATRIX.replace("c,4,4", "c,4,x"))):
+        files[name] = str(tmp_path / f"{name}.csv")
+        Path(files[name]).write_text(text)
+    expected = {"N": 4, "B": 2, "absent.csv": 2}.get(argv[1], 0)
+    argv = [files.get(a, a) for a in argv]
+    runs = []
+    for _ in range(2):  # a miss, then a hit where the parse succeeded
+        code = main(argv)
+        runs.append((code, *capsys.readouterr()))
+    monkeypatch.delenv("XDG_CACHE_HOME")
+    monkeypatch.delenv("HOME", raising=False)
+    code = main(argv)
+    runs.append((code, *capsys.readouterr()))
+    assert runs[0] == runs[1] == runs[2]
+    assert runs[0][0] == expected
 
 
 class TestCheckQs:
