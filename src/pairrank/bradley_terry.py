@@ -17,10 +17,10 @@ A fit holds four n x n float arrays: the counts without their diagonal,
 the games n_ij, the win probabilities p_ij and one work buffer, which takes
 the expected wins n_ij p_ij and then, in place, F + e e^T / n for the solve.
 The log-likelihood comes from the probability pass: the pass that fills
-p_ij at a line-search trial sums l from the same exp(-|mu_i - mu_j|), and
-an accepted trial leaves p_ij for the next step. The deviance is built in
-the probability buffer, and the counts are dropped before the covariance's
-inverse.
+p_ij at a line-search trial sums l from the same exp(min(x, 0)), and an
+accepted trial leaves p_ij for the next step. At the centred abilities one
+more pass fills p_ij, which the deviance (built in the work buffer) and the
+covariance share; the counts are dropped before the covariance's inverse.
 """
 
 from __future__ import annotations
@@ -77,32 +77,39 @@ class FitReport:
 
 
 def _win_probabilities(mu: np.ndarray, out=None, work=None, counts=None):
-    """P(i beats j) = logistic(x_ij), x_ij = mu_i - mu_j, into out, through
-    e = exp(-|x|), which never overflows: 1 / (1 + e) where x >= 0 and
-    e / (1 + e) elsewhere. work, if given, is scratch of out's shape; with
-    both, an n x n call allocates only its boolean mask. Given counts, it
-    returns (p, l) with the log-likelihood l = sum c_ij log p_ij, each
-    log p_ij = min(x_ij, 0) - log1p(e_ij) taken from the same e."""
+    """P(i beats j) = logistic(x_ij), x_ij = mu_i - mu_j, into out, as
+    exp(min(x, 0)) / (1 + e), e = exp(-|x|), which never overflows: the
+    numerator is 1 where x >= 0 and e elsewhere, so e is the lesser of it
+    and its transpose. work, if given, is scratch of out's shape; with both
+    an n x n call allocates no n x n array. Given counts, it returns (p, l),
+    l = sum c_ij log p_ij with log p_ij = min(x_ij, 0) - log1p(e_ij)."""
     x = np.subtract.outer(mu, mu, out=out)
-    nonneg = x >= 0
+    low = np.minimum(x, 0.0, out=work)
     if counts is not None:
-        ll = np.vdot(counts, np.minimum(x, 0.0, out=work))
-    e = np.abs(x, out=x)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
+        ll = np.vdot(counts, low)
+    numerator = np.exp(low, out=low)
+    e = np.minimum(numerator, numerator.T, out=x)
     if counts is not None:
-        ll -= np.vdot(counts, np.log1p(e, out=work))
-    denominator = np.add(e, 1.0, out=work)
-    np.copyto(e, 1.0, where=nonneg)
-    p = np.divide(e, denominator, out=e)
+        ll -= np.vdot(counts, np.log1p(e, out=e))
+        np.minimum(numerator, numerator.T, out=e)
+    p = np.divide(numerator, np.add(e, 1.0, out=e), out=e)
     return p if counts is None else (p, float(ll))
 
 
-def _off_diagonal(C: CountMatrix) -> np.ndarray:
-    """The counts with self-comparisons (the diagonal) set to zero."""
+def _games(C: CountMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The counts without self-comparisons (the diagonal), the games n_ij =
+    c_ij + c_ji and each player's games played; the domain error, numpy
+    silent, where those overflow float64 (a fit depends on their scale)."""
     counts = C.counts.copy()
     np.fill_diagonal(counts, 0.0)
-    return counts
+    with np.errstate(over="ignore"):
+        games = counts + counts.T
+        played = games.sum(axis=1)
+    if not np.isfinite(played).all():
+        raise DomainError(
+            f"the games of {C.labels[np.argmin(np.isfinite(played))]} sum "
+            f"beyond float64's largest value {np.finfo(float).max:.4g}")
+    return counts, games, played
 
 
 def _require_connected(games: np.ndarray, labels) -> None:
@@ -124,13 +131,13 @@ def _gauged_fisher(expected: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 def _deviance(counts: np.ndarray, games: np.ndarray, mu: np.ndarray,
-              p: np.ndarray, work: np.ndarray) -> float:
-    """The deviance (see bt_deviance), built in p; work is scratch. Where
-    a fitted n_ij p_ij underflows to 0 while c_ij > 0, the term is
-    c_ij (log c_ij - log n_ij - log p_ij), with log p_ij = min(x_ij, 0) -
-    log1p(exp(-|x_ij|)) for x_ij = mu_i - mu_j."""
+              p: np.ndarray, out: np.ndarray) -> float:
+    """The deviance (see bt_deviance) at mu, whose win probabilities are p,
+    built in out. Where a fitted n_ij p_ij underflows to 0 while c_ij > 0,
+    the term is c_ij (log c_ij - log n_ij - log p_ij), with log p_ij =
+    min(x_ij, 0) - log1p(exp(-|x_ij|)) for x_ij = mu_i - mu_j."""
     won = counts > 0
-    terms = np.multiply(games, _win_probabilities(mu, p, work), out=p)
+    terms = np.multiply(games, p, out=out)
     i, j = np.nonzero(won & (terms == 0))
     with np.errstate(divide="ignore"):
         np.divide(counts, terms, out=terms, where=won)
@@ -154,21 +161,21 @@ def _score(wins: np.ndarray, games: np.ndarray, played: np.ndarray,
     return score, float(np.max(np.abs(score) / played))
 
 
-def _covariance(games: np.ndarray, mu: np.ndarray, p: np.ndarray,
+def _covariance(games: np.ndarray, p: np.ndarray,
                 work: np.ndarray) -> np.ndarray:
-    """inv(F + e e^T / n) - e e^T / n at mu (see bt_covariance); p and
-    work are scratch."""
-    np.multiply(games, _win_probabilities(mu, p, work), out=work)
+    """inv(F + e e^T / n) - e e^T / n at win probabilities p (see
+    bt_covariance); work is scratch."""
+    np.multiply(games, p, out=work)
     try:
         covariance = np.linalg.inv(_gauged_fisher(work, p))
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(
             f"Fisher information is singular beyond the gauge: {exc}") from exc
-    covariance -= 1.0 / len(mu)
+    covariance -= 1.0 / len(p)
     return covariance
 
 
-def _check_fittable(counts: np.ndarray, labels) -> None:
+def _check_fittable(counts: np.ndarray, games: np.ndarray, labels) -> None:
     """Raise unless the MLE exists, that is unless the win graph (u -> v
     where u beat v) is strongly connected (linalg._closed_group). Otherwise
     some group of players never lost to the rest, and their abilities
@@ -180,7 +187,7 @@ def _check_fittable(counts: np.ndarray, labels) -> None:
     top = _closed_group(counts > 0)
     if not top.any():
         return
-    _require_connected(counts + counts.T, labels)
+    _require_connected(games, labels)
     wins = counts.sum(axis=1)
     losses = counts.sum(axis=0)
     for i in range(len(labels)):
@@ -213,11 +220,9 @@ def fit_bt(C, tol: float = DEFAULT_FIT_TOL,
     if C.n < 2:
         raise DomainError("need at least two players to fit")
     n = C.n
-    counts = _off_diagonal(C)
-    _check_fittable(counts, C.labels)
-    games = counts + counts.T
+    counts, games, played = _games(C)
+    _check_fittable(counts, games, C.labels)
     wins = counts.sum(axis=1)
-    played = games.sum(axis=1)
     # l adds one term per nonzero count (a zero count adds an exact 0), so
     # rounding alone moves it by up to about this much times |l|; a trial
     # that loses no more is no loss
@@ -231,16 +236,12 @@ def fit_bt(C, tol: float = DEFAULT_FIT_TOL,
         score, residual = _score(wins, games, played, p, work)
         if residual <= tol:
             abilities = AbilityVector(mu - mu.mean(), C.labels)
+            _win_probabilities(abilities.mu, p, work)
             deviance = _deviance(counts, games, abilities.mu, p, work)
             del counts  # not needed by the covariance's inverse
-            return FitReport(
-                abilities=abilities,
-                covariance=_covariance(games, abilities.mu, p, work),
-                deviance=deviance,
-                iterations=step,
-                converged=True,
-                residual=residual,
-            )
+            return FitReport(abilities, _covariance(games, p, work), deviance,
+                             iterations=step, converged=True,
+                             residual=residual)
         if step == max_iter:
             break
         try:
@@ -291,11 +292,9 @@ def bt_covariance(C, mu) -> np.ndarray:
     """
     C = as_count_matrix(C)
     mu = _as_mu(mu, C.n)
-    counts = _off_diagonal(C)
-    games = counts + counts.T
-    del counts
+    games = _games(C)[1]
     _require_connected(games, C.labels)
-    return _covariance(games, mu, np.empty_like(games), np.empty_like(games))
+    return _covariance(games, _win_probabilities(mu), np.empty_like(games))
 
 
 def bt_deviance(C, mu) -> float:
@@ -306,9 +305,8 @@ def bt_deviance(C, mu) -> float:
     """
     C = as_count_matrix(C)
     mu = _as_mu(mu, C.n)
-    counts = _off_diagonal(C)
-    games = counts + counts.T
-    return _deviance(counts, games, mu, np.empty_like(games),
+    counts, games, _ = _games(C)
+    return _deviance(counts, games, mu, _win_probabilities(mu),
                      np.empty_like(games))
 
 

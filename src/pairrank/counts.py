@@ -65,3 +65,22 @@ def as_count_matrix(C) -> CountMatrix:
     if isinstance(C, CountMatrix):
         return C
     return CountMatrix(np.asarray(C, dtype=float))
+
+
+def _summable(C: CountMatrix) -> CountMatrix:
+    """C, or, where its largest entry passes float64's largest value over
+    2 n^2, C times the power of two that brings it below that, so that no
+    sum of C's entries overflows. The scaling is exact: where it would take
+    a positive entry below the smallest normal float, it raises the domain
+    error. For results that do not depend on C's scale."""
+    limit = np.finfo(float).max / (2 * C.n * C.n)
+    top = C.counts.max()
+    if top <= limit:
+        return C
+    shift = -int(np.frexp(top / limit)[1])
+    low = C.counts[C.counts > 0].min()
+    if np.ldexp(low, shift) < np.finfo(float).tiny:
+        raise DomainError(
+            f"counts from {low:.3g} to {top:.3g} span more than float64 can "
+            f"sum: the largest overflows, the smallest underflow when scaled")
+    return CountMatrix(np.ldexp(C.counts, shift), C.labels)

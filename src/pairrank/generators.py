@@ -11,8 +11,11 @@ most 2^14 lanes at a time. In numpy's BTPE regime one Philox per call is
 re-keyed before each draw. The Monte Carlo checks a block's retry-0 draws
 as one stack and redraws the rejected ones in rounds: one call, about 2^10
 lanes (its fixed cost), gives each its next retry and the spare rows to
-the earliest. A walk over the rejection counts finds the error that one
-replication after another would meet. Each block is solved as one stack.
+the earliest, at least one more row for each of its rejections, so a
+design whose every draw is rejected doubles that one's retries a call. A
+walk over the rejection counts finds the error that one replication after
+another would meet. Each block is solved as one stack. A block holds at
+most _BLOCK replications and a call at most _BLOCK_CELLS matrix cells.
 """
 
 from __future__ import annotations
@@ -35,7 +38,8 @@ _MAX_REPLICATION = 1 << 32
 _MAX_RETRY = 1 << 16
 _MAX_PAIRS = 1 << 16
 _MAX_GAMES = 1 << 63  # numpy's binomial takes at most 2^63 - 1 trials
-_BLOCK = 64  # Monte Carlo replications drawn, checked and solved together
+_BLOCK = 512  # Monte Carlo replications drawn, checked and solved together
+_BLOCK_CELLS = 64 * 362 * 362  # cells of the n x n stack of one draw call
 _CHUNK = 1 << 14  # draw lanes whose words and wins are built together
 _REDRAW_LANES = 1 << 10  # lanes that cost about a draw call's fixed overhead
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
@@ -385,8 +389,10 @@ def monte_carlo_covariance(config: SimulationConfig,
     draw = _draw_counts(config, pairs)
     Y = np.empty((reps, n))
     rejections = 0
-    for start in range(0, reps, _BLOCK):
-        block = np.arange(start, min(start + _BLOCK, reps))
+    most = _BLOCK_CELLS // (n * n)  # rows of one draw call, >= 64
+    size, lanes = min(_BLOCK, most), _REDRAW_LANES // len(pairs)
+    for start in range(0, reps, size):
+        block = np.arange(start, min(start + size, reps))
         C = np.empty((len(block), n, n))
         count = np.zeros(len(block), dtype=np.int64)  # rejected draws
         todo, rows = np.arange(len(block)), 1
@@ -413,8 +419,8 @@ def monte_carlo_covariance(config: SimulationConfig,
                     "retry budget exhausted for a single replication; "
                     "increase games_per_pair")
             # no retry reaches _MAX_RETRY: todo[0] has drawn the most
-            rows = min(max(1, _REDRAW_LANES // len(pairs) - len(todo) + 1),
-                       _MAX_RETRY - int(count[head]))
+            rows = min(max(1, lanes - len(todo) + 1, int(count[head])),
+                       most - len(todo) + 1, _MAX_RETRY - int(count[head]))
         rejections += int(count.sum())
         # influence weights normalize(pi / a) of each accepted draw
         a = C.sum(axis=1)

@@ -25,8 +25,8 @@ parse_input and parse_articles read their file once, as a stream: parsing
 holds the n x n array plus one block of text, never the whole file.
 load_input and load_articles, which the CLI calls, read the file once as
 bytes, hash those bytes for the report and parse them with the same reader.
-load_input keeps each successful parse in an on-disk cache (_CACHE_BYTES),
-so the same bytes read by the same parser are parsed once.
+load_input keeps each successful parse in an on-disk cache (_CACHE_BYTES,
+_CACHE_ENTRIES), so the same bytes read by the same parser are parsed once.
 
 matrix_to_csv writes floats with repr(), the shortest string that parses
 back to the same binary64 value, so a matrix -> csv -> matrix round trip is
@@ -126,9 +126,11 @@ def _text(data: bytes) -> _io.TextIOWrapper:
 # by its labels as UTF-8 JSON, named <sha256 of the input bytes>-<parser
 # key>.npy, in $XDG_CACHE_HOME/pairrank or else ~/.cache/pairrank. After
 # each store, the least recently used entries beyond _CACHE_BYTES in total
-# (room for 32 tables of n=1000) are deleted; a hit refreshes its entry's
-# mtime. Deleting the directory clears the cache.
+# (room for 32 tables of n=1000) or beyond _CACHE_ENTRIES in number are
+# deleted, so a store stats a bounded number of entries; a hit refreshes
+# its entry's mtime. Deleting the directory clears the cache.
 _CACHE_BYTES = 256 << 20
+_CACHE_ENTRIES = 1024
 
 
 @functools.cache
@@ -188,7 +190,7 @@ def _load_entry(entry: str) -> CountMatrix | None:
 
 def _store_entry(entry: str, C: CountMatrix) -> None:
     """Write C's entry through a temporary file moved into place, then evict
-    beyond _CACHE_BYTES. An OSError leaves the store undone."""
+    (_evict). An OSError leaves the store undone."""
     import json
     import tempfile
 
@@ -210,17 +212,17 @@ def _store_entry(entry: str, C: CountMatrix) -> None:
 
 
 def _evict(root: str) -> None:
-    """Delete the least recently used entries in root until the rest hold
-    at most _CACHE_BYTES."""
+    """Delete the least recently used entries in root until the rest are
+    at most _CACHE_ENTRIES and hold at most _CACHE_BYTES."""
     with os.scandir(root) as it:
         entries = sorted((e.stat().st_mtime_ns, e.name, e.stat().st_size)
                          for e in it if e.name.endswith(".npy"))
-    total = sum(size for _, _, size in entries)
+    total, left = sum(size for _, _, size in entries), len(entries)
     for _, name, size in entries:
-        if total <= _CACHE_BYTES:
+        if total <= _CACHE_BYTES and left <= _CACHE_ENTRIES:
             break
         os.unlink(os.path.join(root, name))
-        total -= size
+        total, left = total - size, left - 1
 
 
 def _read_rows(f) -> Iterator[Row]:

@@ -27,9 +27,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bradley_terry import (_off_diagonal, _require_connected, _score,
+from .bradley_terry import (_games, _require_connected, _score,
                             _win_probabilities)
-from .counts import as_count_matrix
+from .counts import _summable, as_count_matrix
 from .errors import ConsistencyError, DomainError, NotQuasiSymmetricError
 from .linalg import DEFAULT_TOL, _check_tol, _levels, stationary_vector
 from .rankings import transition_matrix
@@ -226,8 +226,8 @@ def decompose_qs(C, tol: float = DEFAULT_QS_TOL) -> QSDecomposition:
     if worst > tol:
         i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)
         raise NotQuasiSymmetricError(worst, (int(i), int(j)))
+    M *= 0.5  # halves first: their sum does not overflow
     S = np.add(M, M.T, out=big)  # big is spent; S takes its buffer
-    S *= 0.5
     residual = float(np.max(np.abs(counts - d[:, None] * S)))
     return QSDecomposition(d=d, S=S, residual=residual, labels=C.labels)
 
@@ -243,29 +243,36 @@ def verify_equivalence(C, tol: float = 1e-10,
     and the Bradley-Terry score equations at centered log d, by fit_bt's
     relative score residual. On the connected design that a decomposition
     implies each has one solution, so neither route is solved. Any failed
-    check raises the consistency error.
+    check, a non-finite residual among them, raises the consistency error.
+    Neither residual depends on the scale of C, nor the fixed point's on
+    that of d, so both are checked on C as counts._summable scales it, and
+    the fixed point on d over the power of two that puts max d in [1/2, 1):
+    no sum then overflows.
     """
     C = as_count_matrix(C)
     _check_tol(tol)
     if dec is None:
         dec = decompose_qs(C)
     d = dec.d
+    C = _summable(C)
     a = C.column_sums()
     if np.any(a <= 0):
         raise DomainError("scaling identity needs positive column sums")
-    residual = float(np.max(np.abs(C.counts @ d / a - d)) / np.max(np.abs(d)))
-    if residual > tol:
+    u = np.ldexp(d, -np.frexp(np.max(np.abs(d)))[1])
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite d
+        residual = float(np.max(np.abs(C.counts @ u / a - u))
+                         / np.max(np.abs(u)))
+    if not residual <= tol:
         raise ConsistencyError(
             f"fixed-point residual {residual:.3g} exceeds tol {tol:.3g}")
     if C.n < 2:
         raise DomainError("need at least two players to fit")
 
-    counts = _off_diagonal(C)
-    games = counts + counts.T
+    counts, games, played = _games(C)
     log_d = np.log(d)
     p = _win_probabilities(log_d - log_d.mean())
-    bt = _score(counts.sum(axis=1), games, games.sum(axis=1), p, counts)[1]
-    if bt > tol:
+    bt = _score(counts.sum(axis=1), games, played, p, counts)[1]
+    if not bt <= tol:
         raise ConsistencyError(
             f"Bradley-Terry score residual {bt:.3g} exceeds tol {tol:.3g}")
     return residual

@@ -22,6 +22,9 @@ probability-normalized score vectors:
 
 The two families are linked by the exact correspondences iw_from_pagerank
 and pagerank_from_iw (w proportional to A^-1 pi and back).
+
+No method depends on the scale of C, so a table whose sums would overflow
+float64 is ranked as counts._summable scales it, by a power of two.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counts import CountMatrix, as_count_matrix
+from .counts import CountMatrix, _summable, as_count_matrix
 from .errors import (DanglingNodeError, DimensionError, DomainError,
                      ReducibilityError)
 from .linalg import DEFAULT_TOL, is_irreducible, stationary_vector
@@ -95,7 +98,7 @@ def transition_matrix(C, alpha: float = 1.0) -> np.ndarray:
     must be genuinely usable: every column sum positive and the graph
     strongly connected.
     """
-    C = as_count_matrix(C)
+    C = _summable(as_count_matrix(C))
     alpha = _validate_alpha(alpha)
     n = C.n
     a = C.column_sums()
@@ -125,7 +128,7 @@ def influence_weight(C, alpha: float = 1.0,
     comparison graph. At alpha = 1 this is the leading eigenvector of
     A^-1 C, and it does not change when the diagonal of C changes.
     """
-    C = as_count_matrix(C)
+    C = _summable(as_count_matrix(C))
     return iw_from_pagerank(pagerank(C, alpha, tol=tol), C.column_sums())
 
 
@@ -133,7 +136,7 @@ def total_influence(C, alpha: float = 1.0,
                     tol: float = DEFAULT_TOL) -> RankingVector:
     """Influence weight scaled by column sums; equals pagerank at the same
     alpha."""
-    C = as_count_matrix(C)
+    C = _summable(as_count_matrix(C))
     w = influence_weight(C, alpha, tol=tol)
     scores = w.scores * C.column_sums()
     return RankingVector(scores / scores.sum(), C.labels, "total_influence")

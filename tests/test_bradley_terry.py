@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from pairrank import bradley_terry
 from pairrank.bradley_terry import (AbilityVector, _win_probabilities,
                                     bt_covariance, bt_deviance, fit_bt,
                                     predict_prob)
@@ -280,6 +281,110 @@ def test_probability_pass_loglik_matches_one_sum(n, density, sigma):
     if sigma > 100:
         # exp(-|x|) underflows to 0 on some played pairs
         assert np.any(np.abs(x[rows, cols]) > 750)
+
+
+def _masked_kernel(mu, out=None, work=None, counts=None):
+    """The probability pass as it chose its numerator by a boolean mask:
+    1 where x >= 0, e = exp(-|x|) elsewhere, written through np.copyto."""
+    x = np.subtract.outer(mu, mu, out=out)
+    nonneg = x >= 0
+    if counts is not None:
+        ll = np.vdot(counts, np.minimum(x, 0.0, out=work))
+    e = np.abs(x, out=x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    if counts is not None:
+        ll -= np.vdot(counts, np.log1p(e, out=work))
+    denominator = np.add(e, 1.0, out=work)
+    np.copyto(e, 1.0, where=nonneg)
+    p = np.divide(e, denominator, out=e)
+    return p if counts is None else (p, float(ll))
+
+
+def _kernel_abilities() -> dict:
+    """Random abilities with n from 2 to 60 and spreads up to +-50, gaps
+    beyond +-745 where exp(-|x|) underflows to 0, exact ties and -0.0
+    entries."""
+    rng = np.random.default_rng(3202)
+    cases = {f"random-{k}": rng.uniform(-1, 1, int(rng.integers(2, 61)))
+             * float(rng.uniform(0.0, 50.0)) for k in range(40)}
+    cases.update({
+        "underflow": np.array([-800.0, -746.0, 0.0, 1.0, 760.0]),
+        "far-apart": rng.uniform(-1e4, 1e4, 30),
+        "ties": np.repeat(rng.normal(0.0, 3.0, 6), 3),
+        "signed-zeros": np.array([0.0, -0.0, 0.0, -0.0, 2.5, -2.5]),
+        "all-zero": np.zeros(7),
+        "negative-zeros": np.full(4, -0.0)})
+    return cases
+
+
+KERNEL_ABILITIES = _kernel_abilities()
+
+
+@pytest.mark.parametrize("mu", KERNEL_ABILITIES.values(),
+                         ids=KERNEL_ABILITIES)
+def test_probability_pass_matches_the_masked_kernel(mu):
+    # the numerator exp(min(x, 0)) and e as the lesser of it and its
+    # transpose give every p and l the masked pass gave, bit for bit
+    n = len(mu)
+    counts = np.random.default_rng(n).integers(0, 9, (n, n)).astype(float)
+    assert _win_probabilities(mu).tobytes() == _masked_kernel(mu).tobytes()
+    for given in (True, False):
+        bufs = [np.empty((n, n)) for _ in range(4)] if given else [None] * 4
+        p, ll = _win_probabilities(mu, bufs[0], bufs[1], counts)
+        q, ll_ref = _masked_kernel(mu, bufs[2], bufs[3], counts)
+        assert p.tobytes() == q.tobytes()
+        assert np.float64(ll).tobytes() == np.float64(ll_ref).tobytes()
+        if given:
+            assert p is bufs[0]
+
+
+def test_probability_pass_allocates_no_square_array():
+    # with out and work given, no n x n temporary: not even a boolean one
+    n = 400
+    mu = np.random.default_rng(5).normal(0.0, 3.0, n)
+    counts = np.ones((n, n))
+    out, work = np.empty((n, n)), np.empty((n, n))
+    assert peak_bytes(lambda: _win_probabilities(mu, out, work, counts)) \
+        < n * n
+    assert peak_bytes(lambda: _win_probabilities(mu, out, work)) < n * n
+
+
+def test_fit_evaluates_its_final_abilities_once(monkeypatch):
+    # after the last line-search trial (the calls that sum l), one pass at
+    # the centred abilities serves the deviance and the covariance
+    calls = []
+    kernel = bradley_terry._win_probabilities
+
+    def counting(mu, out=None, work=None, counts=None):
+        calls.append((mu.copy(), counts is not None))
+        return kernel(mu, out, work, counts)
+
+    monkeypatch.setattr(bradley_terry, "_win_probabilities", counting)
+    for C in (WORKED, dense_noisy(40, 3), np.full((4, 4), 2.0)):
+        calls.clear()
+        fit = fit_bt(C)
+        last = max(k for k, (_, trial) in enumerate(calls) if trial)
+        after = calls[last + 1:]
+        assert len(after) == 1
+        assert after[0][0].tobytes() == fit.abilities.mu.tobytes()
+        assert not after[0][1]
+
+
+@pytest.mark.parametrize("C", [[[0, 1e308], [1e308, 0]],
+                               1e308 * (1 - np.eye(3))], ids=["2x2", "3x3"])
+@pytest.mark.parametrize("route", [
+    fit_bt,
+    lambda C: bt_covariance(C, np.zeros(len(C))),
+    lambda C: bt_deviance(C, np.zeros(len(C)))],
+    ids=["fit", "covariance", "deviance"])
+def test_games_beyond_float64_are_a_domain_error(C, route):
+    # a fit's covariance and deviance depend on the counts' scale, so games
+    # that overflow are an error, raised with numpy silent
+    with pytest.raises(DomainError) as exc:
+        route(np.array(C, float))
+    assert str(exc.value) == (
+        "the games of p1 sum beyond float64's largest value 1.798e+308")
 
 
 class TestPeakMemory:

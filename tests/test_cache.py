@@ -235,6 +235,25 @@ def test_eviction_is_least_recently_used_first(tmp_path, capsys,
     assert _entries() == []
 
 
+def test_eviction_bounds_the_entry_count(tmp_path, capsys):
+    # many small entries, far below the byte bound: one store deletes the
+    # oldest until _CACHE_ENTRIES are left, the new entry among them
+    bound = pairrank.io._CACHE_ENTRIES
+    assert bound < pairrank.io._CACHE_BYTES // 1000
+    _cache().mkdir(parents=True)
+    old = []
+    for k in range(bound + 5):
+        entry = _cache() / f"{k:064x}-{'0' * 64}.npy"
+        entry.write_bytes(_npy(np.ones((1, 1)), ["a"]))
+        t = 10**18 + k * 10**9  # oldest first
+        os.utime(entry, ns=(t, t))
+        old.append(entry.name)
+    path = tmp_path / "m.csv"
+    path.write_text(MATRIX)
+    load_input(path)
+    assert _entries() == sorted(old[6:] + [_entry(path.read_bytes()).name])
+
+
 def test_peak_memory_is_the_file_and_three_matrices(tmp_path):
     n = 1000
     C = CountMatrix(np.random.default_rng(8).uniform(0, 10, size=(n, n)))

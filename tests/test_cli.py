@@ -684,6 +684,51 @@ def _strict_json(text: str):
     return json.loads(text, parse_constant=reject)
 
 
+# counts whose column sums, games and C d overflow float64
+NEAR_OVERFLOW = [np.array([[0, 1e308], [1e308, 0]]), 1e308 * (1 - np.eye(3))]
+
+
+@pytest.mark.parametrize("table", [0, 1], ids=["2x2", "3x3"])
+@pytest.mark.parametrize("argv, code", [
+    (["rank", "--method", "pagerank"], 0),
+    (["rank", "--method", "iw"], 0),
+    (["rank", "--method", "total"], 0),
+    (["rank", "--method", "ipp"], 0),
+    (["rank", "--method", "bt"], 2),
+    (["check-qs"], 0),
+], ids=["pagerank", "iw", "total", "ipp", "bt", "check-qs"])
+def test_near_overflow_tables(tmp_path, capsys, table, argv, code):
+    # the eigenvector methods and check-qs do not depend on the scale of
+    # C and rank the players evenly; a fit does, and its overflowing games
+    # are a domain error. Under the RuntimeWarning error filter, numpy
+    # stays silent
+    C = NEAR_OVERFLOW[table]
+    labels = default_labels(len(C))
+    path = tmp_path / "big.csv"
+    path.write_text(matrix_to_csv(CountMatrix(C, labels)))
+    articles = tmp_path / "articles.csv"
+    articles.write_text("".join(f"{label},1\n" for label in labels))
+    if argv[-1] == "ipp":
+        argv = [*argv, "--articles", str(articles)]
+    assert main([*argv, str(path), "--format", "json"]) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert err == ("error: the games of p1 sum beyond float64's largest "
+                       "value 1.798e+308\n")
+        return
+    report = _strict_json(out)
+    scores = [entry["score"] for entry in report["scores"]]
+    if argv[0] == "check-qs":
+        assert scores == [1.0] * len(C)
+        assert {k: report["diagnostics"][k] for k in (
+            "quasi_symmetric", "decomposition_residual",
+            "equivalence_residual", "reversible")} == {
+            "quasi_symmetric": True, "decomposition_residual": 0.0,
+            "equivalence_residual": 0.0, "reversible": True}
+    else:
+        assert_allclose(scores, 1 / len(C), rtol=1e-15)
+
+
 def test_extreme_tables_exit_with_a_documented_code(tmp_path, capsys):
     # lognormal counts over tens of decades, and the tables where the
     # Newton system turned singular and a fitted count underflowed to 0
@@ -691,6 +736,7 @@ def test_extreme_tables_exit_with_a_documented_code(tmp_path, capsys):
               for k in range(100)]
     tables += [lognormal_table([7, 45], (5, 60), (0.1, 0.5), (4.0, 7.0)),
                lognormal_table([9, 108], (5, 40), (0.2, 1.0), 12.0)]
+    tables += NEAR_OVERFLOW  # sums past float64's largest value
     path = tmp_path / "extreme.csv"
     codes = set()
     for C in tables:

@@ -543,6 +543,56 @@ class TestMonteCarlo:
         assert all((0, retry) in examined for retry in range(1 << 16))
         assert max(retry for _, retry in drawn) < 1 << 16
 
+    def test_a_rejected_head_draws_spare_rows(self, monkeypatch):
+        # with fewer redraw lanes than a block has replications, the
+        # earliest pending replication still draws one more row for each of
+        # its rejections: where every draw is rejected (two players, one
+        # game) its retries double a call, and the error comes in a few
+        rows = []
+        build = generators._draw_counts
+
+        def counting(config, pairs):
+            draw = build(config, pairs)
+
+            def wrapped(replications, retries):
+                rows.append(len(replications))
+                return draw(replications, retries)
+            return wrapped
+
+        monkeypatch.setattr(generators, "_REDRAW_LANES", 4)
+        monkeypatch.setattr(generators, "_draw_counts", counting)
+        with pytest.raises(DegenerateSampleError) as exc:
+            monte_carlo_covariance(_config(2, games=1, reps=1000),
+                                   "round-robin")
+        assert str(exc.value) == (
+            "more than half of all tournament draws were degenerate "
+            "(1001 rejections); increase games_per_pair")
+        assert len(rows) <= 12 and rows[0] == generators._BLOCK
+
+    def test_a_call_holds_at_most_the_cell_budget(self, monkeypatch):
+        # ten 3 x 3 matrices to a call: blocks of ten, and the same result
+        # as blocks of _BLOCK
+        cfg = _config(3, games=2, reps=35, seed=42)
+        whole = monte_carlo_covariance(cfg, "round-robin")
+        stacks, draws = [], []
+        solve, examine = generators.stationary_vector, generators._closed_group
+
+        def solving(P):
+            stacks.append(len(P))
+            return solve(P)
+
+        def examining(adj):
+            draws.append(len(adj))
+            return examine(adj)
+
+        monkeypatch.setattr(generators, "_BLOCK_CELLS", 10 * 9)
+        monkeypatch.setattr(generators, "stationary_vector", solving)
+        monkeypatch.setattr(generators, "_closed_group", examining)
+        split = monte_carlo_covariance(cfg, "round-robin")
+        assert stacks == [10, 10, 10, 5]
+        assert max(draws) <= 10 and whole.rejections == split.rejections > 0
+        assert split.covariance.tobytes() == whole.covariance.tobytes()
+
     @pytest.mark.parametrize("structure, n", [("round-robin", 20),
                                               ("circular", 7)])
     def test_one_philox_per_call(self, monkeypatch, structure, n):

@@ -139,6 +139,15 @@ class TestTripletsAgainstOracle:
 
 
 class TestDecompose:
+    def test_symmetric_part_of_counts_near_overflow(self):
+        # S = M / 2 + M.T / 2: the halves are summed, so m_ij + m_ji never
+        # overflows on the way
+        C = 1e308 * (1 - np.eye(3))
+        dec = decompose_qs(C)
+        assert np.array_equal(dec.d, np.ones(3))
+        assert np.array_equal(dec.S, C)
+        assert dec.residual == 0.0
+
     def test_worked_example(self):
         dec = decompose_qs(WORKED)
         assert_allclose(dec.d, [1, 2, 4], atol=1e-12)
@@ -247,6 +256,28 @@ class TestVerifyEquivalence:
             verify_equivalence(C, dec=dec)
         assert str(exc.value) == (
             "Bradley-Terry score residual 0.0119 exceeds tol 1e-10")
+
+    @pytest.mark.parametrize("C", [[[0, 1e308], [1e308, 0]],
+                                   1e308 * (1 - np.eye(3))],
+                             ids=["2x2", "3x3"])
+    def test_near_overflow_tables_hold_exactly(self, C):
+        # column sums, C d and the games pass float64's largest value, and
+        # neither residual depends on the scale: both are exactly 0
+        assert verify_equivalence(np.array(C, float)) == 0.0
+
+    def test_fixed_point_with_d_over_many_decades(self):
+        # d = (1, 1e200, 1e200): C d sums c_12 d_2 = 1e500 at full scale
+        C = np.array([[0, 1, 1], [1e200, 0, 1e300], [1e200, 1e300, 0]])
+        assert verify_equivalence(C) == 0.0
+
+    def test_a_nan_residual_fails(self):
+        # a NaN residual is not within tol
+        dec = quasisym.QSDecomposition(d=np.array([1.0, np.nan, 1.0]),
+                                       S=WORKED, residual=0.0,
+                                       labels=default_labels(3))
+        with pytest.raises(ConsistencyError) as exc:
+            verify_equivalence(WORKED, dec=dec)
+        assert str(exc.value) == "fixed-point residual nan exceeds tol 1e-10"
 
     @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1.0])
     def test_tol_must_be_positive(self, tol):

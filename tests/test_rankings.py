@@ -17,6 +17,43 @@ WORKED = np.array([[0, 1, 1], [2, 0, 2], [4, 4, 0]], float)
 RING_SIZES = [200, 1000]
 
 
+def _overflowing(seed: int) -> np.ndarray:
+    """A 4 x 4 table whose column sums pass float64's largest value."""
+    C = np.random.default_rng(seed).uniform(0.5, 1.0, (4, 4)) * 1e308
+    np.fill_diagonal(C, 0.0)
+    return C
+
+
+class TestSumsBeyondFloat64:
+    # no eigenvector method depends on the scale of C, so a table whose
+    # sums overflow ranks as its scaled copy does, bit for bit
+    @pytest.mark.parametrize("rank", [
+        lambda C: transition_matrix(C),
+        lambda C: transition_matrix(C, 0.85),
+        lambda C: pagerank(C).scores,
+        lambda C: influence_weight(C).scores,
+        lambda C: total_influence(C).scores,
+        lambda C: influence_per_publication(C, [1, 2, 3, 4]).scores,
+    ], ids=["chain", "damped-chain", "pagerank", "iw", "total", "ipp"])
+    def test_ranks_as_the_scaled_table(self, rank):
+        C = _overflowing(1)
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(C.sum(axis=0)).any()
+        assert rank(C).tobytes() == rank(np.ldexp(C, -20)).tobytes()
+
+    def test_uniform_table_near_overflow(self):
+        C = 1e308 * (1 - np.eye(3))
+        assert_allclose(influence_weight(C).scores, np.full(3, 1 / 3))
+
+    def test_a_range_no_power_of_two_keeps_is_a_domain_error(self):
+        # scaled by 2^-3, 1e-307 would fall below the smallest normal float
+        with pytest.raises(DomainError) as exc:
+            pagerank([[0, 1e308], [1e-307, 0]])
+        assert str(exc.value) == (
+            "counts from 1e-307 to 1e+308 span more than float64 can sum: "
+            "the largest overflows, the smallest underflow when scaled")
+
+
 class TestTransitionMatrix:
     def test_constant_counts_give_uniform_chain(self):
         P = transition_matrix(np.full((3, 3), 2.0), alpha=1.0)
