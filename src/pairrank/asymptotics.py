@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .counts import as_count_matrix
+from .counts import _summable, as_count_matrix
 from .errors import ConsistencyError, DimensionError, DomainError
 from .generators import _check_design
 from .linalg import DEFAULT_TOL, _check_chain, stationary_vector
@@ -82,14 +82,17 @@ def _group_inverse(P: np.ndarray, pi: np.ndarray) -> np.ndarray:
 
 def _log_iw_parts(C, tol: float):
     """Factors (M, u) of d log iw / dt, (u_i + u_j) M (e_i - e_j) along
-    pair (i, j), as derived in the module docstring."""
-    P = transition_matrix(C, 1.0)
+    pair (i, j), as derived in the module docstring, with the counts and
+    2^e they were scaled by (counts._summable); u goes as 1/C, M not."""
+    S = _summable(C)
+    e = int(np.frexp(S.counts.max())[1] - np.frexp(C.counts.max())[1])
+    P = transition_matrix(S, 1.0)
     pi = stationary_vector(P, tol=tol).vector
     M = _group_inverse(P, pi)
     M /= pi[:, None]
-    u = pi / C.column_sums()
+    u = pi / S.column_sums()
     M -= (u / u.sum()) @ M
-    return M, u
+    return M, u, S.counts, e
 
 
 def log_iw_jacobian(C, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -101,13 +104,13 @@ def log_iw_jacobian(C, tol: float = DEFAULT_TOL) -> np.ndarray:
     plain column sums vanish too. Requires an undamped-usable C (positive
     column sums, irreducible).
     """
-    M, u = _log_iw_parts(as_count_matrix(C), tol)
+    M, u, _, e = _log_iw_parts(as_count_matrix(C), tol)
     i, j = np.triu_indices(u.size, k=1)
     # two pair-sized buffers: the differences and one taken copy
     J = M[:, i]
     J -= np.take(M, j, axis=1)
     J *= u[i] + u[j]
-    return J
+    return np.ldexp(J, e, out=J)
 
 
 def delta_method_covariance(C, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -117,15 +120,18 @@ def delta_method_covariance(C, tol: float = DEFAULT_TOL) -> np.ndarray:
     arrays as M L M^T, L the Laplacian of the pair weights
     (n_ij / 4)(u_i + u_j)^2, never from the n x n(n-1)/2 Jacobian.
     """
-    C = as_count_matrix(C)
-    M, u = _log_iw_parts(C, tol)
+    M, u, counts, e = _log_iw_parts(as_count_matrix(C), tol)
+    # L goes as C u^2: u times 2^h, h half C's exponent, keeps L near 1
+    h = int(np.frexp(counts.max())[1]) // 2
+    u = np.ldexp(u, h)
     # L in place: -(n_ij / 4)(u_i + u_j)^2 off the diagonal, row sums on it
-    L = np.add(C.counts, C.counts.T)
+    L = np.add(counts, counts.T)
     L *= np.square(np.add.outer(u, u))
     L *= -0.25
     np.fill_diagonal(L, 0.0)
     np.fill_diagonal(L, -L.sum(axis=1))
-    return M @ L @ M.T
+    V = M @ L @ M.T
+    return np.ldexp(V, e - 2 * h, out=V)
 
 
 def round_robin_covariance(n: int, k: int) -> np.ndarray:

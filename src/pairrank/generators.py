@@ -14,8 +14,9 @@ lanes (its fixed cost), gives each its next retry and the spare rows to
 the earliest, at least one more row for each of its rejections, so a
 design whose every draw is rejected doubles that one's retries a call. A
 walk over the rejection counts finds the error that one replication after
-another would meet. Each block is solved as one stack. A block holds at
-most _BLOCK replications and a call at most _BLOCK_CELLS matrix cells.
+another would meet. The retry-0 stack takes in the accepted redraws and
+becomes the block's chains in place, all solved at once: at most _BLOCK
+replications, in _BLOCK_CELLS cells, 512 up to n = 45 and 8 at n = 362.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ _MAX_RETRY = 1 << 16
 _MAX_PAIRS = 1 << 16
 _MAX_GAMES = 1 << 63  # numpy's binomial takes at most 2^63 - 1 trials
 _BLOCK = 512  # Monte Carlo replications drawn, checked and solved together
-_BLOCK_CELLS = 64 * 362 * 362  # cells of the n x n stack of one draw call
+_BLOCK_CELLS = 1 << 20  # cells of one n x n stack: 8 MiB
 _CHUNK = 1 << 14  # draw lanes whose words and wins are built together
 _REDRAW_LANES = 1 << 10  # lanes that cost about a draw call's fixed overhead
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
@@ -389,13 +390,13 @@ def monte_carlo_covariance(config: SimulationConfig,
     draw = _draw_counts(config, pairs)
     Y = np.empty((reps, n))
     rejections = 0
-    most = _BLOCK_CELLS // (n * n)  # rows of one draw call, >= 64
+    most = _BLOCK_CELLS // (n * n)  # rows of one draw call, >= 8
     size, lanes = min(_BLOCK, most), _REDRAW_LANES // len(pairs)
     for start in range(0, reps, size):
         block = np.arange(start, min(start + size, reps))
-        C = np.empty((len(block), n, n))
         count = np.zeros(len(block), dtype=np.int64)  # rejected draws
         todo, rows = np.arange(len(block)), 1
+        C = D = None  # the last block's stack goes before this one's draw
         while todo.size:
             # each in todo draws its next retry, and todo[0] its next `rows`
             D = draw(block[np.r_[np.full(rows, todo[0]), todo[1:]]],
@@ -405,7 +406,10 @@ def monte_carlo_covariance(config: SimulationConfig,
             first = int(np.argmax(np.r_[ok[:rows], True]))  # rows if none
             ok = np.r_[first < rows, ok[rows:]]
             count[todo] += np.r_[first, ~ok[1:]]
-            C[todo[ok]] = D[np.r_[first, rows:len(D)][ok]]
+            if C is None:  # every retry 0, in block order: the block's stack
+                C = D
+            else:
+                C[todo[ok]] = D[np.r_[first, rows:len(D)][ok]]
             todo = todo[~ok]
             # the errors a one-by-one walk would meet are known up to todo[0]
             head = todo[0] if todo.size else len(block) - 1
@@ -422,9 +426,10 @@ def monte_carlo_covariance(config: SimulationConfig,
             rows = min(max(1, lanes - len(todo) + 1, int(count[head])),
                        most - len(todo) + 1, _MAX_RETRY - int(count[head]))
         rejections += int(count.sum())
-        # influence weights normalize(pi / a) of each accepted draw
+        # each accepted draw's chain, in place, and weights normalize(pi / a)
         a = C.sum(axis=1)
-        w = stationary_vector(C / a[:, None, :]).vector / a
+        C /= a[:, None, :]
+        w = stationary_vector(C).vector / a
         y = np.log(w / w.sum(axis=1, keepdims=True))
         Y[block] = y - y.mean(axis=1, keepdims=True)
     if np.all(Y == Y[0]):

@@ -82,12 +82,12 @@ _BLOCK_CELLS = 1 << 15  # cells per block, so its four buffers stay in cache
 def check_triplets(C, tol: float = DEFAULT_QS_TOL) -> TripletReport:
     """Test every unordered triplet's cyclic product identity.
 
-    Relative gap for a triplet is |lhs - rhs| / max(lhs, rhs); triplets with
-    both products zero are vacuously consistent, and so are products that
-    overflow to a NaN gap. Pairs where exactly one direction is zero cannot
-    occur under quasi-symmetry and are reported as degenerate violations
-    with gap 1. Runs in O(n^2) memory and O(n^3) time, one block of (j, k)
-    pairs for one i at a time.
+    Relative gap for a triplet is |lhs - rhs| / max(lhs, rhs), also where
+    the products pass float64's range; triplets with a zero count in both
+    products are vacuously consistent. Pairs where exactly one direction
+    is zero cannot occur under quasi-symmetry and are reported as
+    degenerate violations with gap 1. Runs in O(n^2) memory and O(n^3)
+    time, one block of (j, k) pairs for one i at a time.
     """
     C = as_count_matrix(C)
     _check_tol(tol)
@@ -144,9 +144,17 @@ def _triplet_blocks(counts: np.ndarray):
     rhs[r, c] = (c_ik c_kj) c_ji for j = j0 + r, k = j0 + c, the product
     order of the einsum over the full tensor, and gap their relative gap
     (NaN where both are zero). The arrays are views of buffers reused by
-    the next block."""
+    the next block. Where a count lies beyond 2^+-330, a product may leave
+    float64's range, so the gap is taken from the products of the counts'
+    frexp mantissas, each scaled by its exponents' sum less the larger sum:
+    the same bits where the products stay normal."""
     n = len(counts)
     counts_t = np.ascontiguousarray(counts.T)
+    low = np.min(counts, where=counts > 0, initial=1.0)
+    wide = low < 2.0 ** -330 or counts.max() > 2.0 ** 330
+    if wide:
+        m, x = np.frexp(counts)
+        x[counts == 0] = -(1 << 20)  # a product with a 0 sets no scale
     size = max(_BLOCK_CELLS, n)
     buffers = [np.empty(size) for _ in range(4)]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -162,9 +170,17 @@ def _triplet_blocks(counts: np.ndarray):
                 lhs *= col[j0:]
                 np.multiply(counts_t[j0:j1, j0:], row[j0:], out=rhs)
                 rhs *= col[j0:j1, None]
-                np.subtract(lhs, rhs, out=gap)
+                pair = lhs, rhs
+                if wide:
+                    j, k = np.ogrid[j0:j1, j0:n]
+                    el = x[i, j] + x[j, k] + x[k, i]
+                    er = x[i, k] + x[k, j] + x[j, i]
+                    top = np.maximum(el, er)
+                    pair = (np.ldexp(m[i, j] * m[j, k] * m[k, i], el - top),
+                            np.ldexp(m[i, k] * m[k, j] * m[j, i], er - top))
+                np.subtract(*pair, out=gap)
                 np.abs(gap, out=gap)
-                np.maximum(lhs, rhs, out=big)
+                np.maximum(*pair, out=big)
                 gap /= big
                 yield i, j0, lhs, rhs, gap
 
@@ -201,8 +217,8 @@ def decompose_qs(C, tol: float = DEFAULT_QS_TOL) -> QSDecomposition:
     |m_ij - m_ji| / max(m_ij, m_ji) over pairs not both zero (the triplet
     test's gap), against tol; it does not move with the scale of C or the
     gauge of d. Disconnected reciprocal support means d is not identified
-    and raises the connectivity error; asymmetry beyond tol raises the
-    quasi-symmetry error with the worst entry.
+    and raises the connectivity error, a d past float64's normal range the
+    domain error, and asymmetry beyond tol the quasi-symmetry error.
     """
     C = as_count_matrix(C)
     _check_tol(tol)
@@ -212,11 +228,17 @@ def decompose_qs(C, tol: float = DEFAULT_QS_TOL) -> QSDecomposition:
     level = _levels(mutual)
     if (level < 0).any():
         _require_connected(mutual, C.labels)
-    d = np.ones(C.n)
-    for depth in range(1, level.max() + 1):
-        prev, new = np.flatnonzero(level == depth - 1), level == depth
-        parent = prev[np.argmax(mutual[prev][:, new], axis=0)]
-        d[new] = d[parent] * counts[new, parent] / counts[parent, new]
+    d, log_d = np.ones(C.n), np.zeros(C.n)
+    with np.errstate(over="ignore"):  # a d past float64 raises below
+        for depth in range(1, level.max() + 1):
+            prev, new = np.flatnonzero(level == depth - 1), level == depth
+            parent = prev[np.argmax(mutual[prev][:, new], axis=0)]
+            d[new] = d[parent] * counts[new, parent] / counts[parent, new]
+            log_d[new] = (log_d[parent] + np.log10(counts[new, parent])
+                          - np.log10(counts[parent, new]))
+    if not np.all((d >= np.finfo(float).tiny) & (d < np.inf)):
+        raise DomainError(f"d of C = diag(d) S spans 1e{log_d.min():.0f} to "
+                          f"1e{log_d.max():.0f}, past float64's normal range")
 
     M = counts / d[:, None]
     gap = np.abs(M - M.T)

@@ -5,10 +5,11 @@ column-stochastic chain
 
     P_alpha = alpha C A^-1 + ((1 - alpha)/n) e e^T,  A = diag(column sums a),
 
-found by one direct solve (linalg.stationary_vector); tol bounds that
-solve's residual max|P x - x|. alpha = 1 is the undamped chain P = C A^-1;
-alpha < 1 gives the damped analogue of each method. All four methods return
-probability-normalized score vectors:
+built by one formula for every alpha (transition_matrix, a zero-sum column
+uniform) and found by one direct solve (linalg.stationary_vector); tol
+bounds that solve's residual max|P x - x|. alpha = 1 is the undamped chain
+P = C A^-1; alpha < 1 gives the damped analogue of each method. All four
+methods return probability-normalized score vectors:
 
 * pagerank: pi itself.
 * influence_weight: normalize(pi / a). At alpha = 1 this is the fixed point
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counts import CountMatrix, _summable, as_count_matrix
+from .counts import _summable, as_count_matrix
 from .errors import (DanglingNodeError, DimensionError, DomainError,
                      ReducibilityError)
 from .linalg import DEFAULT_TOL, is_irreducible, stationary_vector
@@ -72,43 +73,33 @@ class RankingVector:
         return {lab: float(s) for lab, s in zip(self.labels, self.scores)}
 
 
-def _validate_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not 0.0 <= alpha <= 1.0:
-        raise DomainError(f"alpha must lie in [0, 1], got {alpha}")
-    return alpha
-
-
-def _require_undamped_ok(C: CountMatrix) -> None:
-    a = C.column_sums()
-    if np.any(a <= 0):
-        bad = [C.labels[i] for i in np.flatnonzero(a <= 0)]
-        raise DanglingNodeError(bad)
-    if not is_irreducible(C.counts):
-        raise ReducibilityError(
-            "comparison graph is not strongly connected; the undamped chain "
-            "has no unique stationary vector (use alpha < 1)")
-
-
 def transition_matrix(C, alpha: float = 1.0) -> np.ndarray:
     """Column-stochastic transition matrix of the damped comparison chain.
 
-    With alpha < 1, zero-sum columns are replaced by uniform columns before
-    damping, so the result is always well defined. With alpha = 1 the chain
-    must be genuinely usable: every column sum positive and the graph
-    strongly connected.
+    One formula for every alpha: columns divided by their sums, a zero-sum
+    column made uniform, then damped in place (skipped at alpha = 1, where
+    it would multiply by 1 and add 0). At alpha = 1 the chain must be
+    usable: every column sum positive and the graph strongly connected.
     """
     C = _summable(as_count_matrix(C))
-    alpha = _validate_alpha(alpha)
-    n = C.n
+    alpha = float(alpha)
+    if not 0.0 <= alpha <= 1.0:
+        raise DomainError(f"alpha must lie in [0, 1], got {alpha}")
     a = C.column_sums()
-    if alpha == 1.0:
-        _require_undamped_ok(C)
-        return C.counts / a
-    cols = np.where(a > 0, a, 1.0)
-    P = C.counts / cols
-    P[:, a <= 0] = 1.0 / n
-    return alpha * P + (1.0 - alpha) / n
+    dangling = a <= 0
+    if alpha == 1.0 and dangling.any():
+        raise DanglingNodeError(
+            [C.labels[i] for i in np.flatnonzero(dangling)])
+    if alpha == 1.0 and not is_irreducible(C.counts):
+        raise ReducibilityError(
+            "comparison graph is not strongly connected; the undamped chain "
+            "has no unique stationary vector (use alpha < 1)")
+    P = C.counts / np.where(dangling, 1.0, a)
+    P[:, dangling] = 1.0 / C.n
+    if alpha < 1.0:
+        P *= alpha
+        P += (1.0 - alpha) / C.n
+    return P
 
 
 def pagerank(C, alpha: float = 0.85, tol: float = DEFAULT_TOL) -> RankingVector:

@@ -9,6 +9,8 @@ and reachability from scipy.sparse.csgraph. Nothing here imports the package.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.optimize import minimize
 from scipy.sparse.csgraph import breadth_first_order, connected_components
@@ -207,14 +209,24 @@ def lognormal_table(seed, sizes: tuple[int, int],
     return C
 
 
+def _mantissa_product(a: float, b: float, c: float) -> tuple[float, int]:
+    """(a b) c as float64 with an unbounded exponent: the product of the
+    frexp mantissas in that order, and the sum of the exponents."""
+    (ma, ea), (mb, eb), (mc, ec) = (math.frexp(x) for x in (a, b, c))
+    return ma * mb * mc, ea + eb + ec
+
+
 def triplets(C, tol: float) -> tuple[float, list[tuple]]:
     """Triplet test by plain loops over Python floats: (max relative gap,
     every violation as (i, j, k, lhs, rhs, gap)). One-sided pairs come
     first, in row-major order of their positive direction, as (lo, hi, hi,
     c_pos, 0.0, 1.0); then each triplet i < j < k, in lexicographic order,
     whose products lhs = (c_ij c_jk) c_ki and rhs = (c_ik c_kj) c_ji differ
-    by more than tol relative to the larger. Pairs of zero products and
-    overflowed (NaN) gaps are skipped."""
+    by more than tol relative to the larger, as float64 with an unbounded
+    exponent computes them: the products of the counts' frexp mantissas,
+    with the exponents added, both scaled to the larger exponent. lhs and
+    rhs are listed as plain float64 gives them (inf or 0 past its range).
+    Triplets with a zero count in both products are skipped."""
     c = [[float(x) for x in row] for row in C]
     n = len(c)
     max_gap = 0.0
@@ -230,10 +242,13 @@ def triplets(C, tol: float) -> tuple[float, list[tuple]]:
             for k in range(j + 1, n):
                 lhs = c[i][j] * c[j][k] * c[k][i]
                 rhs = c[i][k] * c[k][j] * c[j][i]
-                big = max(lhs, rhs)
-                if big == 0:
+                ml, el = _mantissa_product(c[i][j], c[j][k], c[k][i])
+                mr, er = _mantissa_product(c[i][k], c[k][j], c[j][i])
+                if ml == mr == 0:
                     continue
-                gap = abs(lhs - rhs) / big
+                top = max(e for m, e in ((ml, el), (mr, er)) if m)
+                ml, mr = math.ldexp(ml, el - top), math.ldexp(mr, er - top)
+                gap = abs(ml - mr) / max(ml, mr)
                 if gap > max_gap:
                     max_gap = gap
                 if gap > tol:

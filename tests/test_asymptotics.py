@@ -250,6 +250,25 @@ class TestDeltaCovariance:
             iw = influence_weight(C).scores
             assert_allclose(iw @ S, np.zeros(n), atol=1e-12 * scale)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("shift", [1000, -1000])
+    def test_any_scale_of_counts(self, shift):
+        # both go as 1/C: at C 2^shift, far from 1 though no sum overflows,
+        # they are the unit table's times 2^-shift, bit for bit
+        C = _random_design(np.random.default_rng(5), 7)
+        for f in (delta_method_covariance, log_iw_jacobian):
+            assert f(np.ldexp(C, shift)).tobytes() == \
+                np.ldexp(f(C), -shift).tobytes()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_sums_beyond_float64(self):
+        # every sum of these counts overflows: the results are the unit
+        # table's over 1e308, below the smallest normal float
+        unit = 1 - np.eye(3)
+        for f in (delta_method_covariance, log_iw_jacobian):
+            assert_allclose(f(1e308 * unit) * 1e308, f(unit), rtol=1e-12,
+                            atol=1e-12)
+
     def test_peak_memory_is_a_few_square_arrays(self):
         # the factor M, the Laplacian L and the two products of M L M^T,
         # with room for the counts and the group inverse's temporaries

@@ -686,6 +686,11 @@ def _strict_json(text: str):
 
 # counts whose column sums, games and C d overflow float64
 NEAR_OVERFLOW = [np.array([[0, 1e308], [1e308, 0]]), 1e308 * (1 - np.eye(3))]
+# a path whose d passes float64 (1, 1e200, 1e400), and a triplet whose
+# products both overflow though they differ by a factor of 10
+PAST_FLOAT64 = [np.array([[0, 1, 0], [1e200, 0, 1], [0, 1e200, 0]]),
+                np.array([[0, 1e300, 1e300], [1e299, 0, 1e300],
+                          [1e300, 1e300, 0]])]
 
 
 @pytest.mark.parametrize("table", [0, 1], ids=["2x2", "3x3"])
@@ -729,6 +734,28 @@ def test_near_overflow_tables(tmp_path, capsys, table, argv, code):
         assert_allclose(scores, 1 / len(C), rtol=1e-15)
 
 
+@pytest.mark.parametrize("table", [0, 1], ids=["path", "triplet"])
+def test_check_qs_past_float64(tmp_path, capsys, table):
+    # a tree is quasi-symmetric, but its d does not fit float64: a domain
+    # error, with numpy silent. The triplet's products are compared past
+    # float64's range, so its gap of 0.9 is found
+    path = tmp_path / "past.csv"
+    path.write_text(matrix_to_csv(CountMatrix(PAST_FLOAT64[table],
+                                              default_labels(3))))
+    code = main(["check-qs", str(path), "--format", "json"])
+    out, err = capsys.readouterr()
+    if table == 0:
+        assert (code, out) == (2, "")
+        assert err == ("error: d of C = diag(d) S spans 1e0 to 1e400, "
+                       "past float64's normal range\n")
+        return
+    assert (code, err) == (4, "")
+    diagnostics = _strict_json(out)["diagnostics"]
+    assert diagnostics["quasi_symmetric"] is False
+    assert diagnostics["triplet_violations"] == 1
+    assert diagnostics["triplet_max_gap"] == pytest.approx(0.9, abs=1e-12)
+
+
 def test_extreme_tables_exit_with_a_documented_code(tmp_path, capsys):
     # lognormal counts over tens of decades, and the tables where the
     # Newton system turned singular and a fitted count underflowed to 0
@@ -737,6 +764,7 @@ def test_extreme_tables_exit_with_a_documented_code(tmp_path, capsys):
     tables += [lognormal_table([7, 45], (5, 60), (0.1, 0.5), (4.0, 7.0)),
                lognormal_table([9, 108], (5, 40), (0.2, 1.0), 12.0)]
     tables += NEAR_OVERFLOW  # sums past float64's largest value
+    tables += PAST_FLOAT64  # d and triplet products past float64's range
     path = tmp_path / "extreme.csv"
     codes = set()
     for C in tables:

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -592,6 +593,31 @@ class TestMonteCarlo:
         assert stacks == [10, 10, 10, 5]
         assert max(draws) <= 10 and whole.rejections == split.rejections > 0
         assert split.covariance.tobytes() == whole.covariance.tobytes()
+
+    def test_a_block_holds_one_stack(self):
+        # n = 100: blocks of 104 replications, each drawn, checked and
+        # solved in its one stack of at most _BLOCK_CELLS cells
+        cfg = _config(100, games=4, reps=200, seed=5)
+        monte_carlo_covariance(_config(3, games=4, reps=2), "round-robin")
+        tracemalloc.start()
+        try:
+            monte_carlo_covariance(cfg, "round-robin")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 8 * generators._BLOCK_CELLS <= 24 << 20
+
+    def test_blocks_of_the_old_cell_budget_give_the_same_bytes(
+            self, monkeypatch):
+        # 512 replications to a block, as 64 x 362^2 cells held at n = 100
+        cfg = _config(100, games=4, reps=200, seed=5)
+        small = monte_carlo_covariance(cfg, "round-robin")
+        monkeypatch.setattr(generators, "_BLOCK_CELLS", 64 * 362 * 362)
+        large = monte_carlo_covariance(cfg, "round-robin")
+        assert small.covariance.tobytes() == large.covariance.tobytes()
+        assert small.standard_errors.tobytes() == \
+            large.standard_errors.tobytes()
+        assert small.rejections == large.rejections
 
     @pytest.mark.parametrize("structure, n", [("round-robin", 20),
                                               ("circular", 7)])

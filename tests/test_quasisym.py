@@ -138,6 +138,45 @@ class TestTripletsAgainstOracle:
         assert not rep.violations_truncated
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestPastFloat64:
+    # products and scales that leave float64's normal range, with numpy's
+    # warnings as errors
+    @pytest.mark.parametrize("big, small", [(1e300, 1e299), (1e-299, 1e-300)],
+                             ids=["overflow", "underflow"])
+    def test_triplet_products_compared_past_float64(self, big, small):
+        # both products overflow, or both underflow, and still differ by a
+        # factor of 10
+        C = np.array([[0, big, big], [small, 0, big], [big, big, 0]])
+        rep = check_triplets(C)
+        assert not rep.is_quasi_symmetric
+        assert rep.violation_count == 1
+        assert rep.max_relative_gap == pytest.approx(0.9, abs=1e-12)
+        assert rep.worst[:3] == (0, 1, 2)
+
+    def test_zero_counts_stay_vacuous_past_float64(self):
+        # each product of the one triplet has a zero count: consistent,
+        # while a product of the others overflows
+        C = np.array([[0, 1e300, 0, 1e300], [1e300, 0, 1e300, 1e300],
+                      [0, 1e300, 0, 1e300], [1e300, 1e300, 1e300, 0]])
+        C[3, 1] *= 2.0
+        rep = check_triplets(C)
+        assert rep.violation_count == 2
+        assert [v[:3] for v in rep.violations] == [(0, 1, 3), (1, 2, 3)]
+
+    @pytest.mark.parametrize("C, span", [
+        ([[0, 1, 0], [1e200, 0, 1], [0, 1e200, 0]], "1e0 to 1e400"),
+        ([[0, 1e200, 0], [1, 0, 1e200], [0, 1, 0]], "1e-400 to 1e0"),
+        ([[0, 1, 0], [1e-160, 0, 1], [0, 1e-160, 0]], "1e-320 to 1e0"),
+    ], ids=["overflow", "underflow", "subnormal"])
+    def test_d_past_float64_is_a_domain_error(self, C, span):
+        # a path is a tree, so quasi-symmetric; its d does not fit float64
+        with pytest.raises(DomainError) as exc:
+            decompose_qs(C)
+        assert str(exc.value) == (
+            f"d of C = diag(d) S spans {span}, past float64's normal range")
+
+
 class TestDecompose:
     def test_symmetric_part_of_counts_near_overflow(self):
         # S = M / 2 + M.T / 2: the halves are summed, so m_ij + m_ji never

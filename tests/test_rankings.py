@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pairrank.counts import CountMatrix
+from pairrank.counts import CountMatrix, _summable, as_count_matrix
 from pairrank.errors import (DanglingNodeError, DimensionError, DomainError,
                              ReducibilityError)
+from pairrank.linalg import is_irreducible
 from pairrank.rankings import (RankingVector, influence_per_publication,
                                influence_weight, iw_from_pagerank, pagerank,
                                pagerank_from_iw, total_influence,
@@ -97,6 +98,54 @@ class TestTransitionMatrix:
     def test_alpha_out_of_range(self):
         with pytest.raises(DomainError):
             transition_matrix(WORKED, alpha=1.5)
+
+    def test_one_formula_matches_the_two_branch_chain(self):
+        # 1,100 (table, alpha) pairs: n from 2 to 40, a share of 0.3 to 1
+        # of the pairs playing, lognormal counts, some columns all zero
+        # and some zeros signed; P or the error is the same, bit for bit
+        rng = np.random.default_rng(33)
+        cases = raised = 0
+        for _ in range(220):
+            n = int(rng.integers(2, 41))
+            played = rng.random((n, n)) < rng.uniform(0.3, 1.0)
+            C = np.where(played, rng.lognormal(0.0, rng.uniform(0.1, 3.0),
+                                               (n, n)),
+                         -0.0 if rng.random() < 0.3 else 0.0)
+            C[:, rng.random(n) < rng.choice([0.0, 0.1, 0.3])] = 0.0
+            for alpha in (0.0, 0.3, 0.85, 0.999, 1.0):
+                cases += 1
+                try:
+                    expected = _two_branch_chain(C, alpha)
+                except (DanglingNodeError, ReducibilityError) as exc:
+                    raised += 1
+                    with pytest.raises(type(exc)) as got:
+                        transition_matrix(C, alpha)
+                    assert str(got.value) == str(exc)
+                    continue
+                assert transition_matrix(C, alpha).tobytes() == \
+                    expected.tobytes()
+        assert cases == 1100 and 20 < raised < 200, raised
+
+
+def _two_branch_chain(C, alpha: float) -> np.ndarray:
+    """The chain by two formulas, the undamped one on its own branch: the
+    reference for transition_matrix's one formula."""
+    C = _summable(as_count_matrix(C))
+    n = C.n
+    a = C.column_sums()
+    if alpha == 1.0:
+        if np.any(a <= 0):
+            raise DanglingNodeError(
+                [C.labels[i] for i in np.flatnonzero(a <= 0)])
+        if not is_irreducible(C.counts):
+            raise ReducibilityError(
+                "comparison graph is not strongly connected; the undamped "
+                "chain has no unique stationary vector (use alpha < 1)")
+        return C.counts / a
+    cols = np.where(a > 0, a, 1.0)
+    P = C.counts / cols
+    P[:, a <= 0] = 1.0 / n
+    return alpha * P + (1.0 - alpha) / n
 
 
 class TestPagerank:
