@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from itertools import combinations
+from numbers import Integral
 
 import numpy as np
 
@@ -111,7 +111,15 @@ def random_quasi_symmetric(n: int, seed: int) -> CountMatrix:
     return CountMatrix(d[:, None] * S)
 
 
+def _require_integer(name: str, value) -> None:
+    """Reject a value that is not an integer, bool included: a float would
+    draw fractional games or truncate to another key."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
 def _seed_word(seed: int) -> int:
+    _require_integer("seed", seed)
     seed = int(seed)
     if not 0 <= seed < (1 << 64):
         raise DomainError(f"seed must lie in [0, 2^64), got {seed}")
@@ -142,6 +150,7 @@ class SimulationConfig:
 
     def __post_init__(self):
         _check_players(self.n)
+        _require_integer("games_per_pair", self.games_per_pair)
         if self.games_per_pair < 1:
             raise DomainError(
                 f"games_per_pair must be >= 1, got {self.games_per_pair}")
@@ -149,6 +158,7 @@ class SimulationConfig:
             raise DomainError(
                 f"games_per_pair must be < 2^63, the binomial's limit, "
                 f"got {self.games_per_pair}")
+        _require_integer("replications", self.replications)
         if self.replications < 1:
             raise DomainError(
                 f"replications must be >= 1, got {self.replications}")
@@ -162,17 +172,15 @@ class SimulationConfig:
         return len(self.abilities.labels)
 
 
-def _pairs(config: SimulationConfig, structure: str = "round-robin"
-           ) -> list[tuple[int, int, int, float]]:
-    """(index, i, j, P(i beats j)) of each pair i < j that plays in the named
-    structure; in a round robin every pair plays. The index runs over the
-    complete lexicographic list, so keying is structure-independent."""
-    mu = config.abilities.mu
-    probs = _win_probabilities(mu)
-    plays = structure_matrix(structure, config.n).counts
-    return [(index, i, j, float(probs[i, j]))
-            for index, (i, j) in enumerate(combinations(range(config.n), 2))
-            if plays[i, j]]
+def _pairs(config: SimulationConfig, structure: str = "round-robin"):
+    """Arrays (index, i, j, P(i beats j)) over the pairs i < j that play in
+    the named structure; in a round robin every pair plays. index is the
+    position in np.triu_indices(n, 1), the complete lexicographic list, so
+    keying is structure-independent."""
+    i, j = np.triu_indices(config.n, 1)
+    index = np.flatnonzero(structure_matrix(structure, config.n).counts[i, j])
+    i, j = i[index], j[index]
+    return index, i, j, _win_probabilities(config.abilities.mu)[i, j]
 
 
 def _mulhilo(a: int, b):
@@ -273,8 +281,7 @@ def _inversion(uniform, pid: np.ndarray, px: np.ndarray,
     return X
 
 
-def _draw_counts(config: SimulationConfig,
-                 pairs: list[tuple[int, int, int, float]]):
+def _draw_counts(config: SimulationConfig, pairs: tuple):
     """draw(replications, retries) -> counts of shape (rows, n, n), one
     tournament over pairs (from _pairs) per (replication, retry) row.
 
@@ -291,16 +298,16 @@ def _draw_counts(config: SimulationConfig,
     an exact uint64 array. Callers keep replication < 2^32 and
     retry < 2^16; the config keeps n(n-1)/2 < 2^16."""
     games, n, seed = config.games_per_pair, config.n, config.seed
-    index, rows, cols, probs = (np.array(v) for v in zip(*pairs))
+    index, rows, cols, probs = pairs
     flip = probs > 0.5
     low = np.where(flip, 1.0 - probs, probs)
     in_btpe = low * float(games) > 30.0
-    btpe = [pairs[s] for s in np.flatnonzero(in_btpe)]
-    inv = np.flatnonzero(~in_btpe)
+    inv = ~in_btpe
     pid, px, bound = _inversion_table(games, low[inv])
     inv_words = index[inv].astype(np.uint64)
     inv_flip, inv_ij = flip[inv], rows[inv] * n + cols[inv]
     inv_ji = cols[inv] * n + rows[inv]
+    btpe = index[in_btpe], rows[in_btpe], cols[in_btpe], probs[in_btpe]
     key = [seed, 0]
     state = {"bit_generator": "Philox",
              "state": {"counter": [0, 0, 0, 0], "key": key},
@@ -313,23 +320,23 @@ def _draw_counts(config: SimulationConfig,
                 | (np.asarray(retries, dtype=np.uint64) << np.uint64(16)))
         C = np.zeros((len(head), n, n))
         flat = C.reshape(len(head), n * n)
-        lanes = len(head) * len(inv)
+        lanes = len(head) * len(pid)
         for start in range(0, lanes, _CHUNK):
             row, slot = np.divmod(np.arange(start, min(start + _CHUNK, lanes)),
-                                  len(inv))
+                                  len(pid))
             words = head[row] | inv_words[slot]
             x = _inversion(lambda at, k: _uniform(seed, words[at], k),
                            pid[slot], px, bound)
             wins = np.where(inv_flip[slot], games - x, x)
             flat[row, inv_ij[slot]] = wins
             flat[row, inv_ji[slot]] = games - wins
-        if btpe and not sampler:
+        if in_btpe.any() and not sampler:
             philox = np.random.Philox(
                 key=np.array([seed, 0], dtype=np.uint64))
             sampler.extend((philox, np.random.Generator(philox).binomial))
-        for pair, i, j, p in btpe:
+        for pair, i, j, p in zip(*btpe):
             for r, word in enumerate(head.tolist()):
-                key[1] = word | pair
+                key[1] = word | int(pair)
                 sampler[0].state = state
                 wins = sampler[1](games, p)
                 C[r, i, j] = wins
@@ -391,7 +398,7 @@ def monte_carlo_covariance(config: SimulationConfig,
     Y = np.empty((reps, n))
     rejections = 0
     most = _BLOCK_CELLS // (n * n)  # rows of one draw call, >= 8
-    size, lanes = min(_BLOCK, most), _REDRAW_LANES // len(pairs)
+    size, lanes = min(_BLOCK, most), _REDRAW_LANES // len(pairs[0])
     for start in range(0, reps, size):
         block = np.arange(start, min(start + size, reps))
         count = np.zeros(len(block), dtype=np.int64)  # rejected draws

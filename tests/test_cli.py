@@ -1182,6 +1182,17 @@ class TestWhatACallLoads:
         assert not loaded & {"pairrank.generators", "pairrank.quasisym",
                              "pairrank.asymptotics", "pairrank.bradley_terry"}
 
+    def test_check_qs(self, matrix_file):
+        loaded = _loaded(_CALL, "check-qs", matrix_file)
+        assert "pairrank.quasisym" in loaded
+        assert not loaded & {"pairrank.generators", "pairrank.asymptotics"}
+
+    def test_asymptotics_check(self):
+        loaded = _loaded(_CALL, "asymptotics", "--structure", "circular",
+                         "--n", "7", "--k", "2", "--check")
+        assert "pairrank.asymptotics" in loaded
+        assert not loaded & {"pairrank.io", "pairrank.quasisym"}
+
     def test_simulate(self):
         loaded = _loaded(_CALL, "simulate", "--structure", "circular", "--n",
                          "4", "--k", "2", "--reps", "20")

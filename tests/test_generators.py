@@ -2,6 +2,7 @@ import hashlib
 import math
 import tracemalloc
 import warnings
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -45,6 +46,18 @@ def _reference_draw(cfg, replication, retry=0):
         C[i, j] = wins
         C[j, i] = games - wins
     return C
+
+
+def _reference_pairs(cfg, structure):
+    """The pairs as one tuple each, (index, i, j, P(i beats j)) over the
+    pairs i < j of the lexicographic list that play in the structure,
+    unzipped into arrays."""
+    probs = _win_probabilities(cfg.abilities.mu)
+    plays = structure_matrix(structure, cfg.n).counts
+    pairs = [(index, i, j, float(probs[i, j]))
+             for index, (i, j) in enumerate(combinations(range(cfg.n), 2))
+             if plays[i, j]]
+    return tuple(np.array(v) for v in zip(*pairs))
 
 
 def _record_draws(monkeypatch) -> tuple[list, dict]:
@@ -244,6 +257,42 @@ class TestSimulateTournament:
             _config(n, games=games, reps=reps, seed=seed)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("games", [2.5, 2.0, np.float64(4.0), True])
+    def test_games_per_pair_must_be_an_integer(self, games):
+        # 2.5 drew half games (counts 0.5, 1.5, 2.5) and True drew one game
+        with pytest.raises(DomainError) as exc:
+            _config(3, games=games)
+        assert str(exc.value) == (
+            f"games_per_pair must be an integer, got {games!r}")
+        cfg = _config(4, games=np.int64(16), seed=3)
+        assert np.array_equal(simulate_tournament(cfg).counts,
+                              simulate_tournament(_config(4, games=16,
+                                                          seed=3)).counts)
+
+    @pytest.mark.parametrize("reps", [10.0, 2.5, np.float64(4.0), True])
+    def test_replications_must_be_an_integer(self, reps):
+        # 10.0 failed late, with a TypeError from range
+        with pytest.raises(DomainError) as exc:
+            _config(3, games=4, reps=reps)
+        assert str(exc.value) == (
+            f"replications must be an integer, got {reps!r}")
+        a = monte_carlo_covariance(_config(3, games=4, reps=np.int64(10)))
+        b = monte_carlo_covariance(_config(3, games=4, reps=10))
+        assert np.array_equal(a.covariance, b.covariance)
+
+    @pytest.mark.parametrize("seed", [1.5, 1.0, np.float64(0.0), True])
+    def test_seed_must_be_an_integer(self, seed):
+        # 1.5 drew as seed 1, in the config and in random_quasi_symmetric
+        for build in (lambda: _config(3, games=4, seed=seed),
+                      lambda: random_quasi_symmetric(4, seed)):
+            with pytest.raises(DomainError) as exc:
+                build()
+            assert str(exc.value) == f"seed must be an integer, got {seed!r}"
+        top = np.uint64((1 << 64) - 1)
+        assert _config(3, games=4, seed=top).seed == (1 << 64) - 1
+        assert np.array_equal(random_quasi_symmetric(4, np.int64(7)).counts,
+                              random_quasi_symmetric(4, 7).counts)
+
     def test_largest_games_per_pair_draws(self):
         cfg = _config(2, games=(1 << 63) - 1, reps=1)
         C = simulate_tournament(cfg).counts
@@ -284,6 +333,31 @@ class TestSimulateTournament:
             simulate_tournament(_config(3, games=4), replication=-1)
         with pytest.raises(DomainError):
             simulate_tournament(_config(3, games=4), replication=1 << 32)
+
+
+class TestPairs:
+    """_pairs' arrays against the tuple per playing pair they replace."""
+
+    @pytest.mark.parametrize("structure", ["round-robin", "circular"])
+    @pytest.mark.parametrize("n", [2, 3, 7, 45, 362])
+    @pytest.mark.parametrize("even", [True, False])
+    def test_arrays_match_the_tuple_list(self, structure, n, even):
+        mu = np.zeros(n)
+        if not even:
+            mu = np.random.default_rng(n).normal(0.0, 1.5, n)
+            mu -= mu.mean()
+        cfg = _config(n, games=4, mu=mu)
+        if structure == "circular" and n == 2:
+            for build in (_reference_pairs, generators._pairs):
+                with pytest.raises(DomainError, match="ring needs n >= 3"):
+                    build(cfg, structure)
+            return
+        got = generators._pairs(cfg, structure)
+        expected = _reference_pairs(cfg, structure)
+        assert len(got) == 4
+        for a, b in zip(got, expected):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
 
 
 class TestDrawKernel:
