@@ -33,13 +33,14 @@ import numpy as np
 
 from .counts import _summable, as_count_matrix
 from .errors import ConsistencyError, DimensionError, DomainError
-from .generators import _check_design
-from .linalg import DEFAULT_TOL, _check_chain, stationary_vector
+from .linalg import (DEFAULT_TOL, _check_chain, _check_design,
+                     _require_integer, stationary_vector)
 from .rankings import transition_matrix
 
 
 def lexicographic_pairs(n: int) -> list[tuple[int, int]]:
     """All unordered pairs (i, j), i < j, in lexicographic order."""
+    _require_integer("n", n)
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
@@ -134,16 +135,16 @@ def delta_method_covariance(C, tol: float = DEFAULT_TOL) -> np.ndarray:
     return np.ldexp(V, e - 2 * h, out=V)
 
 
-def round_robin_covariance(n: int, k: int) -> np.ndarray:
+def round_robin_covariance(n: int, k: float) -> np.ndarray:
     """Closed-form covariance for the balanced round robin:
     diagonal 2(n-1)/(k n^2), off-diagonal -2/(k n^2)."""
-    _check_design(n, k)
+    n = _check_design(n, k)
     M = np.full((n, n), -2.0 / (k * n * n))
     np.fill_diagonal(M, 2.0 * (n - 1) / (k * n * n))
     return M
 
 
-def circular_covariance(n: int, k: int) -> np.ndarray:
+def circular_covariance(n: int, k: float) -> np.ndarray:
     """Closed-form covariance for the circular structure (each node plays
     2k games with each of its two ring neighbors): (2/k) times the
     pseudoinverse of the cycle Laplacian.
@@ -152,7 +153,7 @@ def circular_covariance(n: int, k: int) -> np.ndarray:
     every n >= 3: (n^2-1)/(6kn), (n-1)(n-5)/(6kn), (n^2-12n+23)/(6kn) for
     d = 0, 1, 2.
     """
-    _check_design(n, k, ring=True)
+    n = _check_design(n, k, ring=True)
     # d (n - d) takes the same value at |i - j| and at n - |i - j|, so the
     # plain index distance stands in for the circular one
     d = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))

@@ -26,14 +26,13 @@ covariance share; the counts are dropped before the covariance's inverse.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
 from .counts import CountMatrix, as_count_matrix
 from .errors import (ConnectivityError, ConvergenceError, DecompositionError,
                      DimensionError, DomainError, SeparationError)
-from .linalg import _check_tol, _closed_group, _components
+from .linalg import _check_tol, _closed_group, _components, _require_integer
 
 DEFAULT_FIT_TOL = 1e-10
 DEFAULT_FIT_MAX_ITER = 100
@@ -213,8 +212,8 @@ def fit_bt(C, tol: float = DEFAULT_FIT_TOL,
     """
     C = as_count_matrix(C)
     _check_tol(tol)
-    if (isinstance(max_iter, bool) or not isinstance(max_iter, Integral)
-            or max_iter < 0):
+    _require_integer("max_iter", max_iter)
+    if max_iter < 0:
         raise DomainError(
             f"max_iter must be a non-negative integer, got {max_iter!r}")
     if C.n < 2:

@@ -22,16 +22,15 @@ replications, in _BLOCK_CELLS cells, 512 up to n = 45 and 8 at n = 362.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
 from .bradley_terry import AbilityVector, _win_probabilities
 from .counts import CountMatrix, default_labels
 from .errors import DegenerateSampleError, DomainError
-from .linalg import _closed_group, stationary_vector
+from .linalg import (_check_design, _closed_group, _require_integer,
+                     stationary_vector)
 
 STRUCTURES = ("round-robin", "circular")
 
@@ -49,33 +48,20 @@ _MASK32, _MASK64 = (1 << 32) - 1, (1 << 64) - 1
 _LOW, _HALF = np.uint64(_MASK32), np.uint64(32)
 
 
-def _check_design(n: int, k: int, ring: bool = False) -> None:
-    """Reject n < 2 (n < 3 on a ring), k < 1, an n x n float64 array numpy
-    cannot index, and 6 k n^2 (a closed-form denominator) beyond floats."""
-    if ring and n < 3:
-        raise DomainError(f"a ring needs n >= 3, got {n}")
-    if n < 2:
-        raise DomainError(f"need n >= 2, got {n}")
-    if not k >= 1:
-        raise DomainError(f"need k >= 1, got {k}")
-    n = int(n)
-    if (n * n * 8 > np.iinfo(np.intp).max
-            or 6 * k * n * n > sys.float_info.max):
-        raise DomainError(
-            f"n={n}, k={k} is too large for a float64 n x n array")
-
-
-def round_robin(n: int, k: int) -> CountMatrix:
+def round_robin(n: int, k: float) -> CountMatrix:
     """Balanced complete structure: every entry k, diagonal included, so
-    every pair splits its 2k games evenly and every column sums to k n."""
-    _check_design(n, k)
+    every pair splits its 2k games evenly and every column sums to k n.
+    k is any real >= 1, as the closed forms and the delta method are
+    formulas in k: 3 games a pair is k = 1.5."""
+    n = _check_design(n, k)
     return CountMatrix(np.full((n, n), float(k)))
 
 
-def circular(n: int, k: int) -> CountMatrix:
+def circular(n: int, k: float) -> CountMatrix:
     """Ring structure: each node splits 2k games with each ring neighbor,
-    zero elsewhere. Column sums are 2k."""
-    _check_design(n, k, ring=True)
+    zero elsewhere. Column sums are 2k; k is any real >= 1, as in
+    round_robin."""
+    n = _check_design(n, k, ring=True)
     C = np.zeros((n, n))
     idx = np.arange(n)
     C[idx, (idx + 1) % n] = float(k)
@@ -83,9 +69,9 @@ def circular(n: int, k: int) -> CountMatrix:
     return CountMatrix(C)
 
 
-def structure_matrix(structure: str, n: int, k: int = 1) -> CountMatrix:
+def structure_matrix(structure: str, n: int, k: float = 1) -> CountMatrix:
     """Count matrix of a named design, 'round-robin' (or 'round_robin') or
-    'circular', with k wins per direction per playing pair."""
+    'circular', with k wins per direction per playing pair, k any real >= 1."""
     name = structure.replace("_", "-").lower()
     if name == "round-robin":
         return round_robin(n, k)
@@ -99,7 +85,7 @@ def random_quasi_symmetric(n: int, seed: int) -> CountMatrix:
     """Random strictly positive off-diagonal quasi-symmetric matrix
     C = diag(d) S: d uniform in [0.5, 2] with d[0] = 1, S symmetric with
     off-diagonal entries uniform in [1, 10] and zero diagonal."""
-    _check_design(n, 1)
+    n = _check_design(n, 1)
     key = np.array([_seed_word(seed), 0], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
     d = rng.uniform(0.5, 2.0, size=n)
@@ -109,13 +95,6 @@ def random_quasi_symmetric(n: int, seed: int) -> CountMatrix:
     S[upper] = rng.uniform(1.0, 10.0, size=len(upper[0]))
     S = S + S.T
     return CountMatrix(d[:, None] * S)
-
-
-def _require_integer(name: str, value) -> None:
-    """Reject a value that is not an integer, bool included: a float would
-    draw fractional games or truncate to another key."""
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
 def _seed_word(seed: int) -> int:
@@ -350,6 +329,7 @@ def simulate_tournament(config: SimulationConfig,
                         replication: int = 0) -> CountMatrix:
     """Draw one complete tournament (every pair plays) at the configured
     abilities. Deterministic in (seed, replication)."""
+    _require_integer("replication", replication)
     if not 0 <= replication < _MAX_REPLICATION:
         raise DomainError(
             f"replication must lie in [0, 2^32), got {replication}")

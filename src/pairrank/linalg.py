@@ -8,8 +8,8 @@ chains at once, as the Monte Carlo does.
 The one graph traversal is _levels, a breadth-first search of a graph or
 a stack of them; components and strong connectivity are built on it.
 
-The package's input guards for a tolerance (_check_tol: positive) and a
-chain (_check_chain: nonnegative, columns summing to 1) live here too.
+The package's input guards live here too: _check_tol, _check_chain,
+_require_integer (an Integral, not a bool) and _check_design.
 
 All functions take and return plain numpy arrays; wrappers with labels live in
 higher-level modules.
@@ -17,7 +17,9 @@ higher-level modules.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -37,6 +39,32 @@ def _check_chain(P: np.ndarray) -> None:
     entries >= 0 and columns summing to 1 within 1e-8. A NaN fails."""
     if not (P.min() >= 0 and np.max(np.abs(P.sum(axis=-2) - 1.0)) <= 1e-8):
         raise DomainError("P is not column-stochastic")
+
+
+def _require_integer(name: str, value) -> None:
+    """Reject a value that is not an integer, bool included: a float would
+    draw fractional games, truncate to another key or size no array."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_design(n: int, k: float, ring: bool = False) -> int:
+    """Reject a non-integer n, n < 2 (n < 3 on a ring), k < 1, an n x n
+    float64 array numpy cannot index, and 6 k n^2 (a closed-form
+    denominator) beyond floats. Return n as a Python int."""
+    _require_integer("n", n)
+    if ring and n < 3:
+        raise DomainError(f"a ring needs n >= 3, got {n}")
+    if n < 2:
+        raise DomainError(f"need n >= 2, got {n}")
+    if not k >= 1:
+        raise DomainError(f"need k >= 1, got {k}")
+    n = int(n)
+    if (n * n * 8 > np.iinfo(np.intp).max
+            or 6 * k * n * n > sys.float_info.max):
+        raise DomainError(
+            f"n={n}, k={k} is too large for a float64 n x n array")
+    return n
 
 
 @dataclass(frozen=True)

@@ -1187,6 +1187,14 @@ class TestWhatACallLoads:
         assert "pairrank.quasisym" in loaded
         assert not loaded & {"pairrank.generators", "pairrank.asymptotics"}
 
+    def test_asymptotics(self):
+        # a closed form reached its design guard through the simulator,
+        # which loaded the fitter
+        loaded = _loaded(_CALL, "asymptotics", "--structure", "circular",
+                         "--n", "7", "--k", "2")
+        assert "pairrank.asymptotics" in loaded
+        assert not loaded & {"pairrank.generators", "pairrank.bradley_terry"}
+
     def test_asymptotics_check(self):
         loaded = _loaded(_CALL, "asymptotics", "--structure", "circular",
                          "--n", "7", "--k", "2", "--check")

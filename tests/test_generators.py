@@ -15,7 +15,8 @@ from pairrank.generators import (MonteCarloResult, SimulationConfig, circular,
                                  monte_carlo_covariance,
                                  random_quasi_symmetric, round_robin,
                                  simulate_tournament, structure_matrix)
-from pairrank.asymptotics import round_robin_covariance
+from pairrank.asymptotics import (circular_covariance, lexicographic_pairs,
+                                  round_robin_covariance)
 from pairrank.counts import default_labels
 from pairrank.quasisym import check_triplets, decompose_qs, verify_equivalence
 from pairrank.linalg import is_irreducible
@@ -333,6 +334,51 @@ class TestSimulateTournament:
             simulate_tournament(_config(3, games=4), replication=-1)
         with pytest.raises(DomainError):
             simulate_tournament(_config(3, games=4), replication=1 << 32)
+
+
+# each entry point's integer input: its name, and a call with it as the
+# value; the result as an array, so that its bytes can be compared
+_INTEGER_INPUTS = {
+    "simulate_tournament": ("replication", lambda v: simulate_tournament(
+        _config(4, games=6, seed=2), v).counts),
+    "round_robin": ("n", lambda v: round_robin(v, 2).counts),
+    "circular": ("n", lambda v: circular(v, 2).counts),
+    "structure_matrix": ("n", lambda v: structure_matrix(
+        "circular", v, 2).counts),
+    "random_quasi_symmetric": ("n",
+                               lambda v: random_quasi_symmetric(v, 1).counts),
+    "round_robin_covariance": ("n", lambda v: round_robin_covariance(v, 2)),
+    "circular_covariance": ("n", lambda v: circular_covariance(v, 2)),
+    "lexicographic_pairs": ("n", lambda v: np.array(lexicographic_pairs(v))),
+}
+
+
+class TestIntegerInputs:
+    """Every count a design, closed form or draw is indexed by is an
+    integer: a float, a bool or a string is rejected by name, and a numpy
+    integer gives the Python int's bytes."""
+
+    @pytest.mark.parametrize("value", [3.0, 2.5, math.nan, True, "3"])
+    @pytest.mark.parametrize("call", list(_INTEGER_INPUTS))
+    def test_non_integers_are_rejected(self, call, value):
+        # a float replication or True drew another replication's
+        # tournament, n = 3.0 failed late inside numpy, and a ring of 4.0
+        # players had a closed form
+        name, build = _INTEGER_INPUTS[call]
+        with pytest.raises(DomainError) as exc:
+            build(value)
+        assert str(exc.value) == f"{name} must be an integer, got {value!r}"
+
+    @pytest.mark.parametrize("call", list(_INTEGER_INPUTS))
+    def test_numpy_integers_give_the_same_bytes(self, call):
+        # a uint64 n took the ring's indices to float64 (int64 % uint64),
+        # an IndexError
+        build = _INTEGER_INPUTS[call][1]
+        want = build(3)
+        for value in (np.int64(3), np.uint64(3)):
+            got = build(value)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
 
 
 class TestPairs:
