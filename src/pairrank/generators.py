@@ -1,33 +1,27 @@
 """Structured count matrices and Monte Carlo tournament simulation.
 
 Random draws use the counter-based Philox generator keyed by
-(seed, replication, retry, pair), so every replication is reproducible in
-isolation and results do not depend on execution order. Each pair's wins
-are bit for bit what a fresh Generator(Philox(key=[seed, word])).binomial
-gives. Where numpy inverts the binomial cdf (games min(p, 1 - p) <= 30),
-the draws of many (replication, retry, pair) lanes are computed at once:
-Philox4x64-10 on uint64 arrays and numpy's inversion walk in lockstep, at
-most 2^14 lanes at a time. In numpy's BTPE regime one Philox per call is
-re-keyed before each draw. The Monte Carlo checks a block's retry-0 draws
-as one stack and redraws the rejected ones in rounds: one call, about 2^10
-lanes (its fixed cost), gives each its next retry and the spare rows to
-the earliest, at least one more row for each of its rejections, so a
-design whose every draw is rejected doubles that one's retries a call. A
-walk over the rejection counts finds the error that one replication after
-another would meet. The retry-0 stack takes in the accepted redraws and
+(seed, replication << 32 | retry): a tournament's wins are one binomial
+call over its pairs, bit for bit what a fresh Generator(Philox(key)) gives,
+so every replication is reproducible in isolation and results do not
+depend on execution order. The Monte Carlo checks a block's retry-0 draws
+as one stack and redraws the rejected ones in rounds: one call, about 2^6
+(tournament, pair) lanes, gives each its next retry and the spare rows to
+the earliest, at least one more row for each of its rejections. A walk
+over the rejection counts finds the error that one replication after
+another would meet. The accepted redraws join the retry-0 stack, which
 becomes the block's chains in place, all solved at once: at most _BLOCK
-replications, in _BLOCK_CELLS cells, 512 up to n = 45 and 8 at n = 362.
+replications in _BLOCK_CELLS cells, 512 up to n = 45 and 1 at n = 1024.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bradley_terry import AbilityVector, _win_probabilities
-from .counts import CountMatrix, default_labels
+from .counts import CountMatrix
 from .errors import DegenerateSampleError, DomainError
 from .linalg import (_check_design, _closed_group, _require_integer,
                      stationary_vector)
@@ -36,16 +30,10 @@ STRUCTURES = ("round-robin", "circular")
 
 _MAX_REPLICATION = 1 << 32
 _MAX_RETRY = 1 << 16
-_MAX_PAIRS = 1 << 16
 _MAX_GAMES = 1 << 63  # numpy's binomial takes at most 2^63 - 1 trials
 _BLOCK = 512  # Monte Carlo replications drawn, checked and solved together
 _BLOCK_CELLS = 1 << 20  # cells of one n x n stack: 8 MiB
-_CHUNK = 1 << 14  # draw lanes whose words and wins are built together
-_REDRAW_LANES = 1 << 10  # lanes that cost about a draw call's fixed overhead
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-_MASK32, _MASK64 = (1 << 32) - 1, (1 << 64) - 1
-_LOW, _HALF = np.uint64(_MASK32), np.uint64(32)
+_REDRAW_LANES = 1 << 6  # lanes that cost about a draw call's fixed overhead
 
 
 def round_robin(n: int, k: float) -> CountMatrix:
@@ -106,12 +94,12 @@ def _seed_word(seed: int) -> int:
 
 
 def _check_players(n: int) -> None:
-    """Reject fewer than two players, and more than the draw keys can
-    index: they pack (replication, retry, pair) into one 64-bit word."""
+    """Reject fewer than two players, and so many that one tournament's
+    n^2 cells pass a draw call's budget of _BLOCK_CELLS."""
     if n < 2:
         raise DomainError("need at least two players")
-    if n * (n - 1) // 2 >= _MAX_PAIRS:
-        raise DomainError("too many pairs for the keying scheme (n > 362)")
+    if n * n > _BLOCK_CELLS:
+        raise DomainError("too many players for a 2^20-cell draw (n > 1024)")
 
 
 @dataclass(frozen=True)
@@ -152,175 +140,44 @@ class SimulationConfig:
 
 
 def _pairs(config: SimulationConfig, structure: str = "round-robin"):
-    """Arrays (index, i, j, P(i beats j)) over the pairs i < j that play in
-    the named structure; in a round robin every pair plays. index is the
-    position in np.triu_indices(n, 1), the complete lexicographic list, so
-    keying is structure-independent."""
+    """Arrays (i, j, P(i beats j)) over the pairs i < j that play in the
+    named structure, in the order of np.triu_indices(n, 1); in a round
+    robin every pair plays."""
     i, j = np.triu_indices(config.n, 1)
-    index = np.flatnonzero(structure_matrix(structure, config.n).counts[i, j])
-    i, j = i[index], j[index]
-    return index, i, j, _win_probabilities(config.abilities.mu)[i, j]
-
-
-def _mulhilo(a: int, b):
-    """High and low 64-bit words of the 128-bit product a * b, for a Python
-    int a and b a Python int or a uint64 array. numpy has no 128-bit
-    integers, so the high word of an array is built from 32-bit halves;
-    no partial sum below passes 2^64 - 1."""
-    if isinstance(b, int):
-        return (a * b) >> 64, (a * b) & _MASK64
-    a_lo, a_hi = np.uint64(a & _MASK32), np.uint64(a >> 32)
-    b_lo = b & _LOW
-    t = a_hi * b_lo
-    t += (a_lo * b_lo) >> _HALF
-    w = t & _LOW
-    w += a_lo * (b >> _HALF)
-    hi = a_hi * (b >> _HALF)
-    hi += t >> _HALF
-    hi += w >> _HALF
-    return hi, b * np.uint64(a)
-
-
-def _philox(seed: int, words: np.ndarray, block: int) -> tuple:
-    """Output block `block` (counter [block, 0, 0, 0]) of Philox4x64-10 keyed
-    by (seed, word) for each uint64 word: four uint64 arrays, as numpy's
-    Philox(key=[seed, word]) computes them. The key and counter words that
-    are the same on every lane stay Python ints, masked to 64 bits."""
-    k0, k1 = seed, words
-    v = (block, 0, 0, 0)
-    for r in range(10):
-        if r:
-            k0 = (k0 + _PHILOX_W[0]) & _MASK64
-            k1 = k1 + np.uint64(_PHILOX_W[1])
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], v[0])
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], v[2])
-        v = (hi1 ^ v[1] ^ k0, lo1, hi0 ^ v[3] ^ k1, lo0)
-    return v
-
-
-def _uniform(seed: int, words: np.ndarray, k: int) -> np.ndarray:
-    """Uniform k of the Philox stream of each key (seed, word), as numpy's
-    next_double gives it: word k % 4 of block k // 4 + 1 (numpy bumps the
-    counter before it generates), as (x >> 11) * 2^-53."""
-    x = _philox(seed, words, k // 4 + 1)[k % 4]
-    return (x >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
-
-
-def _inversion_table(games: int, probs: np.ndarray):
-    """numpy's random_binomial_inversion constants for each distinct p <= 1/2
-    of probs: (pid, px, bound) with probs = distinct[pid], px[g, x] the
-    P(X = x) of p = distinct[g] and bound[g] the X past which the walk
-    restarts. qn = exp(games log q) and the bound come from math, the libm
-    numpy calls, and px[:, x] = ((games - x + 1) p px[:, x - 1]) / (x q) in
-    numpy's order of operations."""
-    distinct, pid = np.unique(probs, return_inverse=True)
-    bound = np.zeros(len(distinct), dtype=np.int64)
-    qn = np.empty(len(distinct))
-    for g, p in enumerate(distinct.tolist()):
-        q = 1.0 - p
-        qn[g] = math.exp(games * math.log(q))
-        mean = games * p
-        bound[g] = int(min(games, mean + 10.0 * math.sqrt(mean * q + 1)))
-    px = np.empty((len(distinct), bound.max(initial=0) + 1))
-    px[:, 0] = qn
-    q = 1.0 - distinct
-    for x in range(1, px.shape[1]):
-        px[:, x] = float(games - x + 1) * distinct * px[:, x - 1] / (x * q)
-    return pid, px, bound
-
-
-def _inversion(uniform, pid: np.ndarray, px: np.ndarray,
-               bound: np.ndarray) -> np.ndarray:
-    """X of numpy's random_binomial_inversion on every lane at once, in
-    lockstep: lane l walks X = 0, 1, ... along row pid[l] of px (from
-    _inversion_table), subtracting each P(X = x) from its uniform while the
-    uniform exceeds it. A lane whose X passes bound[pid] restarts at X = 0
-    with its next uniform; uniform(lanes, k) gives uniform k of lanes."""
-    X = np.zeros(pid.size, dtype=np.int64)
-    lanes, k = np.arange(pid.size), 0
-    while lanes.size:
-        X[lanes] = 0
-        U, g = uniform(lanes, k), pid[lanes]
-        live = np.flatnonzero(U > px[:, 0][g])
-        U, g, restart, x = U[live], g[live], [], 0
-        while live.size:
-            x += 1
-            over = bound[g] < x
-            if over.any():
-                restart.append(live[over])
-                live, U, g = live[~over], U[~over], g[~over]
-                if not live.size:
-                    break
-            U -= px[:, x - 1][g]
-            X[lanes[live]] = x
-            more = U > px[:, x][g]
-            live, U, g = live[more], U[more], g[more]
-        lanes = lanes[np.concatenate(restart)] if restart else lanes[:0]
-        k += 1
-    return X
+    plays = np.flatnonzero(structure_matrix(structure, config.n).counts[i, j])
+    i, j = i[plays], j[plays]
+    return i, j, _win_probabilities(config.abilities.mu)[i, j]
 
 
 def _draw_counts(config: SimulationConfig, pairs: tuple):
     """draw(replications, retries) -> counts of shape (rows, n, n), one
     tournament over pairs (from _pairs) per (replication, retry) row.
 
-    Each pair's wins are what Generator(Philox(key=[seed, word])).binomial
-    gives, word = replication << 32 | retry << 16 | pair. Where numpy
-    inverts the cdf, games min(p, 1 - p) <= 30, the draws are one
-    vectorised Philox4x64-10 (_philox) and numpy's inversion walk
-    (_inversion) over lanes of (row, pair), at most _CHUNK lanes at a time,
-    so memory does not grow with n; for p > 1/2 a lane draws games minus
-    the walk at 1 - p, and p = 0 gives 0. Pairs in numpy's BTPE regime draw
-    from one Philox, built on first use, re-keyed to (seed, word) with its
-    counter and buffer reset; its state holds plain Python ints, which the
-    state setter converts to uint64 exactly, and the constructor's key is
-    an exact uint64 array. Callers keep replication < 2^32 and
-    retry < 2^16; the config keeps n(n-1)/2 < 2^16."""
-    games, n, seed = config.games_per_pair, config.n, config.seed
-    index, rows, cols, probs = pairs
-    flip = probs > 0.5
-    low = np.where(flip, 1.0 - probs, probs)
-    in_btpe = low * float(games) > 30.0
-    inv = ~in_btpe
-    pid, px, bound = _inversion_table(games, low[inv])
-    inv_words = index[inv].astype(np.uint64)
-    inv_flip, inv_ij = flip[inv], rows[inv] * n + cols[inv]
-    inv_ji = cols[inv] * n + rows[inv]
-    btpe = index[in_btpe], rows[in_btpe], cols[in_btpe], probs[in_btpe]
-    key = [seed, 0]
-    state = {"bit_generator": "Philox",
-             "state": {"counter": [0, 0, 0, 0], "key": key},
-             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0,
-             "uinteger": 0}
-    sampler = []  # the BTPE regime's Philox and binomial, once built
+    A row's wins of i over j are Generator(Philox(key=[seed, word]))
+    .binomial(games, p) over the pairs in order, word = replication << 32
+    | retry, and j's wins are games minus them. One Philox, built per call
+    of _draw_counts, is given back its fresh state under each row's key:
+    counter 0 and an empty buffer. Callers keep both words below 2^32."""
+    games, n = config.games_per_pair, config.n
+    rows, cols, probs = pairs
+    ij, ji = rows * n + cols, cols * n + rows
+    philox = np.random.Philox(key=np.array([config.seed, 0], dtype=np.uint64))
+    binomial = np.random.Generator(philox).binomial
+    fresh = philox.state
+    key = fresh["state"]["key"]  # uint64 [seed, word]
 
     def draw(replications, retries) -> np.ndarray:
-        head = ((np.asarray(replications, dtype=np.uint64) << _HALF)
-                | (np.asarray(retries, dtype=np.uint64) << np.uint64(16)))
-        C = np.zeros((len(head), n, n))
-        flat = C.reshape(len(head), n * n)
-        lanes = len(head) * len(pid)
-        for start in range(0, lanes, _CHUNK):
-            row, slot = np.divmod(np.arange(start, min(start + _CHUNK, lanes)),
-                                  len(pid))
-            words = head[row] | inv_words[slot]
-            x = _inversion(lambda at, k: _uniform(seed, words[at], k),
-                           pid[slot], px, bound)
-            wins = np.where(inv_flip[slot], games - x, x)
-            flat[row, inv_ij[slot]] = wins
-            flat[row, inv_ji[slot]] = games - wins
-        if in_btpe.any() and not sampler:
-            philox = np.random.Philox(
-                key=np.array([seed, 0], dtype=np.uint64))
-            sampler.extend((philox, np.random.Generator(philox).binomial))
-        for pair, i, j, p in zip(*btpe):
-            for r, word in enumerate(head.tolist()):
-                key[1] = word | int(pair)
-                sampler[0].state = state
-                wins = sampler[1](games, p)
-                C[r, i, j] = wins
-                C[r, j, i] = games - wins
-        return C
+        words = ((np.asarray(replications, dtype=np.uint64) << 32)
+                 | np.asarray(retries, dtype=np.uint64))
+        wins = np.empty((len(words), len(probs)), dtype=np.int64)
+        for r, word in enumerate(words):
+            key[1] = word
+            philox.state = fresh
+            wins[r] = binomial(games, probs)
+        C = np.zeros((len(words), n * n))
+        C[:, ij] = wins
+        C[:, ji] = games - wins
+        return C.reshape(-1, n, n)
 
     return draw
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -49,14 +49,17 @@ def _require_integer(name: str, value) -> None:
 
 
 def _check_design(n: int, k: float, ring: bool = False) -> int:
-    """Reject a non-integer n, n < 2 (n < 3 on a ring), k < 1, an n x n
-    float64 array numpy cannot index, and 6 k n^2 (a closed-form
-    denominator) beyond floats. Return n as a Python int."""
+    """Reject a non-integer n, n < 2 (n < 3 on a ring), a k that is not a
+    real number (a bool or a string), k < 1, an n x n float64 array numpy
+    cannot index, and 6 k n^2 (a closed-form denominator) beyond floats.
+    Return n as a Python int."""
     _require_integer("n", n)
     if ring and n < 3:
         raise DomainError(f"a ring needs n >= 3, got {n}")
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
+    if isinstance(k, bool) or not isinstance(k, Real):
+        raise DomainError(f"k must be a real number, got {k!r}")
     if not k >= 1:
         raise DomainError(f"need k >= 1, got {k}")
     n = int(n)

@@ -617,9 +617,11 @@ class TestSimulate:
         assert capsys.readouterr().out == first
 
     def test_sample_without_variation_is_an_error(self, capsys):
-        # one game a direction: every accepted draw is the 1-1 split
+        # one game a direction: every accepted draw is the 1-1 split. Half
+        # of all draws are rejected, and at seed 2 the rejections stay
+        # within the budget, so the no-variation check is reached
         assert main(["simulate", "--structure", "round-robin", "--n", "2",
-                     "--k", "1", "--reps", "200"]) == 2
+                     "--k", "1", "--reps", "200", "--seed", "2"]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert "no variation" in err
@@ -636,14 +638,14 @@ class TestSimulate:
     @pytest.mark.skipif(sys.platform != "linux",
                         reason="RLIMIT_AS caps the address space on Linux")
     def test_too_many_players_is_rejected_before_allocating(self):
-        # n labels and abilities would need terabytes; the keying bound
-        # must reject n first
+        # n labels and abilities would need terabytes; the draw's cell
+        # budget must reject n first
         proc = _run_capped(["simulate", "--structure", "round-robin",
                             "--n", str(10 ** 12), "--k", "1"])
         assert proc.returncode == 2
         assert proc.stdout == ""
-        assert proc.stderr == ("error: too many pairs for the keying scheme "
-                               "(n > 362)\n")
+        assert proc.stderr == ("error: too many players for a 2^20-cell "
+                               "draw (n > 1024)\n")
 
 
 # (command, option, value) for each integer argument value that must end in

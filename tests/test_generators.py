@@ -32,32 +32,29 @@ def _config(n, games, reps=10, seed=0, mu=None):
 
 
 def _reference_draw(cfg, replication, retry=0):
-    """A round robin drawn by the keying contract: a fresh Philox keyed by
-    (seed, replication << 32 | retry << 16 | pair) for each pair, and wins
-    of i over j Binomial(games, logistic(mu_i - mu_j))."""
+    """A round robin drawn by the keying contract: one fresh Philox keyed by
+    (seed, replication << 32 | retry), and the wins of i over j, over the
+    pairs i < j in lexicographic order, one Binomial(games,
+    logistic(mu_i - mu_j)) call."""
     n, games = cfg.n, cfg.games_per_pair
-    probs = _win_probabilities(cfg.abilities.mu)
+    i, j = np.array(list(combinations(range(n), 2))).T
+    key = np.array([cfg.seed, (replication << 32) | retry], dtype=np.uint64)
+    wins = np.random.Generator(np.random.Philox(key=key)).binomial(
+        games, _win_probabilities(cfg.abilities.mu)[i, j])
     C = np.zeros((n, n))
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for index, (i, j) in enumerate(pairs):
-        word = (replication << 32) | (retry << 16) | index
-        key = np.array([cfg.seed, word], dtype=np.uint64)
-        wins = int(np.random.Generator(np.random.Philox(key=key)).binomial(
-            games, probs[i, j]))
-        C[i, j] = wins
-        C[j, i] = games - wins
+    C[i, j] = wins
+    C[j, i] = games - wins
     return C
 
 
 def _reference_pairs(cfg, structure):
-    """The pairs as one tuple each, (index, i, j, P(i beats j)) over the
-    pairs i < j of the lexicographic list that play in the structure,
-    unzipped into arrays."""
+    """The pairs as one tuple each, (i, j, P(i beats j)) over the pairs
+    i < j of the lexicographic list that play in the structure, unzipped
+    into arrays."""
     probs = _win_probabilities(cfg.abilities.mu)
     plays = structure_matrix(structure, cfg.n).counts
-    pairs = [(index, i, j, float(probs[i, j]))
-             for index, (i, j) in enumerate(combinations(range(cfg.n), 2))
-             if plays[i, j]]
+    pairs = [(i, j, float(probs[i, j]))
+             for i, j in combinations(range(cfg.n), 2) if plays[i, j]]
     return tuple(np.array(v) for v in zip(*pairs))
 
 
@@ -90,24 +87,6 @@ def _record_draws(monkeypatch) -> tuple[list, dict]:
     monkeypatch.setattr(generators, "_draw_counts", recording)
     monkeypatch.setattr(generators, "_closed_group", examining)
     return drawn, examined
-
-
-def _numpy_inversion(games, p, uniforms):
-    """numpy's random_binomial_inversion, line by line, on the given
-    uniforms."""
-    q = 1.0 - p
-    qn = math.exp(games * math.log(q))
-    mean = games * p
-    bound = int(min(games, mean + 10.0 * math.sqrt(mean * q + 1)))
-    X, px, U = 0, qn, next(uniforms)
-    while U > px:
-        X += 1
-        if X > bound:
-            X, px, U = 0, qn, next(uniforms)
-        else:
-            U -= px
-            px = ((games - X + 1) * p * px) / (X * q)
-    return X
 
 
 def _count_philox(monkeypatch) -> list:
@@ -177,6 +156,19 @@ class TestStructures:
                 with pytest.raises(DomainError, match="too large"):
                     build()
 
+    @pytest.mark.parametrize("build", [
+        lambda k: round_robin(3, k).counts, lambda k: circular(3, k).counts,
+        lambda k: round_robin_covariance(3, k),
+        lambda k: circular_covariance(3, k)])
+    def test_k_must_be_a_real_number(self, build):
+        # "2" raised a bare TypeError from the comparison with 1, and True
+        # built the design and closed form of k = 1
+        for k in ("2", True):
+            with pytest.raises(DomainError) as exc:
+                build(k)
+            assert str(exc.value) == f"k must be a real number, got {k!r}"
+        assert build(np.float64(2.0)).tobytes() == build(2).tobytes()
+
 
 class TestRandomQuasiSymmetric:
     def test_is_quasi_symmetric(self):
@@ -233,9 +225,12 @@ class TestSimulateTournament:
         assert abs(C[0, 1] / 20_000 - 0.75) < 0.02
 
     def test_keying_limits_checked_once_in_the_config(self):
-        _config(362, games=1)
-        with pytest.raises(DomainError, match=r"too many pairs.*n > 362"):
-            _config(363, games=1)
+        # one tournament's n^2 cells must fit in a draw call's budget
+        _config(1024, games=1)
+        with pytest.raises(DomainError) as exc:
+            _config(1025, games=1)
+        assert str(exc.value) == (
+            "too many players for a 2^20-cell draw (n > 1024)")
         _config(2, games=1, reps=1 << 32)
         with pytest.raises(DomainError, match="replications"):
             _config(2, games=1, reps=(1 << 32) + 1)
@@ -400,27 +395,42 @@ class TestPairs:
             return
         got = generators._pairs(cfg, structure)
         expected = _reference_pairs(cfg, structure)
-        assert len(got) == 4
+        assert len(got) == 3
         for a, b in zip(got, expected):
             assert a.dtype == b.dtype
             assert np.array_equal(a, b)
 
 
 class TestDrawKernel:
-    """The vectorised draws against a fresh numpy Generator(Philox(key))."""
+    """The re-keyed draws against a fresh numpy Generator(Philox(key)) per
+    row."""
 
-    @pytest.mark.parametrize("games, philoxes", [(60, 0), (61, 1)])
-    def test_inversion_and_btpe_split(self, monkeypatch, games, philoxes):
-        # numpy inverts the cdf while games p <= 30 and samples by BTPE
-        # above; only the BTPE side builds a Philox
-        cfg = _config(6, games=games, seed=11)
-        expected = [_reference_draw(cfg, replication) for replication in
-                    range(5)]
-        built = _count_philox(monkeypatch)
-        for replication in range(5):
-            assert np.array_equal(simulate_tournament(cfg, replication).counts,
-                                  expected[replication])
-        assert len(built) == 5 * philoxes
+    def test_many_lanes_match_fresh_generators(self):
+        # 86,400 (row, pair) lanes: games 1-200, so numpy both inverts the
+        # cdf (games min(p, 1 - p) <= 30, as at 60 games and p = 1/2) and
+        # samples by BTPE (above, as at 61), random abilities that put p on
+        # both sides of 1/2, random 64-bit seeds, and among the rows the
+        # largest replication and retry
+        rng = np.random.default_rng(36)
+        top = (generators._MAX_REPLICATION - 1, generators._MAX_RETRY - 1)
+        lanes, regimes = 0, set()
+        for games in range(1, 201):
+            mu = rng.normal(0.0, 1.0, 9)
+            cfg = _config(9, games=games, mu=mu - mu.mean(),
+                          seed=int(rng.integers(0, 1 << 64, dtype=np.uint64)))
+            pairs = generators._pairs(cfg)
+            low = np.minimum(pairs[2], 1.0 - pairs[2])
+            regimes.update(games * low > 30.0)
+            assert (pairs[2] < 0.5).any() and (pairs[2] > 0.5).any()
+            reps = [top[0], top[0], 0] + rng.integers(0, 1 << 32, 9).tolist()
+            retries = [top[1], 0, top[1]] + rng.integers(0, 1 << 16,
+                                                         9).tolist()
+            C = generators._draw_counts(cfg, pairs)(reps, retries)
+            for c, replication, retry in zip(C, reps, retries):
+                assert np.array_equal(c,
+                                      _reference_draw(cfg, replication, retry))
+            lanes += len(C) * len(pairs[0])
+        assert lanes >= 80_000 and regimes == {False, True}
 
     @pytest.mark.parametrize("games", [1, 7, (1 << 62) + 3])
     def test_probabilities_zero_and_one(self, games):
@@ -469,41 +479,6 @@ class TestDrawKernel:
                 assert np.array_equal(c,
                                       _reference_draw(cfg, replication, retry))
 
-    def test_uniforms_follow_numpy_stream(self):
-        # uniform k is word k % 4 of counter block k // 4 + 1
-        words = np.array([0, 5, (1 << 64) - 1], dtype=np.uint64)
-        for seed in (0, (1 << 64) - 1):
-            got = np.array([generators._uniform(seed, words, k)
-                            for k in range(9)]).T
-            for row, word in zip(got, words):
-                key = np.array([seed, word], dtype=np.uint64)
-                ref = np.random.Generator(np.random.Philox(key=key)).random(9)
-                assert np.array_equal(row, ref)
-
-    def test_restart_with_a_forced_uniform(self):
-        # a uniform above the cdf at the bound restarts the walk with the
-        # lane's next uniform, as numpy's loop does
-        top = 1.0 - 2.0 ** -53
-        lanes = [(1000, 0.001, [top, 0.3]), (1000, 0.001, [top, top, 0.9]),
-                 (1000, 0.001, [0.5]), (3, 0.5, [top]), (50, 0.4, [top, 0.7])]
-        for games in (1000, 3, 50):
-            rows = [(p, u) for g, p, u in lanes if g == games]
-            p = np.array([p for p, _ in rows])
-            forced = np.zeros((len(rows), 3))
-            for row, (_, u) in enumerate(rows):
-                forced[row, :len(u)] = u
-            asked = []
-
-            def uniform(at, k):
-                asked.append(k)
-                return forced[at, k]
-
-            pid, px, bound = generators._inversion_table(games, p)
-            got = generators._inversion(uniform, pid, px, bound)
-            for x, (pr, u) in zip(got, rows):
-                assert x == _numpy_inversion(games, pr, iter(u))
-            assert max(asked) == max(len(u) for _, u in rows) - 1
-
 
 class TestMonteCarlo:
     def test_requires_zero_abilities(self):
@@ -537,33 +512,33 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("structure, n, games, reps, rejections, digest", [
         pytest.param(
-            "circular", 7, 4, 30, 3,
-            "354be6fa8a98014c156a272f46c7f4b9b2df6d842732ecb7df77a793602a4524",
-            id="circular-7-3-354be6fa8a98014c156a272f46c7f4b9b2df6d842732ecb7"
-               "df77a793602a4524"),
+            "circular", 7, 4, 30, 2,
+            "367f759983c2ab103c54de01c939b88dc9ba860e3a6beb066d003a5038b4d1ad",
+            id="circular-7-2-367f759983c2ab103c54de01c939b88dc9ba860e3a6beb06"
+               "6d003a5038b4d1ad"),
         pytest.param(
             "round-robin", 4, 4, 30, 0,
-            "7d09afccb45cd661f20f438f7abb0c28d8f8dd7849fa13491f04dc3bf9a83485",
-            id="round-robin-4-0-7d09afccb45cd661f20f438f7abb0c28d8f8dd7849fa"
-               "13491f04dc3bf9a83485"),
+            "80522dc9a85c3e4a5ec8ac1a23c7c845c16920f3520da76749efb45e9c14f13e",
+            id="round-robin-4-0-80522dc9a85c3e4a5ec8ac1a23c7c845c16920f3520d"
+               "a76749efb45e9c14f13e"),
         pytest.param(
             "round-robin", 20, 2, 30, 0,
-            "594a5beac8398b2e784f9556a18bbdc85e6b1329b131c7d69d36d44c03f02f78",
-            id="round-robin-20-2-0-594a5beac8398b2e784f9556a18bbdc85e6b1329b1"
-               "31c7d69d36d44c03f02f78"),
+            "04c1cf9f5ce1d9388e3457a77b7b4d91eb6b06d476e16e67e3b1e1113906e59c",
+            id="round-robin-20-2-0-04c1cf9f5ce1d9388e3457a77b7b4d91eb6b06d476"
+               "e16e67e3b1e1113906e59c"),
         pytest.param(
-            "round-robin", 3, 2, 1000, 357,
-            "a295ddc05203f14991d9fb8768c76f8623f729f7c9a8ee85772d879d4493eef2",
-            id="round-robin-3-2-1000-357"),
+            "round-robin", 3, 2, 1000, 383,
+            "c5d4664fcb5abeddd119bd2193e0d958c95f2f477f4c1dc1ba5014b478173ef3",
+            id="round-robin-3-2-1000-383"),
         pytest.param(
-            "circular", 7, 4, 1000, 141,
-            "e3a2806d06ec44c5caa835ad51f49479323b8587d0f14c5acab9efe95fd19706",
-            id="circular-7-4-1000-141"),
+            "circular", 7, 4, 1000, 126,
+            "6a94f993e642c6261546537614285db3754b12e2be84b00e055291c4abf3a9ef",
+            id="circular-7-4-1000-126"),
     ])
     def test_seed_42_covariance_is_pinned(self, structure, n, games, reps,
                                           rejections, digest):
         # bit for bit: the draw keying, the structure's pairs and the
-        # per-replication solve must not change (the ring redraws 3 times);
+        # per-replication solve must not change (the ring redraws twice);
         # the n = 20 round robin is the draw-bound design, and the two
         # 1000-replication designs redraw hundreds of times across blocks
         res = monte_carlo_covariance(_config(n, games=games, reps=reps,
@@ -727,6 +702,22 @@ class TestMonteCarlo:
             tracemalloc.stop()
         assert peak < 3 * 8 * generators._BLOCK_CELLS <= 24 << 20
 
+    def test_five_hundred_players_in_bounded_memory(self):
+        # n = 500: blocks of 4 tournaments (2^20 // 500^2). The peak is the
+        # block's stack three times over, the draws, the solve's system and
+        # LAPACK's copy of it: about 11.5 n x n float64 arrays
+        n = 500
+        monte_carlo_covariance(_config(3, games=4, reps=2), "round-robin")
+        tracemalloc.start()
+        try:
+            res = monte_carlo_covariance(_config(n, games=4, reps=8, seed=5),
+                                         "round-robin")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.covariance.shape == (n, n) and res.rejections == 0
+        assert peak < 12 * 8 * n * n
+
     def test_blocks_of_the_old_cell_budget_give_the_same_bytes(
             self, monkeypatch):
         # 512 replications to a block, as 64 x 362^2 cells held at n = 100
@@ -742,22 +733,25 @@ class TestMonteCarlo:
     @pytest.mark.parametrize("structure, n", [("round-robin", 20),
                                               ("circular", 7)])
     def test_one_philox_per_call(self, monkeypatch, structure, n):
-        # per-pair generators cost one OS entropy read each; numpy's
-        # inversion regime (8 games) is drawn without any, and the BTPE
-        # regime (100 games at p = 1/2) builds one over several blocks
+        # a Philox per row would cost one OS entropy read each; one is
+        # built per call and re-keyed for every row of every block, in
+        # numpy's inversion regime (8 games) and its BTPE regime (100
+        # games at p = 1/2) alike
         built = _count_philox(monkeypatch)
         monte_carlo_covariance(_config(n, games=8, reps=150, seed=1),
                                structure)
-        assert built == []
+        assert len(built) == 1
         monte_carlo_covariance(_config(n, games=100, reps=70, seed=1),
                                structure)
-        assert len(built) == 1
+        assert len(built) == 2
 
     def test_sample_without_variation_raises(self):
         # two games a pair: every accepted draw is the 1-1 split, so the
-        # standard errors would all be 0
+        # standard errors would all be 0. Half of all draws are rejected,
+        # so the rejection count ends near the budget of 200: at seed 2 it
+        # stays within it, and the no-variation check is reached
         with pytest.raises(DegenerateSampleError, match="no variation"):
-            monte_carlo_covariance(_config(2, games=2, reps=200),
+            monte_carlo_covariance(_config(2, games=2, reps=200, seed=2),
                                    "round-robin")
 
     def test_large_games_match_first_order_theory(self):
