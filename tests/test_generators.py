@@ -432,6 +432,20 @@ class TestDrawKernel:
             lanes += len(C) * len(pairs[0])
         assert lanes >= 80_000 and regimes == {False, True}
 
+    @pytest.mark.parametrize("games, btpe", [(60, 0), (61, 1)])
+    def test_inversion_and_btpe_split(self, monkeypatch, games, btpe):
+        # numpy inverts the cdf while games p <= 30 and samples by BTPE
+        # above; either side is drawn by the one Philox of each call
+        assert (games * 0.5 > 30.0) == btpe
+        cfg = _config(6, games=games, seed=11)
+        expected = [_reference_draw(cfg, replication) for replication in
+                    range(5)]
+        built = _count_philox(monkeypatch)
+        for replication in range(5):
+            assert np.array_equal(simulate_tournament(cfg, replication).counts,
+                                  expected[replication])
+        assert len(built) == 5
+
     @pytest.mark.parametrize("games", [1, 7, (1 << 62) + 3])
     def test_probabilities_zero_and_one(self, games):
         mu = np.array([-400.0, 400.0, 40.0, -40.0])
