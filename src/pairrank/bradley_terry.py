@@ -315,6 +315,8 @@ def predict_prob(mu: AbilityVector, i: int, j: int) -> float:
     Computed so that predict_prob(mu, i, j) + predict_prob(mu, j, i) == 1.0
     exactly in floating point.
     """
+    _require_integer("i", i)
+    _require_integer("j", j)
     n = len(mu.labels)
     if not (0 <= i < n and 0 <= j < n):
         raise DimensionError(f"indices ({i}, {j}) out of range for n={n}")

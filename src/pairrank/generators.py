@@ -4,14 +4,12 @@ Random draws use the counter-based Philox generator keyed by
 (seed, replication << 32 | retry): a tournament's wins are one binomial
 call over its pairs, bit for bit what a fresh Generator(Philox(key)) gives,
 so every replication is reproducible in isolation and results do not
-depend on execution order. The Monte Carlo checks a block's retry-0 draws
-as one stack and redraws the rejected ones in rounds: one call, about 2^6
-(tournament, pair) lanes, gives each its next retry and the spare rows to
-the earliest, at least one more row for each of its rejections. A walk
-over the rejection counts finds the error that one replication after
-another would meet. The accepted redraws join the retry-0 stack, which
-becomes the block's chains in place, all solved at once: at most _BLOCK
-replications in _BLOCK_CELLS cells, 512 up to n = 45 and 1 at n = 1024.
+depend on the order of the draws. The Monte Carlo checks a block's retry-0
+draws as one stack, then redraws in rounds: each replication still rejected
+draws its next retry, so the accepted draws and the rejection count are
+those of a one-by-one walk. The stack becomes the block's chains in place,
+all solved at once: at most _BLOCK replications in _BLOCK_CELLS cells, 512
+up to n = 45 and 1 at n = 1024.
 """
 
 from __future__ import annotations
@@ -29,11 +27,9 @@ from .linalg import (_check_design, _closed_group, _require_integer,
 STRUCTURES = ("round-robin", "circular")
 
 _MAX_REPLICATION = 1 << 32
-_MAX_RETRY = 1 << 16
 _MAX_GAMES = 1 << 63  # numpy's binomial takes at most 2^63 - 1 trials
 _BLOCK = 512  # Monte Carlo replications drawn, checked and solved together
 _BLOCK_CELLS = 1 << 20  # cells of one n x n stack: 8 MiB
-_REDRAW_LANES = 1 << 6  # lanes that cost about a draw call's fixed overhead
 
 
 def round_robin(n: int, k: float) -> CountMatrix:
@@ -57,16 +53,21 @@ def circular(n: int, k: float) -> CountMatrix:
     return CountMatrix(C)
 
 
+def _structure_name(structure: str) -> str:
+    """A design's name as in STRUCTURES: '_' reads as '-' and case is
+    ignored. Any other name, or one that is not a str, is unknown."""
+    name = isinstance(structure, str) and structure.replace("_", "-").lower()
+    if name not in STRUCTURES:
+        raise DomainError(
+            f"unknown structure {structure!r}; expected one of {STRUCTURES}")
+    return name
+
+
 def structure_matrix(structure: str, n: int, k: float = 1) -> CountMatrix:
     """Count matrix of a named design, 'round-robin' (or 'round_robin') or
     'circular', with k wins per direction per playing pair, k any real >= 1."""
-    name = structure.replace("_", "-").lower()
-    if name == "round-robin":
-        return round_robin(n, k)
-    if name == "circular":
-        return circular(n, k)
-    raise DomainError(
-        f"unknown structure {structure!r}; expected one of {STRUCTURES}")
+    name = _structure_name(structure)
+    return (round_robin if name == "round-robin" else circular)(n, k)
 
 
 def random_quasi_symmetric(n: int, seed: int) -> CountMatrix:
@@ -130,9 +131,9 @@ class SimulationConfig:
             raise DomainError(
                 f"replications must be >= 1, got {self.replications}")
         object.__setattr__(self, "seed", _seed_word(self.seed))
-        if self.replications > _MAX_REPLICATION:
+        if self.replications >= _MAX_REPLICATION:
             raise DomainError(
-                f"replications must be <= 2^32, got {self.replications}")
+                f"replications must be < 2^32, got {self.replications}")
 
     @property
     def n(self) -> int:
@@ -160,7 +161,6 @@ def _draw_counts(config: SimulationConfig, pairs: tuple):
     counter 0 and an empty buffer. Callers keep both words below 2^32."""
     games, n = config.games_per_pair, config.n
     rows, cols, probs = pairs
-    ij, ji = rows * n + cols, cols * n + rows
     philox = np.random.Philox(key=np.array([config.seed, 0], dtype=np.uint64))
     binomial = np.random.Generator(philox).binomial
     fresh = philox.state
@@ -175,8 +175,8 @@ def _draw_counts(config: SimulationConfig, pairs: tuple):
             philox.state = fresh
             wins[r] = binomial(games, probs)
         C = np.zeros((len(words), n * n))
-        C[:, ij] = wins
-        C[:, ji] = games - wins
+        C[:, rows * n + cols] = wins
+        C[:, cols * n + rows] = games - wins
         return C.reshape(-1, n, n)
 
     return draw
@@ -234,42 +234,25 @@ def monte_carlo_covariance(config: SimulationConfig,
     draw = _draw_counts(config, pairs)
     Y = np.empty((reps, n))
     rejections = 0
-    most = _BLOCK_CELLS // (n * n)  # rows of one draw call, >= 8
-    size, lanes = min(_BLOCK, most), _REDRAW_LANES // len(pairs[0])
+    size = min(_BLOCK, _BLOCK_CELLS // (n * n))  # rows of one draw call
     for start in range(0, reps, size):
         block = np.arange(start, min(start + size, reps))
-        count = np.zeros(len(block), dtype=np.int64)  # rejected draws
-        todo, rows = np.arange(len(block)), 1
-        C = D = None  # the last block's stack goes before this one's draw
-        while todo.size:
-            # each in todo draws its next retry, and todo[0] its next `rows`
-            D = draw(block[np.r_[np.full(rows, todo[0]), todo[1:]]],
-                     np.r_[count[todo[0]] + np.arange(rows), count[todo[1:]]])
-            # strongly connected on n >= 2 nodes: no column sums to zero
+        retry = np.zeros(len(block), dtype=np.int64)
+        C = D = None  # the last block's stacks go before this one's draw
+        C = draw(block, retry)
+        # strongly connected on n >= 2 nodes: no column sums to zero
+        todo = np.flatnonzero(_closed_group(C > 0).any(axis=1))
+        while todo.size:  # each rejected replication draws its next retry
+            rejections += len(todo)
+            if rejections > reps:
+                raise DegenerateSampleError(
+                    f"more than half of all tournament draws were degenerate "
+                    f"({reps + 1} rejections); increase games_per_pair")
+            retry[todo] += 1
+            D = draw(block[todo], retry[todo])
             ok = ~_closed_group(D > 0).any(axis=1)
-            first = int(np.argmax(np.r_[ok[:rows], True]))  # rows if none
-            ok = np.r_[first < rows, ok[rows:]]
-            count[todo] += np.r_[first, ~ok[1:]]
-            if C is None:  # every retry 0, in block order: the block's stack
-                C = D
-            else:
-                C[todo[ok]] = D[np.r_[first, rows:len(D)][ok]]
+            C[todo[ok]] = D[ok]
             todo = todo[~ok]
-            # the errors a one-by-one walk would meet are known up to todo[0]
-            head = todo[0] if todo.size else len(block) - 1
-            if rejections + count[:head + 1].sum() > reps:
-                raise DegenerateSampleError(
-                    f"more than half of all tournament draws were "
-                    f"degenerate ({reps + 1} rejections); increase "
-                    f"games_per_pair")
-            if count[head] == _MAX_RETRY:
-                raise DegenerateSampleError(
-                    "retry budget exhausted for a single replication; "
-                    "increase games_per_pair")
-            # no retry reaches _MAX_RETRY: todo[0] has drawn the most
-            rows = min(max(1, lanes - len(todo) + 1, int(count[head])),
-                       most - len(todo) + 1, _MAX_RETRY - int(count[head]))
-        rejections += int(count.sum())
         # each accepted draw's chain, in place, and weights normalize(pi / a)
         a = C.sum(axis=1)
         C /= a[:, None, :]
@@ -294,6 +277,6 @@ def monte_carlo_covariance(config: SimulationConfig,
         standard_errors=se,
         replications=reps,
         rejections=rejections,
-        structure=structure.replace("_", "-").lower(),
+        structure=_structure_name(structure),
         labels=config.abilities.labels,
     )

@@ -523,6 +523,17 @@ class TestPredict:
         with pytest.raises(DomainError):
             predict_prob(mu, 1, 1)
 
+    @pytest.mark.parametrize("index", [True, 1.0, "1"])
+    def test_indices_must_be_integers(self, index):
+        # True raised a bare TypeError, and 1.0 numpy's IndexError
+        mu = AbilityVector(np.array([0.5, -0.5]), ("a", "b"))
+        for name, args in (("i", (index, 0)), ("j", (0, index))):
+            with pytest.raises(DomainError) as exc:
+                predict_prob(mu, *args)
+            assert str(exc.value) == (
+                f"{name} must be an integer, got {index!r}")
+        assert predict_prob(mu, np.int64(1), 0) == 0.2689414213699951
+
     def test_worked_example_strongest_vs_weakest(self):
         mu = np.log([1.0, 2.0, 4.0])
         mu -= mu.mean()

@@ -626,6 +626,11 @@ class TestSimulate:
         assert out == ""
         assert "no variation" in err
 
+    def test_replications_must_fit_a_key_word(self, capsys):
+        assert main(["simulate", "--structure", "round-robin", "--n", "3",
+                     "--k", "1", "--reps", str(1 << 32)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: replications must be < 2^32, got {1 << 32}\n")
 
     @pytest.mark.parametrize("n", ["-1", "0", "1"])
     @pytest.mark.parametrize("structure", ["round-robin", "circular"])

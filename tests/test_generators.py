@@ -22,6 +22,8 @@ from pairrank.quasisym import check_triplets, decompose_qs, verify_equivalence
 from pairrank.linalg import is_irreducible
 from pairrank.rankings import influence_weight, transition_matrix
 
+from oracles import influence_eig
+
 
 def _config(n, games, reps=10, seed=0, mu=None):
     if mu is None:
@@ -60,8 +62,8 @@ def _reference_pairs(cfg, structure):
 
 def _record_draws(monkeypatch) -> tuple[list, dict]:
     """What the Monte Carlo draws and what it examines: (drawn, examined),
-    drawn the (replication, retry) of every tournament drawn, in batches
-    and ahead of use, and examined the support C > 0 the degeneracy check
+    drawn the (replication, retry) of every tournament drawn, in the order
+    of the draw calls, and examined the support C > 0 the degeneracy check
     sees of each (replication, retry). The check must take exactly the
     stack of the draw call before it."""
     drawn, examined, pending = [], {}, []
@@ -87,6 +89,31 @@ def _record_draws(monkeypatch) -> tuple[list, dict]:
     monkeypatch.setattr(generators, "_draw_counts", recording)
     monkeypatch.setattr(generators, "_closed_group", examining)
     return drawn, examined
+
+
+def _walk_verdict(cfg):
+    """The verdict of the one-by-one walk the Monte Carlo must reproduce:
+    each replication in turn is redrawn at retry 1, 2, ... until its
+    support is strongly connected, and the walk stops once its rejections
+    pass the replication count. The rejection count, or the error's
+    message; the sample has no variation when the accepted draws' influence
+    weights (by LAPACK) agree."""
+    reps, rejections, weights = cfg.replications, 0, []
+    for rep in range(reps):
+        retry = 0
+        while not is_irreducible(_reference_draw(cfg, rep, retry)):
+            rejections += 1
+            if rejections > reps:
+                return (f"more than half of all tournament draws were "
+                        f"degenerate ({reps + 1} rejections); increase "
+                        f"games_per_pair")
+            retry += 1
+        weights.append(influence_eig(_reference_draw(cfg, rep, retry)))
+    if np.allclose(weights, weights[0], rtol=0.0, atol=1e-12):
+        return (f"all {reps} accepted tournament draws gave the same log "
+                "weights, so the sample has no variation; increase "
+                "games_per_pair")
+    return rejections
 
 
 def _count_philox(monkeypatch) -> list:
@@ -137,6 +164,21 @@ class TestStructures:
             structure_matrix("lattice", 4)
         with pytest.raises(DomainError, match="a ring needs n >= 3, got 2"):
             structure_matrix("circular", 2)
+
+    @pytest.mark.parametrize("name", [None, 3, b"circular"])
+    def test_structure_names_must_be_strings(self, name):
+        # each raised an AttributeError, the Monte Carlo's before any draw
+        message = (f"unknown structure {name!r}; expected one of "
+                   f"{generators.STRUCTURES}")
+        for build in (lambda: structure_matrix(name, 4),
+                      lambda: monte_carlo_covariance(
+                          _config(4, games=2, reps=4), name)):
+            with pytest.raises(DomainError) as exc:
+                build()
+            assert str(exc.value) == message
+        res = monte_carlo_covariance(_config(3, games=8, reps=4),
+                                     "Round_Robin")
+        assert res.structure == "round-robin"
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -231,9 +273,13 @@ class TestSimulateTournament:
             _config(1025, games=1)
         assert str(exc.value) == (
             "too many players for a 2^20-cell draw (n > 1024)")
-        _config(2, games=1, reps=1 << 32)
-        with pytest.raises(DomainError, match="replications"):
-            _config(2, games=1, reps=(1 << 32) + 1)
+        # a retry is at most the rejections, at most replications, so both
+        # words of a key fit in 32 bits
+        _config(2, games=1, reps=(1 << 32) - 1)
+        with pytest.raises(DomainError) as exc:
+            _config(2, games=1, reps=1 << 32)
+        assert str(exc.value) == (
+            f"replications must be < 2^32, got {1 << 32}")
 
     @pytest.mark.parametrize("n, games, reps, seed, message", [
         (1, 2, 2, 0, "need at least two players"),
@@ -412,7 +458,7 @@ class TestDrawKernel:
         # both sides of 1/2, random 64-bit seeds, and among the rows the
         # largest replication and retry
         rng = np.random.default_rng(36)
-        top = (generators._MAX_REPLICATION - 1, generators._MAX_RETRY - 1)
+        top = (generators._MAX_REPLICATION - 1, (1 << 32) - 1)
         lanes, regimes = 0, set()
         for games in range(1, 201):
             mu = rng.normal(0.0, 1.0, 9)
@@ -423,7 +469,7 @@ class TestDrawKernel:
             regimes.update(games * low > 30.0)
             assert (pairs[2] < 0.5).any() and (pairs[2] > 0.5).any()
             reps = [top[0], top[0], 0] + rng.integers(0, 1 << 32, 9).tolist()
-            retries = [top[1], 0, top[1]] + rng.integers(0, 1 << 16,
+            retries = [top[1], 0, top[1]] + rng.integers(0, 1 << 32,
                                                          9).tolist()
             C = generators._draw_counts(cfg, pairs)(reps, retries)
             for c, replication, retry in zip(C, reps, retries):
@@ -470,8 +516,8 @@ class TestDrawKernel:
         mu = np.array([0.3, -0.1, 0.5, -0.7])
         cfg = _config(4, games=16, seed=(1 << 64) - 1, mu=mu)
         draw = generators._draw_counts(cfg, generators._pairs(cfg))
-        rows = [((1 << 32) - 1, (1 << 16) - 1), ((1 << 32) - 1, 0),
-                (0, (1 << 16) - 1)]
+        rows = [((1 << 32) - 1, (1 << 32) - 1), ((1 << 32) - 1, 0),
+                (0, (1 << 32) - 1)]
         C = draw(*zip(*rows))
         for c, (replication, retry) in zip(C, rows):
             assert np.array_equal(c, _reference_draw(cfg, replication, retry))
@@ -585,36 +631,33 @@ class TestMonteCarlo:
             "more than half of all tournament draws were degenerate "
             "(501 rejections); increase games_per_pair")
 
-    @pytest.mark.parametrize("seed", [0, 5, 42])
+    @pytest.mark.parametrize("seed", range(60))
     def test_too_many_rejections_fire_at_the_same_draw(self, monkeypatch,
                                                         seed):
-        # one game a pair on three players: only the two 3-cycles of the 8
-        # outcomes are irreducible, so rejections pass reps part way through
-        cfg = _config(3, games=1, reps=40, seed=seed)
-        rejections, walk = 0, []
-        for rep in range(cfg.replications):
-            retry = 0
-            while rejections <= cfg.replications:
-                walk.append((rep, retry))
-                C = _reference_draw(cfg, rep, retry)
-                if C.sum(axis=0).all() and is_irreducible(C):
-                    break
-                rejections += 1
-                retry += 1
-        expected = walk[-1]
-        assert rejections == 41 and expected[0] < cfg.replications - 1
+        # the same rejection count or error as the one-by-one walk. Over
+        # the seeds all three verdicts occur: two players at two games give
+        # no variation or too many rejections, three mostly a covariance,
+        # and three at one game (only the two 3-cycles of the 8 outcomes
+        # are irreducible) too many rejections
         drawn, examined = _record_draws(monkeypatch)
-        with pytest.raises(DegenerateSampleError) as exc:
-            monte_carlo_covariance(cfg, "round-robin")
-        assert str(exc.value) == (
-            "more than half of all tournament draws were degenerate "
-            "(41 rejections); increase games_per_pair")
-        # every draw of the reference walk, up to the one where it fires,
-        # was drawn and its support examined
-        assert expected in drawn
-        for key in walk:
-            assert np.array_equal(examined[key],
-                                  _reference_draw(cfg, *key) > 0)
+        for n, games, reps in [(2, 2, 20), (3, 2, 2), (3, 1, 40)]:
+            cfg = _config(n, games=games, reps=reps, seed=seed)
+            drawn.clear()
+            examined.clear()
+            try:
+                verdict = monte_carlo_covariance(cfg).rejections
+            except DegenerateSampleError as exc:
+                verdict = str(exc)
+            assert verdict == _walk_verdict(cfg)
+            # every row drawn once and examined, and each replication's
+            # retries run 0, 1, 2, ... with no gap
+            assert len(set(drawn)) == len(drawn) == len(examined)
+            for key, adj in examined.items():
+                assert np.array_equal(adj, _reference_draw(cfg, *key) > 0)
+            retries = {}
+            for rep, retry in drawn:
+                assert retry == len(retries.setdefault(rep, []))
+                retries[rep].append(retry)
 
     def test_redraws_follow_replication_order(self, monkeypatch):
         # more replications than one block, so blocks meet in the middle
@@ -636,48 +679,32 @@ class TestMonteCarlo:
                                   _reference_draw(cfg, *key) > 0)
         assert res.rejections == len(expected) - reps > 0
 
-    def test_retry_budget_exhausted(self, monkeypatch):
-        # two players, one game: every draw has a zero column, and with
-        # 2^16 replications the budget of one replication runs out before
-        # rejections pass half of all draws
-        drawn, examined = _record_draws(monkeypatch)
-        with pytest.raises(DegenerateSampleError) as exc:
-            monte_carlo_covariance(_config(2, games=1, reps=1 << 16),
-                                   "round-robin")
-        assert str(exc.value) == ("retry budget exhausted for a single "
-                                  "replication; increase games_per_pair")
-        # replication 0 is drawn once and examined at every retry
-        # 0 .. 2^16 - 1, and nothing past the budget is drawn
-        assert sorted(retry for rep, retry in drawn if rep == 0) == \
-            list(range(1 << 16))
-        assert all((0, retry) in examined for retry in range(1 << 16))
-        assert max(retry for _, retry in drawn) < 1 << 16
-
-    def test_a_rejected_head_draws_spare_rows(self, monkeypatch):
-        # with fewer redraw lanes than a block has replications, the
-        # earliest pending replication still draws one more row for each of
-        # its rejections: where every draw is rejected (two players, one
-        # game) its retries double a call, and the error comes in a few
-        rows = []
+    def test_every_draw_rejected_fires_after_whole_rounds(self,
+                                                          monkeypatch):
+        # two players, one game: every draw has a zero column. Each round
+        # redraws the whole first block, _BLOCK more rejections, so with
+        # 2^16 replications they pass half of all draws in the 129th
+        calls = []
         build = generators._draw_counts
 
-        def counting(config, pairs):
+        def recording(config, pairs):
             draw = build(config, pairs)
 
             def wrapped(replications, retries):
-                rows.append(len(replications))
+                calls.append((np.asarray(replications).tolist(),
+                              set(np.asarray(retries).tolist())))
                 return draw(replications, retries)
             return wrapped
 
-        monkeypatch.setattr(generators, "_REDRAW_LANES", 4)
-        monkeypatch.setattr(generators, "_draw_counts", counting)
+        monkeypatch.setattr(generators, "_draw_counts", recording)
         with pytest.raises(DegenerateSampleError) as exc:
-            monte_carlo_covariance(_config(2, games=1, reps=1000),
+            monte_carlo_covariance(_config(2, games=1, reps=1 << 16),
                                    "round-robin")
         assert str(exc.value) == (
             "more than half of all tournament draws were degenerate "
-            "(1001 rejections); increase games_per_pair")
-        assert len(rows) <= 12 and rows[0] == generators._BLOCK
+            "(65537 rejections); increase games_per_pair")
+        assert calls == [(list(range(generators._BLOCK)), {retry})
+                         for retry in range(129)]
 
     def test_a_call_holds_at_most_the_cell_budget(self, monkeypatch):
         # ten 3 x 3 matrices to a call: blocks of ten, and the same result
@@ -718,8 +745,8 @@ class TestMonteCarlo:
 
     def test_five_hundred_players_in_bounded_memory(self):
         # n = 500: blocks of 4 tournaments (2^20 // 500^2). The peak is the
-        # block's stack three times over, the draws, the solve's system and
-        # LAPACK's copy of it: about 11.5 n x n float64 arrays
+        # block's stack, the solve's system and LAPACK's copy of it, and the
+        # pairs' arrays: about 10.5 n x n float64 arrays
         n = 500
         monte_carlo_covariance(_config(3, games=4, reps=2), "round-robin")
         tracemalloc.start()
